@@ -17,13 +17,11 @@ from .estimators import (BaselineResult, NoiseOrthogonalityResult,
                          orthogonality_probe, plug_in_ate, score_psi1,
                          score_psi2, solve_theta)
 from .harness import ExperimentConfig, Report, emit_report, run_experiment
-from .metrics import EvalResult, ate_error, auc, pehe_root, rmse
-from .model import (Batch, Checkpoint, MBRLNet, TrainConfig, build_net,
-                    factual_outcome_loss, distinguishability_loss, fit,
-                    hyper_search, load_checkpoint, multitask_step,
-                    noise_regularizers, perturbation_error, predict,
-                    save_checkpoint, search_grid)
-from .nn import AdamState, NetSpec, ParamSet, adam_step, backward, forward, \
+from .metrics import ate_error, auc, pehe_root, rmse
+from .model import (Batch, Checkpoint, MBRLNet, TrainConfig, build_net, fit,
+                    load_checkpoint, multitask_step, perturbation_error,
+                    predict, save_checkpoint)
+from .nn import AdamState, NetSpec, ParamSet, adam_update, backward, forward, \
     grad_check, init_params
 from .ot import SinkhornConfig, SinkhornResult, exact_ot_small, \
     wasserstein_sinkhorn

@@ -16,6 +16,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .nn import sigmoid
+
 OUTCOME_KINDS = ("continuous", "binary")
 
 # Tolerance used when checking outcomes against potential outcomes loaded
@@ -26,13 +28,6 @@ CONSISTENCY_ATOL = 1e-8
 OUTCOME_NOISE_SD = 0.1
 ASSIGNMENT_NOISE_SD = 0.01
 ASSIGNMENT_WEIGHT_RANGE = 0.01
-
-
-def sigmoid(z):
-    """Overflow-safe logistic function."""
-    z = np.asarray(z, dtype=float)
-    a = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0 / (1.0 + a), a / (1.0 + a))
 
 
 # =========================================================================

@@ -114,8 +114,7 @@ def solve_theta(kind: str, data: Dataset, nuis: NuisanceEstimates, i: int) -> fl
     """Solve (1/N) sum psi = 0 for theta.
 
     Both scores are affine in theta with unit coefficient, so the solution is
-    the sample mean of the head prediction plus its correction term. No
-    cross-fitting is applied.
+    minus the mean score at theta = 0. No cross-fitting is applied.
     """
     if kind not in SCORE_KINDS:
         raise ValueError(f"unknown score kind {kind!r}")
@@ -125,16 +124,13 @@ def solve_theta(kind: str, data: Dataset, nuis: NuisanceEstimates, i: int) -> fl
         raise ValueError("dataset and nuisances have different lengths")
     y = data.outcome_factual
     d = data.treatment.astype(float)
-    m = nuis.m_hat
     g_i = nuis.g1_hat if i == 1 else nuis.g0_hat
     if kind == "psi1":
-        indicator = d if i == 1 else 1.0 - d
-        prob = m if i == 1 else 1.0 - m
-        correction = (y - g_i) * indicator / prob
+        psi = score_psi1(y, d, g_i, nuis.m_hat, 0.0, i)
     else:
         g_d = d * nuis.g1_hat + (1.0 - d) * nuis.g0_hat
-        correction = (y - g_d) * (d - m) ** 2 / (m * (1.0 - m))
-    return float(np.mean(g_i + correction))
+        psi = score_psi2(y, d, g_i, g_d, nuis.m_hat, 0.0, i)
+    return -float(np.mean(psi))
 
 
 def ate_orthogonal(kind: str, data: Dataset, nuis: NuisanceEstimates) -> ThetaPair:

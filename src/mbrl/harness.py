@@ -23,7 +23,7 @@ from . import estimators as est
 from . import metrics
 from .data import (Dataset, SimConfig, SplitSpec, concat, generate_simulation,
                    generate_twins_assignment, kl_selection_bias, load_csv, split)
-from .model import Checkpoint, TrainConfig, fit, predict
+from .model import Checkpoint, TrainConfig, fit, perturbation_error, predict
 
 logger = logging.getLogger(__name__)
 
@@ -266,9 +266,8 @@ def _metric_row(data: Dataset, tau_hat: float, y0_hat, y1_hat, yhat_factual,
                     "pehe_root": None, "auc": None})
     row["rmse"] = metrics.rmse(data.outcome_factual, yhat_factual)
     if propensity is not None:
-        row["eps_p"] = metrics.rmse(data.outcome_factual, yhat_factual) + beta * abs(
-            float(np.mean((data.outcome_factual - yhat_factual)
-                          * (data.treatment - propensity))))
+        row["eps_p"] = perturbation_error(data.outcome_factual, yhat_factual,
+                                          data.treatment, propensity, beta)
     else:
         row["eps_p"] = None
     return row

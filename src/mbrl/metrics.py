@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.stats import rankdata
 
@@ -56,21 +54,3 @@ def rmse(y, yhat) -> float:
         raise ValueError("length mismatch")
     return float(np.sqrt(np.mean((y - yhat) ** 2)))
 
-
-@dataclass
-class EvalResult:
-    """Per-evaluation bundle of error metrics."""
-
-    ate_error: float
-    rmse_factual: float
-    eps_p: float
-    pehe_root: float | None = None
-    auc: float | None = None
-
-    def __post_init__(self):
-        if self.ate_error < 0:
-            raise ValueError("ate_error must be nonnegative")
-        if self.pehe_root is not None and self.pehe_root < 0:
-            raise ValueError("pehe_root must be nonnegative")
-        if self.auc is not None and not 0.0 <= self.auc <= 1.0:
-            raise ValueError("auc must lie in [0, 1]")

@@ -20,10 +20,9 @@ import copy
 import csv
 import json
 import logging
-from dataclasses import dataclass, field, replace
-from itertools import product
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -34,7 +33,11 @@ from .ot import SinkhornConfig, wasserstein_sinkhorn
 
 logger = logging.getLogger(__name__)
 
-ABLATIONS = ("full_mbrl", "no_eps_p", "no_orthogonality", "tarnet_mode", "cfr_mode")
+# cfr_mode (the balancing task without the noise regularizers) is another
+# name for no_orthogonality; both are accepted and resolve to one plan.
+ABLATION_ALIASES = {"cfr_mode": "no_orthogonality"}
+ABLATIONS = ("full_mbrl", "no_eps_p", "no_orthogonality", "tarnet_mode",
+             *ABLATION_ALIASES)
 
 BETA_DEFAULT_CONTINUOUS = 0.1
 BETA_DEFAULT_BINARY = 100.0
@@ -171,17 +174,7 @@ class TrainConfig:
             raise ValueError("eps_clip must be positive")
 
     def to_dict(self) -> dict:
-        d = {k: getattr(self, k) for k in (
-            "lambda1", "lambda2", "beta", "batch_size", "epochs",
-            "learning_rate", "ablation", "seed", "phi_depth", "phi_width",
-            "pi_depth", "pi_width", "head_depth", "head_width", "eps_clip")}
-        d["sinkhorn"] = {
-            "entropic_reg": self.sinkhorn.entropic_reg,
-            "max_iters": self.sinkhorn.max_iters,
-            "tol": self.sinkhorn.tol,
-            "cost": self.sinkhorn.cost,
-        }
-        return d
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
@@ -205,15 +198,13 @@ class _TaskPlan:
 
 
 def _resolve(cfg: TrainConfig) -> _TaskPlan:
-    if cfg.ablation in ("full_mbrl", "no_eps_p"):
+    ablation = ABLATION_ALIASES.get(cfg.ablation, cfg.ablation)
+    if ablation in ("full_mbrl", "no_eps_p"):
         return _TaskPlan(cfg.lambda1, cfg.lambda2, True, True,
-                         "eps_p" if cfg.ablation == "full_mbrl" else "rmse")
-    if cfg.ablation == "no_orthogonality":
+                         "eps_p" if ablation == "full_mbrl" else "rmse")
+    if ablation == "no_orthogonality":
         return _TaskPlan(0.0, 0.0, False, True, "rmse")
-    if cfg.ablation == "tarnet_mode":
-        return _TaskPlan(0.0, 0.0, False, False, "rmse")
-    # cfr_mode: tarnet plus the balancing task
-    return _TaskPlan(0.0, 0.0, False, True, "rmse")
+    return _TaskPlan(0.0, 0.0, False, False, "rmse")  # tarnet_mode
 
 
 def build_net(n_covariates: int, outcome_kind: str, cfg: TrainConfig,
@@ -255,37 +246,6 @@ def predict(net: MBRLNet, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
     o0, _ = nn.forward(net.f0, net.f0_spec, R)
     o1, _ = nn.forward(net.f1, net.f1_spec, R)
     return o0[:, 0], o1[:, 0], p[:, 0]
-
-
-def factual_prediction(net: MBRLNet, Z: np.ndarray, d: np.ndarray) -> np.ndarray:
-    yhat0, yhat1, _ = predict(net, Z)
-    return np.where(np.asarray(d) == 1, yhat1, yhat0)
-
-
-def factual_outcome_loss(net: MBRLNet, batch: Batch) -> float:
-    """MSE for continuous outcomes, mean negative log-likelihood for binary."""
-    pred = factual_prediction(net, batch.covariates, batch.treatment)
-    y = batch.outcome
-    if net.outcome_kind == "binary":
-        return float(-np.mean(y * np.log(pred) + (1.0 - y) * np.log1p(-pred)))
-    return float(np.mean((y - pred) ** 2))
-
-
-def distinguishability_loss(net: MBRLNet, batch: Batch) -> float:
-    """Mean treatment log-likelihood of the discriminator (<= 0, maximized)."""
-    _, _, p = predict(net, batch.covariates)
-    d = batch.treatment
-    return float(np.mean(d * np.log(p) + (1.0 - d) * np.log1p(-p)))
-
-
-def noise_regularizers(net: MBRLNet, batch: Batch) -> tuple[float, float]:
-    """Omega_y = eps_y |mean outcome residual|, Omega_d = eps_d |mean
-    treatment residual|, both over the minibatch."""
-    pred = factual_prediction(net, batch.covariates, batch.treatment)
-    _, _, p = predict(net, batch.covariates)
-    omega_y = float(net.eps_y) * abs(float(np.mean(batch.outcome - pred)))
-    omega_d = float(net.eps_d) * abs(float(np.mean(batch.treatment - p)))
-    return omega_y, omega_d
 
 
 def perturbation_error(y, yhat, d, dhat, beta: float) -> float:
@@ -343,83 +303,26 @@ def init_train_state(net: MBRLNet, cfg: TrainConfig) -> TrainState:
     )
 
 
-def _outcome_loss_and_grad(net: MBRLNet, y: np.ndarray,
-                           pred: np.ndarray) -> tuple[float, np.ndarray]:
-    b = y.shape[0]
-    if net.outcome_kind == "binary":
-        loss = float(-np.mean(y * np.log(pred) + (1.0 - y) * np.log1p(-pred)))
-        dpred = (-(y / pred) + (1.0 - y) / (1.0 - pred)) / b
-    else:
-        loss = float(np.mean((y - pred) ** 2))
-        dpred = 2.0 * (pred - y) / b
-    return loss, dpred
-
-
 def multitask_step(state: TrainState, batch: Batch, cfg: TrainConfig) -> TrainState:
     """Run the three tasks on one minibatch, in order, each with its own
-    optimizer state.
+    optimizer state: task 1 ascends, tasks 2 and 3 descend the gradients
+    ``task_objective`` returns.
 
     The balancing task is skipped when the batch lacks a treatment arm (the
     imbalance loss is then defined as 0) and under the tarnet ablation.
     """
     plan = _resolve(cfg)
     net = state.net
-    Z = net.transform(batch.covariates)
-    d = np.asarray(batch.treatment, dtype=float)
-    y = np.asarray(batch.outcome, dtype=float)
-    b = Z.shape[0]
-
-    # ---- Task 1: discriminator ascent on L_dis - lambda1 * Omega_d
-    R, _ = nn.forward(net.phi, net.phi_spec, Z)
-    p_mat, cache_pi = nn.forward(net.pi, net.pi_spec, R)
-    p = p_mat[:, 0]
-    l_dis = float(np.mean(d * np.log(p) + (1.0 - d) * np.log1p(-p)))
-    gap_d = float(np.mean(d - p))
-    omega_d = float(net.eps_d) * abs(gap_d)
-    dobj_dp = (d / p - (1.0 - d) / (1.0 - p)) / b
-    dobj_dp = dobj_dp + plan.lambda1 * float(net.eps_d) * np.sign(gap_d) / b
-    grads_pi, _ = nn.backward(net.pi, net.pi_spec, cache_pi, dobj_dp[:, None])
-    group = _group_discriminator(net, plan.train_eps)
-    grad_list = [*grads_pi.weights, *grads_pi.biases]
-    if plan.train_eps:
-        grad_list.append(np.asarray(-plan.lambda1 * abs(gap_d)))
-    nn.adam_update(group, grad_list, state.opt_discriminator, maximize=True)
-
-    # ---- Task 2: encoder descent on the imbalance distance
-    l_imb = 0.0
-    treated = d == 1
-    if plan.run_balance and treated.any() and (~treated).any():
-        R, cache_phi = nn.forward(net.phi, net.phi_spec, Z)
-        ot_res = wasserstein_sinkhorn(R[treated], R[~treated], cfg.sinkhorn)
-        dR = np.zeros_like(R)
-        dR[treated] = ot_res.grad_a
-        dR[~treated] = ot_res.grad_b
-        grads_phi, _ = nn.backward(net.phi, net.phi_spec, cache_phi, dR)
-        nn.adam_update(_group_encoder(net),
-                       [*grads_phi.weights, *grads_phi.biases],
-                       state.opt_balance)
-        l_imb = ot_res.distance
-
-    # ---- Task 3: outcome descent on L_fo + lambda2 * Omega_y
-    R, cache_phi = nn.forward(net.phi, net.phi_spec, Z)
-    o0_mat, cache_f0 = nn.forward(net.f0, net.f0_spec, R)
-    o1_mat, cache_f1 = nn.forward(net.f1, net.f1_spec, R)
-    pred = d * o1_mat[:, 0] + (1.0 - d) * o0_mat[:, 0]
-    l_fo, dpred = _outcome_loss_and_grad(net, y, pred)
-    gap_y = float(np.mean(y - pred))
-    omega_y = float(net.eps_y) * abs(gap_y)
-    dpred = dpred - plan.lambda2 * float(net.eps_y) * np.sign(gap_y) / b
-    grads_f1, dR1 = nn.backward(net.f1, net.f1_spec, cache_f1, (dpred * d)[:, None])
-    grads_f0, dR0 = nn.backward(net.f0, net.f0_spec, cache_f0,
-                                (dpred * (1.0 - d))[:, None])
-    grads_phi, _ = nn.backward(net.phi, net.phi_spec, cache_phi, dR1 + dR0)
-    group = _group_outcome(net, plan.train_eps)
-    grad_list = [*grads_phi.weights, *grads_phi.biases,
-                 *grads_f0.weights, *grads_f0.biases,
-                 *grads_f1.weights, *grads_f1.biases]
-    if plan.train_eps:
-        grad_list.append(np.asarray(plan.lambda2 * abs(gap_y)))
-    nn.adam_update(group, grad_list, state.opt_outcome)
+    treated = np.asarray(batch.treatment) == 1
+    balance = plan.run_balance and treated.any() and not treated.all()
+    losses = {"l_imb": 0.0}
+    for task, opt in ((1, state.opt_discriminator), (2, state.opt_balance),
+                      (3, state.opt_outcome)):
+        if task == 2 and not balance:
+            continue
+        obj = task_objective(net, batch, cfg, task)
+        nn.adam_update(obj.group, obj.grads, opt, maximize=task == 1)
+        losses.update(obj.terms)
 
     if plan.train_eps:
         for eps in (net.eps_y, net.eps_d):
@@ -428,8 +331,6 @@ def multitask_step(state: TrainState, batch: Batch, cfg: TrainConfig) -> TrainSt
                 state.clip_events += 1
                 logger.warning("free scalar clipped to |eps| <= %g", cfg.eps_clip)
 
-    losses = {"l_fo": l_fo, "l_dis": l_dis, "l_imb": l_imb,
-              "omega_y": omega_y, "omega_d": omega_d}
     if not all(np.isfinite(v) for v in losses.values()):
         raise RuntimeError(f"non-finite training signal at step "
                            f"{state.step_count + 1}: {losses}")
@@ -439,16 +340,26 @@ def multitask_step(state: TrainState, batch: Batch, cfg: TrainConfig) -> TrainSt
 
 
 # =========================================================================
-# Task objectives with analytic gradients (for finite-difference checks)
+# Task objectives with analytic gradients
 # =========================================================================
 
+class TaskObjective(NamedTuple):
+    value: float
+    grads: list[np.ndarray]
+    group: list[np.ndarray]
+    terms: dict[str, float]  # the loss terms the training log records
+
+
 def task_objective(net: MBRLNet, batch: Batch, cfg: TrainConfig,
-                   task: int) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
-    """Value, analytic gradients and parameter group of one task objective.
+                   task: int) -> TaskObjective:
+    """Value, analytic gradients, parameter group and logged loss terms of
+    one task objective.
 
     Task 1 returns the ascent objective L_dis - lambda1*Omega_d; tasks 2 and
     3 return the descent objectives. Gradients follow the objective's own
-    sign convention (not the update direction).
+    sign convention (not the update direction). The free scalars join the
+    groups of tasks 1 and 3 when the ablation trains them.
+    ``multitask_step`` applies exactly these gradients.
     """
     plan = _resolve(cfg)
     Z = net.transform(batch.covariates)
@@ -459,33 +370,40 @@ def task_objective(net: MBRLNet, batch: Batch, cfg: TrainConfig,
         R, _ = nn.forward(net.phi, net.phi_spec, Z)
         p_mat, cache_pi = nn.forward(net.pi, net.pi_spec, R)
         p = p_mat[:, 0]
+        l_dis = float(np.mean(d * np.log(p) + (1.0 - d) * np.log1p(-p)))
         gap = float(np.mean(d - p))
-        value = (float(np.mean(d * np.log(p) + (1.0 - d) * np.log1p(-p)))
-                 - plan.lambda1 * float(net.eps_d) * abs(gap))
+        value = l_dis - plan.lambda1 * float(net.eps_d) * abs(gap)
         dobj = (d / p - (1.0 - d) / (1.0 - p)) / b
         dobj = dobj + plan.lambda1 * float(net.eps_d) * np.sign(gap) / b
         grads_pi, _ = nn.backward(net.pi, net.pi_spec, cache_pi, dobj[:, None])
-        group = _group_discriminator(net, train_eps=True)
-        grads = [*grads_pi.weights, *grads_pi.biases,
-                 np.asarray(-plan.lambda1 * abs(gap))]
-        return value, grads, group
+        grads = [*grads_pi.weights, *grads_pi.biases]
+        if plan.train_eps:
+            grads.append(np.asarray(-plan.lambda1 * abs(gap)))
+        return TaskObjective(value, grads, _group_discriminator(net, plan.train_eps),
+                             {"l_dis": l_dis, "omega_d": float(net.eps_d) * abs(gap)})
     if task == 2:
-        R, cache_phi = nn.forward(net.phi, net.phi_spec, Z)
         treated = d == 1
         if not treated.any() or treated.all():
             raise ValueError("task 2 needs both treatment arms in the batch")
+        R, cache_phi = nn.forward(net.phi, net.phi_spec, Z)
         res = wasserstein_sinkhorn(R[treated], R[~treated], cfg.sinkhorn)
         dR = np.zeros_like(R)
         dR[treated] = res.grad_a
         dR[~treated] = res.grad_b
         grads_phi, _ = nn.backward(net.phi, net.phi_spec, cache_phi, dR)
-        return res.distance, [*grads_phi.weights, *grads_phi.biases], _group_encoder(net)
+        return TaskObjective(res.distance, [*grads_phi.weights, *grads_phi.biases],
+                             _group_encoder(net), {"l_imb": res.distance})
     if task == 3:
         R, cache_phi = nn.forward(net.phi, net.phi_spec, Z)
         o0_mat, cache_f0 = nn.forward(net.f0, net.f0_spec, R)
         o1_mat, cache_f1 = nn.forward(net.f1, net.f1_spec, R)
         pred = d * o1_mat[:, 0] + (1.0 - d) * o0_mat[:, 0]
-        l_fo, dpred = _outcome_loss_and_grad(net, y, pred)
+        if net.outcome_kind == "binary":
+            l_fo = float(-np.mean(y * np.log(pred) + (1.0 - y) * np.log1p(-pred)))
+            dpred = (-(y / pred) + (1.0 - y) / (1.0 - pred)) / b
+        else:
+            l_fo = float(np.mean((y - pred) ** 2))
+            dpred = 2.0 * (pred - y) / b
         gap = float(np.mean(y - pred))
         value = l_fo + plan.lambda2 * float(net.eps_y) * abs(gap)
         dpred = dpred - plan.lambda2 * float(net.eps_y) * np.sign(gap) / b
@@ -493,12 +411,13 @@ def task_objective(net: MBRLNet, batch: Batch, cfg: TrainConfig,
         grads_f0, dR0 = nn.backward(net.f0, net.f0_spec, cache_f0,
                                     (dpred * (1.0 - d))[:, None])
         grads_phi, _ = nn.backward(net.phi, net.phi_spec, cache_phi, dR1 + dR0)
-        group = _group_outcome(net, train_eps=True)
         grads = [*grads_phi.weights, *grads_phi.biases,
                  *grads_f0.weights, *grads_f0.biases,
-                 *grads_f1.weights, *grads_f1.biases,
-                 np.asarray(plan.lambda2 * abs(gap))]
-        return value, grads, group
+                 *grads_f1.weights, *grads_f1.biases]
+        if plan.train_eps:
+            grads.append(np.asarray(plan.lambda2 * abs(gap)))
+        return TaskObjective(value, grads, _group_outcome(net, plan.train_eps),
+                             {"l_fo": l_fo, "omega_y": float(net.eps_y) * abs(gap)})
     raise ValueError("task must be 1, 2 or 3")
 
 
@@ -507,26 +426,10 @@ def task_gradient_error(net: MBRLNet, batch: Batch, cfg: TrainConfig,
                         max_coords: int = 2000, seed: int = 0) -> float:
     """Max relative error between analytic task gradients and central
     finite differences over the task's parameter group."""
-    _, grads, group = task_objective(net, batch, cfg, task)
-    coords = [(ti, j) for ti, t in enumerate(group) for j in range(t.size)]
-    if len(coords) > max_coords:
-        rng = np.random.default_rng(seed)
-        picked = rng.choice(len(coords), size=max_coords, replace=False)
-        coords = [coords[int(i)] for i in picked]
-    max_err = 0.0
-    for ti, j in coords:
-        flat = group[ti].reshape(-1)
-        orig = flat[j]
-        flat[j] = orig + h
-        f_plus = task_objective(net, batch, cfg, task)[0]
-        flat[j] = orig - h
-        f_minus = task_objective(net, batch, cfg, task)[0]
-        flat[j] = orig
-        numeric = (f_plus - f_minus) / (2.0 * h)
-        analytic = float(grads[ti].reshape(-1)[j])
-        err = abs(analytic - numeric) / max(1.0, abs(analytic) + abs(numeric))
-        max_err = max(max_err, err)
-    return max_err
+    _, grads, group, _ = task_objective(net, batch, cfg, task)
+    return nn.central_difference_error(
+        group, grads, lambda: task_objective(net, batch, cfg, task).value,
+        h, max_coords, seed)
 
 
 # =========================================================================
@@ -545,9 +448,7 @@ class EpochStats:
     val_eps_p: float
 
     def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in (
-            "epoch", "l_fo", "l_dis", "l_imb", "omega_y", "omega_d",
-            "val_rmse", "val_eps_p")}
+        return asdict(self)
 
 
 @dataclass
@@ -587,7 +488,8 @@ def fit(train: Dataset, val: Dataset, cfg: TrainConfig) -> Checkpoint:
     After each epoch the validation RMSE and perturbation error are
     recorded; the checkpoint keeps the parameters of the epoch minimizing
     the selection criterion (perturbation error by default, RMSE under
-    ablations that drop it). Ties keep the earlier epoch.
+    ablations that drop it). Ties keep the earlier epoch. Raises
+    RuntimeError when no epoch has a finite selection criterion.
     """
     if train.n_units == 0 or val.n_units == 0:
         raise ValueError("empty split")
@@ -651,6 +553,9 @@ def fit(train: Dataset, val: Dataset, cfg: TrainConfig) -> Checkpoint:
     else:
         selected_net, selected_epoch, selected_value = (
             best_net_rmse, best_epoch_rmse, best_rmse)
+    if selected_net is None:
+        raise RuntimeError(f"no epoch of {cfg.epochs} had a finite validation "
+                           f"{plan.selection}; nothing to select")
     return Checkpoint(
         net=selected_net,
         best_epoch=selected_epoch,
@@ -664,56 +569,6 @@ def fit(train: Dataset, val: Dataset, cfg: TrainConfig) -> Checkpoint:
         best_val_rmse=float(best_rmse),
         clip_events=state.clip_events,
     )
-
-
-# =========================================================================
-# Hyperparameter search
-# =========================================================================
-
-def hyper_search(train: Dataset, val: Dataset,
-                 grid: Iterable[TrainConfig]) -> TrainConfig:
-    """Exhaustive grid evaluation; selection by the validation criterion,
-    ties broken by grid order."""
-    grid = list(grid)
-    if not grid:
-        raise ValueError("empty grid")
-    logger.info("hyperparameter search over %d candidate configs", len(grid))
-    best_cfg = None
-    best_value = np.inf
-    for cfg in grid:
-        ckpt = fit(train, val, cfg)
-        if ckpt.best_eps_p < best_value:
-            best_value = ckpt.best_eps_p
-            best_cfg = cfg
-    return best_cfg
-
-
-_GRID_LAMBDAS = (0.01, 0.1, 1.0)
-_GRID_DEPTHS = (2, 3, 4)
-_GRID_WIDTHS = (100, 200)
-_GRID_BATCH_EPOCH = {
-    "ihdp": ((100, 300), (500, 1000)),
-    "twins": ((500, 1000), (250, 500)),
-}
-
-
-def search_grid(dataset: str = "ihdp",
-                base: TrainConfig | None = None) -> list[TrainConfig]:
-    """The standard search ranges (shared lambda for both regularizers)."""
-    if dataset not in _GRID_BATCH_EPOCH:
-        raise ValueError(f"unknown grid preset {dataset!r}")
-    base = base or TrainConfig()
-    batches, epochs = _GRID_BATCH_EPOCH[dataset]
-    grid = []
-    for lam, pd_, pw, dd, dw, hd, hw, bs, ep in product(
-            _GRID_LAMBDAS, _GRID_DEPTHS, _GRID_WIDTHS, _GRID_DEPTHS,
-            _GRID_WIDTHS, _GRID_DEPTHS, _GRID_WIDTHS, batches, epochs):
-        grid.append(replace(base, lambda1=lam, lambda2=lam,
-                            phi_depth=pd_, phi_width=pw,
-                            pi_depth=dd, pi_width=dw,
-                            head_depth=hd, head_width=hw,
-                            batch_size=bs, epochs=ep))
-    return grid
 
 
 # =========================================================================
@@ -763,6 +618,7 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
         "net": _net_to_dict(ckpt.net),
+        "net_rmse": None if ckpt.net_rmse is None else _net_to_dict(ckpt.net_rmse),
         "best_epoch": ckpt.best_epoch,
         "best_eps_p": ckpt.best_eps_p,
         "selection": ckpt.selection,
@@ -809,6 +665,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         selection=doc["selection"],
         beta=doc["beta"],
         config=config,
+        net_rmse=None if doc.get("net_rmse") is None else _net_from_dict(doc["net_rmse"]),
         best_epoch_rmse=best_epoch_rmse,
         best_val_rmse=best_val_rmse,
         clip_events=clip_events,
@@ -817,10 +674,8 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
 
 def history_to_csv(history: Sequence[EpochStats], path: str | Path) -> None:
     """Training log: one row per epoch."""
-    fields = ["epoch", "l_fo", "l_dis", "l_imb", "omega_y", "omega_d",
-              "val_rmse", "val_eps_p"]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
+        writer = csv.DictWriter(fh, fieldnames=[f.name for f in fields(EpochStats)])
         writer.writeheader()
         for row in history:
             writer.writerow(row.to_dict())

@@ -7,10 +7,7 @@ so a batch X of shape (B, in) maps to X @ W.T + b.
 
 from __future__ import annotations
 
-import copy
-import json
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -60,38 +57,24 @@ class NetSpec:
 
 @dataclass
 class ParamSet:
-    """Per-layer weight matrices and bias vectors plus named free scalars.
-
-    Free scalars are stored as 0-d float64 arrays so that optimizer updates
-    can mutate them in place like every other tensor.
-    """
+    """Per-layer weight matrices and bias vectors."""
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
-    scalars: dict[str, np.ndarray] = field(default_factory=dict)
 
     def tensors(self) -> list[np.ndarray]:
-        """All trainable arrays in a fixed order (weights, biases, scalars)."""
-        return [*self.weights, *self.biases,
-                *(self.scalars[k] for k in sorted(self.scalars))]
+        """All trainable arrays in a fixed order (weights, then biases)."""
+        return [*self.weights, *self.biases]
 
     def copy(self) -> "ParamSet":
-        return ParamSet(
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-            scalars={k: v.copy() for k, v in self.scalars.items()},
-        )
-
-    def check_finite(self) -> None:
-        for t in self.tensors():
-            if not np.all(np.isfinite(t)):
-                raise ValueError("non-finite parameter entries")
+        return ParamSet(weights=[w.copy() for w in self.weights],
+                        biases=[b.copy() for b in self.biases])
 
 
-def init_params(spec: NetSpec, seed: int, scalar_names: tuple[str, ...] = ()) -> ParamSet:
+def init_params(spec: NetSpec, seed: int) -> ParamSet:
     """Deterministic fan-based uniform init: W ~ U(-a, a), a = sqrt(6/(fan_in+fan_out)).
 
-    Biases and free scalars start at zero.
+    Biases start at zero.
     """
     rng = np.random.default_rng(seed)
     weights, biases = [], []
@@ -99,8 +82,7 @@ def init_params(spec: NetSpec, seed: int, scalar_names: tuple[str, ...] = ()) ->
         a = np.sqrt(6.0 / (fan_in + fan_out))
         weights.append(rng.uniform(-a, a, size=(fan_out, fan_in)))
         biases.append(np.zeros(fan_out))
-    scalars = {name: np.zeros(()) for name in scalar_names}
-    return ParamSet(weights=weights, biases=biases, scalars=scalars)
+    return ParamSet(weights=weights, biases=biases)
 
 
 # =========================================================================
@@ -181,7 +163,6 @@ def backward(
     """Exact reverse-mode gradients for the scalar whose output-gradient is given.
 
     Returns (gradients shaped like params, gradient w.r.t. the input batch).
-    Free scalars do not enter the forward pass, so their gradients are zero.
     """
     output_grad = np.asarray(output_grad, dtype=float)
     if len(cache.preacts) != spec.n_layers:
@@ -209,9 +190,7 @@ def backward(
         g_w[k] = dz.T @ cache.inputs[k]
         g_b[k] = dz.sum(axis=0)
         g = dz @ params.weights[k]
-    grads = ParamSet(weights=g_w, biases=g_b,
-                     scalars={k: np.zeros(()) for k in params.scalars})
-    return grads, g
+    return ParamSet(weights=g_w, biases=g_b), g
 
 
 # =========================================================================
@@ -266,30 +245,49 @@ def adam_update(
         p -= state.learning_rate * (m / c1) / (np.sqrt(v / c2) + state.eps_hat)
 
 
-def adam_step(
-    params: ParamSet,
-    grads: ParamSet,
-    state: AdamState,
-    maximize: bool = False,
-) -> tuple[ParamSet, AdamState]:
-    """Functional Adam step over a whole ParamSet.
-
-    The state's accumulators mirror ``params.tensors()`` ordering. A
-    ``maximize`` flag negates the gradients for ascent tasks.
-    """
-    new_params = params.copy()
-    new_state = copy.deepcopy(state)
-    adam_update(new_params.tensors(), grads.tensors(), new_state, maximize=maximize)
-    return new_params, new_state
-
-
-def adam_init_for(params: ParamSet, learning_rate: float = 1e-3) -> AdamState:
-    return adam_init(params.tensors(), learning_rate)
-
-
 # =========================================================================
 # Finite-difference verification
 # =========================================================================
+
+def central_difference_error(
+    tensors: list[np.ndarray],
+    grads: list[np.ndarray],
+    value: Callable[[], float],
+    h: float,
+    max_coords: int,
+    seed: int = 0,
+) -> float:
+    """Compare analytic gradients against central finite differences.
+
+    ``value()`` evaluates the objective at the current contents of
+    ``tensors``, which are perturbed in place one coordinate at a time and
+    restored. Every coordinate is checked (a random subsample of
+    ``max_coords`` above that many); the result is
+    max |analytic - numeric| / max(1, |analytic| + |numeric|).
+    """
+    if not (1e-7 < h < 1e-3):
+        raise ValueError("invalid step")
+    coords = [(ti, idx) for ti, t in enumerate(tensors) for idx in range(t.size)]
+    if len(coords) > max_coords:
+        rng = np.random.default_rng(seed)
+        picked = rng.choice(len(coords), size=max_coords, replace=False)
+        coords = [coords[int(i)] for i in picked]
+
+    max_err = 0.0
+    for ti, idx in coords:
+        flat = tensors[ti].reshape(-1)
+        orig = flat[idx]
+        flat[idx] = orig + h
+        f_plus = value()
+        flat[idx] = orig - h
+        f_minus = value()
+        flat[idx] = orig
+        numeric = (f_plus - f_minus) / (2.0 * h)
+        analytic = float(grads[ti].reshape(-1)[idx])
+        err = abs(analytic - numeric) / max(1.0, abs(analytic) + abs(numeric))
+        max_err = max(max_err, err)
+    return max_err
+
 
 def grad_check(
     spec: NetSpec,
@@ -299,50 +297,21 @@ def grad_check(
     max_coords: int = 10_000,
     seed: int = 0,
 ) -> float:
-    """Compare analytic gradients against central finite differences.
+    """Finite-difference check of a dense-net loss.
 
-    ``loss(params)`` must return (value, gradient ParamSet). Every coordinate
-    is checked (a random subsample of ``max_coords`` above that many); the
-    result is max |analytic - numeric| / max(1, |analytic| + |numeric|).
+    ``loss(params)`` must return (value, gradient ParamSet); see
+    ``central_difference_error`` for the error measure.
     """
-    if not (1e-7 < h < 1e-3):
-        raise ValueError("invalid step")
     if len(params.weights) != spec.n_layers:
         raise ValueError("parameter count does not match spec")
     _, grads = loss(params)
-    tensors = params.tensors()
-    gtensors = grads.tensors()
-
-    coords = [(ti, idx) for ti, t in enumerate(tensors) for idx in range(t.size)]
-    if len(coords) > max_coords:
-        rng = np.random.default_rng(seed)
-        picked = rng.choice(len(coords), size=max_coords, replace=False)
-        coords = [coords[int(i)] for i in picked]
-
-    max_err = 0.0
-    for ti, idx in coords:
-        t = tensors[ti]
-        flat = t.reshape(-1)
-        orig = flat[idx]
-        flat[idx] = orig + h
-        f_plus = loss(params)[0]
-        flat[idx] = orig - h
-        f_minus = loss(params)[0]
-        flat[idx] = orig
-        numeric = (f_plus - f_minus) / (2.0 * h)
-        analytic = float(gtensors[ti].reshape(-1)[idx])
-        err = abs(analytic - numeric) / max(1.0, abs(analytic) + abs(numeric))
-        max_err = max(max_err, err)
-    return max_err
+    return central_difference_error(params.tensors(), grads.tensors(),
+                                    lambda: loss(params)[0], h, max_coords, seed)
 
 
 # =========================================================================
-# Checkpoint serialization (versioned JSON, row-major arrays)
+# Serialization helpers (JSON-ready dicts, row-major arrays)
 # =========================================================================
-
-CHECKPOINT_FORMAT = "dense-net"
-CHECKPOINT_VERSION = 1
-
 
 def spec_to_dict(spec: NetSpec) -> dict:
     return {
@@ -366,33 +335,13 @@ def params_to_dict(params: ParamSet) -> dict:
         out[f"W{k}"] = w.tolist()
     for k, b in enumerate(params.biases):
         out[f"b{k}"] = b.tolist()
-    out["scalars"] = {name: float(v) for name, v in params.scalars.items()}
     return out
 
 
 def params_from_dict(d: dict) -> ParamSet:
+    """Inverse of ``params_to_dict``; other keys (the empty ``scalars`` map
+    of older files) are ignored."""
     n_layers = sum(1 for k in d if k.startswith("W"))
     weights = [np.asarray(d[f"W{k}"], dtype=float) for k in range(n_layers)]
     biases = [np.asarray(d[f"b{k}"], dtype=float) for k in range(n_layers)]
-    scalars = {name: np.asarray(v, dtype=float).reshape(())
-               for name, v in d.get("scalars", {}).items()}
-    return ParamSet(weights=weights, biases=biases, scalars=scalars)
-
-
-def save_net(path: str | Path, spec: NetSpec, params: ParamSet) -> None:
-    doc = {
-        "format": CHECKPOINT_FORMAT,
-        "version": CHECKPOINT_VERSION,
-        "spec": spec_to_dict(spec),
-        "params": params_to_dict(params),
-    }
-    Path(path).write_text(json.dumps(doc, sort_keys=True))
-
-
-def load_net(path: str | Path) -> tuple[NetSpec, ParamSet]:
-    doc = json.loads(Path(path).read_text())
-    if doc.get("format") != CHECKPOINT_FORMAT:
-        raise ValueError(f"not a {CHECKPOINT_FORMAT} checkpoint: {path}")
-    if doc.get("version") != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {doc.get('version')}")
-    return spec_from_dict(doc["spec"]), params_from_dict(doc["params"])
+    return ParamSet(weights=weights, biases=biases)

@@ -37,13 +37,6 @@ class SinkhornConfig:
             raise ValueError(f"unknown cost {self.cost!r}")
 
 
-# Evaluation-grade defaults: smaller regularization, more iterations.
-def eval_config(entropic_reg: float = 0.01, max_iters: int = 5000,
-                tol: float = 1e-9, cost: str = "euclidean") -> SinkhornConfig:
-    return SinkhornConfig(entropic_reg=entropic_reg, max_iters=max_iters,
-                          tol=tol, cost=cost)
-
-
 @dataclass
 class SinkhornResult:
     distance: float

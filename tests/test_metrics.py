@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mbrl.metrics import EvalResult, ate_error, auc, pehe_root, rmse
+from mbrl.metrics import ate_error, auc, pehe_root, rmse
 
 
 def _auc_brute_force(labels, scores):
@@ -79,10 +79,3 @@ def test_rmse_homogeneity():
     c = -2.5
     assert rmse(c * y, c * yhat) == pytest.approx(abs(c) * rmse(y, yhat))
 
-
-def test_eval_result_validation():
-    EvalResult(ate_error=0.1, rmse_factual=0.2, eps_p=0.3, auc=0.9)
-    with pytest.raises(ValueError):
-        EvalResult(ate_error=-0.1, rmse_factual=0.2, eps_p=0.3)
-    with pytest.raises(ValueError):
-        EvalResult(ate_error=0.1, rmse_factual=0.2, eps_p=0.3, auc=1.5)

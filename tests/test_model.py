@@ -1,13 +1,14 @@
+import json
+
 import numpy as np
 import pytest
 
+from mbrl import model, nn
 from mbrl.data import Dataset, SimConfig, SplitSpec, generate_simulation, split
 from mbrl.model import (ABLATIONS, Batch, TrainConfig, build_net,
-                        default_beta, distinguishability_loss,
-                        factual_outcome_loss, fit, hyper_search,
-                        init_train_state, load_checkpoint, multitask_step,
-                        noise_regularizers, perturbation_error, predict,
-                        save_checkpoint, search_grid, task_gradient_error,
+                        default_beta, fit, init_train_state, load_checkpoint,
+                        multitask_step, perturbation_error, predict,
+                        save_checkpoint, task_gradient_error, task_objective,
                         validation_scores)
 from mbrl.ot import SinkhornConfig
 
@@ -66,28 +67,32 @@ def test_predict_batch_equivariance():
 
 # ---------------------------------------------------------------- losses
 
+def _term(net, batch, task, name):
+    return task_objective(net, batch, TINY, task).terms[name]
+
+
 def test_factual_loss_examples():
     net = _zeroed(_tiny_net())
     batch = Batch(np.zeros((2, 3)), np.array([1.0, 0.0]), np.array([0.0, 2.0]))
     # predictions are identically zero: mean((y - 0)^2) = 2.0
-    assert factual_outcome_loss(net, batch) == pytest.approx(2.0)
+    assert _term(net, batch, 3, "l_fo") == pytest.approx(2.0)
     zero = Batch(np.zeros((2, 3)), np.array([1.0, 0.0]), np.zeros(2))
-    assert factual_outcome_loss(net, zero) == 0.0
+    assert _term(net, zero, 3, "l_fo") == 0.0
 
 
 def test_factual_loss_binary():
     net = _zeroed(_tiny_net("binary"))
     batch = Batch(np.zeros((1, 3)), np.array([1.0]), np.array([1.0]))
     # predicted probability is sigmoid(0) = 0.5 -> loss log 2
-    assert factual_outcome_loss(net, batch) == pytest.approx(np.log(2.0))
+    assert _term(net, batch, 3, "l_fo") == pytest.approx(np.log(2.0))
 
 
 def test_distinguishability_examples():
     net = _zeroed(_tiny_net())
     one = Batch(np.zeros((1, 3)), np.array([1.0]), np.zeros(1))
-    assert distinguishability_loss(net, one) == pytest.approx(np.log(0.5))
+    assert _term(net, one, 1, "l_dis") == pytest.approx(np.log(0.5))
     both = Batch(np.zeros((2, 3)), np.array([1.0, 0.0]), np.zeros(2))
-    assert distinguishability_loss(net, both) == pytest.approx(-np.log(2.0))
+    assert _term(net, both, 1, "l_dis") == pytest.approx(-np.log(2.0))
 
 
 def test_noise_regularizers_examples():
@@ -95,12 +100,11 @@ def test_noise_regularizers_examples():
     net.eps_y[()] = 2.0
     # residuals (1, -3): mean -1 -> omega_y = 2 * |-1| = 2
     batch = Batch(np.zeros((2, 3)), np.array([1.0, 0.0]), np.array([1.0, -3.0]))
-    omega_y, omega_d = noise_regularizers(net, batch)
-    assert omega_y == pytest.approx(2.0)
+    assert _term(net, batch, 3, "omega_y") == pytest.approx(2.0)
     # eps_d is zero at init -> omega_d = 0 regardless of the gap
-    assert omega_d == 0.0
+    assert _term(net, batch, 1, "omega_d") == 0.0
     net.eps_y[()] = 0.0
-    assert noise_regularizers(net, batch)[0] == 0.0
+    assert _term(net, batch, 3, "omega_y") == 0.0
 
 
 def test_perturbation_error_examples():
@@ -123,6 +127,31 @@ def test_default_beta():
 
 
 # ---------------------------------------------------------------- multitask step
+
+def test_step_applies_task_objective_gradients():
+    # One step equals Adam updates built from task_objective's gradients, in
+    # task order, on an identical copy of the net: training runs the
+    # objectives the finite-difference checks verify.
+    net = _tiny_net(seed=9)
+    net.eps_y[()] = 0.3
+    net.eps_d[()] = -0.2
+    ref = net.copy()
+    batch = _batch(seed=10)
+    multitask_step(init_train_state(net, TINY), batch, TINY)
+
+    ref_state = init_train_state(ref, TINY)
+    for task, opt in ((1, ref_state.opt_discriminator),
+                      (2, ref_state.opt_balance), (3, ref_state.opt_outcome)):
+        _, grads, group, _ = task_objective(ref, batch, TINY, task)
+        nn.adam_update(group, grads, opt, maximize=task == 1)
+
+    for name in ("phi", "pi", "f0", "f1"):
+        for a, b in zip(getattr(net, name).tensors(), getattr(ref, name).tensors()):
+            np.testing.assert_array_equal(a, b)
+    assert float(net.eps_y) == float(ref.eps_y)
+    assert float(net.eps_d) == float(ref.eps_d)
+    assert float(net.eps_y) != 0.3 and float(net.eps_d) != -0.2
+
 
 def test_step_zero_learning_rate_keeps_parameters():
     from dataclasses import replace
@@ -185,14 +214,13 @@ def test_step_cfr_mode_only_adds_balancing():
 def test_stationarity_links_constraint_to_zero_gap():
     # the eps_d gradient is -lambda1 * |mean(d - pi)|; it vanishes exactly
     # when the batch constraint holds
-    from mbrl.model import task_objective
     net = _zeroed(_tiny_net(seed=6))  # propensity identically 0.5
     cfg = TINY
     balanced = Batch(np.zeros((2, 3)), np.array([1.0, 0.0]), np.zeros(2))
-    _, grads, group = task_objective(net, balanced, cfg, task=1)
+    grads = task_objective(net, balanced, cfg, task=1).grads
     assert float(grads[-1]) == 0.0   # mean(d - 0.5) = 0
     lopsided = Batch(np.zeros((2, 3)), np.array([1.0, 1.0]), np.zeros(2))
-    _, grads, _ = task_objective(net, lopsided, cfg, task=1)
+    grads = task_objective(net, lopsided, cfg, task=1).grads
     assert float(grads[-1]) == pytest.approx(-cfg.lambda1 * 0.5)
 
 
@@ -254,6 +282,15 @@ def test_fit_no_eps_p_ablation_selects_on_rmse():
     assert ckpt.best_eps_p == ckpt.best_val_rmse
 
 
+def test_fit_raises_when_no_epoch_is_finite(monkeypatch):
+    tr, va, te = _small_sim(seed=4)
+    from dataclasses import replace
+    monkeypatch.setattr(model, "validation_scores",
+                        lambda net, val, beta: (float("nan"), float("nan")))
+    with pytest.raises(RuntimeError, match="finite validation"):
+        fit(tr, va, replace(TINY, epochs=2))
+
+
 def test_fit_accepts_the_stock_configs():
     TrainConfig(batch_size=100, epochs=1000)
     TrainConfig(batch_size=1000, epochs=250)
@@ -287,42 +324,6 @@ def test_train_config_validation():
                               "tarnet_mode", "cfr_mode"}
 
 
-# ---------------------------------------------------------------- hyper search
-
-def test_hyper_search_singleton_returns_that_config():
-    tr, va, te = _small_sim(seed=6)
-    from dataclasses import replace
-    cfg = replace(TINY, epochs=1)
-    assert hyper_search(tr, va, [cfg]) is cfg
-
-
-def test_hyper_search_tie_break_by_grid_order():
-    tr, va, te = _small_sim(seed=7)
-    from dataclasses import replace
-    cfg_a = replace(TINY, epochs=1)
-    cfg_b = replace(TINY, epochs=1)  # identical -> equal criterion
-    best = hyper_search(tr, va, [cfg_a, cfg_b])
-    assert best is cfg_a
-
-
-def test_hyper_search_empty_grid():
-    tr, va, te = _small_sim(seed=8)
-    with pytest.raises(ValueError, match="empty grid"):
-        hyper_search(tr, va, [])
-
-
-def test_search_grid_candidate_count():
-    # 3 shared lambdas x (3 depths x 2 widths)^3 x 2 batches x 2 epochs
-    grid = search_grid("ihdp")
-    assert len(grid) == 3 * 3 * 2 * 3 * 2 * 3 * 2 * 2 * 2
-    twins = search_grid("twins")
-    assert len(twins) == len(grid)
-    assert {c.batch_size for c in twins} == {500, 1000}
-    assert {c.epochs for c in twins} == {250, 500}
-    # lambdas are tied
-    assert all(c.lambda1 == c.lambda2 for c in grid)
-
-
 # ---------------------------------------------------------------- persistence
 
 def test_checkpoint_round_trip(tmp_path):
@@ -339,7 +340,30 @@ def test_checkpoint_round_trip(tmp_path):
     assert len(back.history) == len(ckpt.history)
     for a, b in zip(ckpt.net.phi.tensors(), back.net.phi.tensors()):
         np.testing.assert_array_equal(a, b)
-    # predictions agree exactly
+    assert back.best_epoch_rmse == ckpt.best_epoch_rmse
+    # predictions agree exactly, for both selection rules
+    for net, net_back in ((ckpt.net, back.net), (ckpt.net_rmse, back.net_rmse)):
+        a = predict(net, te.covariates)
+        b = predict(net_back, te.covariates)
+        for x, y in zip(a, b):
+            np.testing.assert_array_equal(x, y)
+
+
+def test_checkpoint_in_the_earlier_layout_still_loads(tmp_path):
+    # Earlier files stored an empty "scalars" map in every subnet and no
+    # net_rmse; such a file loads and predicts exactly as before.
+    tr, va, te = _small_sim(seed=9)
+    from dataclasses import replace
+    ckpt = fit(tr, va, replace(TINY, epochs=2))
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(ckpt, path)
+    doc = json.loads(path.read_text())
+    del doc["net_rmse"]
+    for sub in doc["net"]["subnets"].values():
+        sub["params"]["scalars"] = {}
+    path.write_text(json.dumps(doc, sort_keys=True))
+    back = load_checkpoint(path)
+    assert back.net_rmse is None
     a = predict(ckpt.net, te.covariates)
     b = predict(back.net, te.covariates)
     for x, y in zip(a, b):

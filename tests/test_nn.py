@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -137,13 +139,12 @@ def test_grad_check_random_elu_net(seed):
 def test_grad_check_quadratic_is_exact():
     spec = nn.NetSpec((2, 2))
     params = nn.init_params(spec, seed=1)
-    params.scalars["extra"] = np.asarray(0.7)
+    params.biases[0][:] = 0.7
 
     def loss(p):
         value = sum(float(np.sum(t * t)) for t in p.tensors())
         grads = nn.ParamSet(weights=[2 * w for w in p.weights],
-                            biases=[2 * b for b in p.biases],
-                            scalars={k: 2 * v for k, v in p.scalars.items()})
+                            biases=[2 * b for b in p.biases])
         return value, grads
 
     assert nn.grad_check(spec, params, loss, h=1e-4) <= 1e-8
@@ -159,50 +160,49 @@ def test_grad_check_rejects_bad_step():
 
 # ---------------------------------------------------------------- adam
 
-def _scalar_paramset(value):
-    return nn.ParamSet(weights=[], biases=[], scalars={"p": np.asarray(value)})
+def _scalar(value):
+    return np.asarray(value, dtype=float)
 
 
 def test_adam_zero_gradient_is_identity():
-    params = _scalar_paramset(1.5)
-    state = nn.adam_init_for(params)
-    new_params, new_state = nn.adam_step(params, _scalar_paramset(0.0), state)
-    assert float(new_params.scalars["p"]) == 1.5
-    assert new_state.step == 1
-    assert state.step == 0  # functional: input state untouched
+    p = _scalar(1.5)
+    state = nn.adam_init([p])
+    nn.adam_update([p], [_scalar(0.0)], state)
+    assert float(p) == 1.5
+    assert state.step == 1
 
 
 def test_adam_first_step_is_minus_lr():
-    params = _scalar_paramset(0.0)
-    state = nn.adam_init_for(params, learning_rate=1e-3)
-    new_params, _ = nn.adam_step(params, _scalar_paramset(1.0), state)
-    assert float(new_params.scalars["p"]) == pytest.approx(-1e-3, rel=1e-6)
+    p = _scalar(0.0)
+    state = nn.adam_init([p], learning_rate=1e-3)
+    nn.adam_update([p], [_scalar(1.0)], state)
+    assert float(p) == pytest.approx(-1e-3, rel=1e-6)
 
 
 def test_adam_maximize_flips_sign():
-    params = _scalar_paramset(0.0)
-    state = nn.adam_init_for(params, learning_rate=1e-3)
-    new_params, _ = nn.adam_step(params, _scalar_paramset(1.0), state,
-                                 maximize=True)
-    assert float(new_params.scalars["p"]) == pytest.approx(1e-3, rel=1e-6)
+    p = _scalar(0.0)
+    state = nn.adam_init([p], learning_rate=1e-3)
+    nn.adam_update([p], [_scalar(1.0)], state, maximize=True)
+    assert float(p) == pytest.approx(1e-3, rel=1e-6)
 
 
 def test_adam_rejects_non_finite_gradients():
-    params = _scalar_paramset(0.0)
-    state = nn.adam_init_for(params)
+    p = _scalar(0.0)
+    state = nn.adam_init([p])
     with pytest.raises(ValueError, match="non-finite gradient"):
-        nn.adam_step(params, _scalar_paramset(np.nan), state)
+        nn.adam_update([p], [_scalar(np.nan)], state)
+    assert float(p) == 0.0 and state.step == 0
 
 
 # ---------------------------------------------------------------- persistence
 
-def test_net_checkpoint_round_trip(tmp_path):
+def test_net_checkpoint_round_trip():
     spec = nn.NetSpec((3, 4, 1), output_activation="sigmoid")
-    params = nn.init_params(spec, seed=2, scalar_names=("eps",))
-    params.scalars["eps"][()] = 0.25
-    path = tmp_path / "net.json"
-    nn.save_net(path, spec, params)
-    spec2, params2 = nn.load_net(path)
-    assert spec2 == spec
+    params = nn.init_params(spec, seed=2)
+    doc = json.loads(json.dumps({"spec": nn.spec_to_dict(spec),
+                                 "params": nn.params_to_dict(params)}))
+    assert nn.spec_from_dict(doc["spec"]) == spec
+    params2 = nn.params_from_dict(doc["params"])
+    assert len(params2.tensors()) == len(params.tensors())
     for a, b in zip(params.tensors(), params2.tensors()):
         np.testing.assert_array_equal(a, b)
