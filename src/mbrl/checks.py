@@ -11,9 +11,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .data import SimConfig, generate_simulation
+from .data import SimConfig
 from .estimators import noise_orthogonality_stat, orthogonality_probe
-from .harness import kl_target_mu1
+from .harness import simulate_at_kl
 from .model import Batch, TrainConfig, build_net, task_gradient_error
 from .ot import SinkhornConfig, exact_ot_small, wasserstein_sinkhorn
 
@@ -111,16 +111,11 @@ def check_sinkhorn_invariances(seed: int) -> CheckResult:
 def _probe_draw(seed: int, n_units: int, kl: float = 0.5):
     # Pin the selection-bias level so the true propensity stays inside the
     # overlap region and the probe's Monte Carlo error stays informative.
-    rng = np.random.default_rng(seed)
-    dim = 10
-    mixing = rng.uniform(-1.0, 1.0, size=(dim, dim))
-    cov = 0.5 * mixing @ mixing.T
-    mu0 = np.zeros(dim)
-    mu1 = kl_target_mu1(np.ones(dim), mu0, cov, kl)
     n_treated = n_units // 3
-    cfg = SimConfig(n_treated=n_treated, n_control=n_units - n_treated,
-                    dim=dim, mu1=mu1, mu0=mu0, seed=seed)
-    return generate_simulation(cfg, mixing=mixing)
+    sim = SimConfig(n_treated=n_treated, n_control=n_units - n_treated,
+                    dim=10, mu1=np.ones(10), seed=seed)
+    data, truth, _ = simulate_at_kl(sim, kl, seed)
+    return data, truth
 
 
 def check_orthogonality(seed: int, n_units: int = 30_000) -> CheckResult:

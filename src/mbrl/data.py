@@ -172,6 +172,9 @@ class SplitSpec:
             raise ValueError("split fractions must sum to 1")
 
 
+DEFAULT_SPLIT = SplitSpec(0.63, 0.27, 0.10)
+
+
 def split(data: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset, Dataset]:
     """Disjoint seed-deterministic partition into train/validation/test.
 
@@ -389,14 +392,22 @@ def check_overlap(propensities: np.ndarray, eps: float) -> OverlapReport:
                          violation_indices=idx, eps=float(eps))
 
 
-def true_ate(data: Dataset) -> float:
-    """Ground-truth ATE: noiseless means when available, else realized
-    potential outcomes (fixed preference order)."""
+def true_outcomes(data: Dataset) -> tuple[np.ndarray, np.ndarray] | None:
+    """Ground-truth (treated, control) outcomes: noiseless means when
+    available, else realized potential outcomes (fixed preference order);
+    None without either pair."""
     if data.mu0 is not None and data.mu1 is not None:
-        return float(np.mean(data.mu1 - data.mu0))
+        return data.mu1, data.mu0
     if data.y0 is not None and data.y1 is not None:
-        return float(np.mean(data.y1 - data.y0))
-    raise ValueError("ground truth unavailable")
+        return data.y1, data.y0
+    return None
+
+
+def true_ate(data: Dataset) -> float:
+    truth = true_outcomes(data)
+    if truth is None:
+        raise ValueError("ground truth unavailable")
+    return float(np.mean(truth[0] - truth[1]))
 
 
 # =========================================================================

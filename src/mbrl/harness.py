@@ -14,15 +14,16 @@ import csv
 import json
 import logging
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import estimators as est
 from . import metrics
-from .data import (Dataset, SimConfig, SplitSpec, concat, generate_simulation,
-                   generate_twins_assignment, kl_selection_bias, load_csv, split)
+from .data import (DEFAULT_SPLIT, Dataset, SimConfig, SplitSpec, TrueModel,
+                   concat, generate_simulation, generate_twins_assignment,
+                   kl_selection_bias, load_csv, split, true_outcomes)
 from .model import Checkpoint, TrainConfig, fit, perturbation_error, predict
 
 logger = logging.getLogger(__name__)
@@ -40,11 +41,14 @@ KL_MATCH_TOL = 1e-9
 
 @dataclass
 class ExperimentConfig:
+    """One replication experiment; nested configs may be given as the dicts
+    ``to_dict`` writes."""
+
     source: str = "simulator"
     sim: SimConfig | None = None
     csv_path: str | None = None
     outcome_kind: str = "continuous"
-    split: SplitSpec = field(default_factory=lambda: SplitSpec(0.63, 0.27, 0.10))
+    split: SplitSpec = DEFAULT_SPLIT
     train: TrainConfig = field(default_factory=TrainConfig)
     estimators: tuple[str, ...] = ("plugin", "psi1", "psi2")
     replications: int = 1
@@ -54,6 +58,10 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name, record in (("sim", SimConfig), ("split", SplitSpec),
+                             ("train", TrainConfig)):
+            if isinstance(getattr(self, name), dict):
+                setattr(self, name, record(**getattr(self, name)))
         if self.source not in SOURCES:
             raise ValueError(f"unknown source {self.source!r}")
         if self.replications < 1:
@@ -76,46 +84,8 @@ class ExperimentConfig:
                 raise ValueError("KL levels must be nonnegative")
 
     def to_dict(self) -> dict:
-        return {
-            "source": self.source,
-            "sim": None if self.sim is None else {
-                "n_treated": self.sim.n_treated,
-                "n_control": self.sim.n_control,
-                "dim": self.sim.dim,
-                "mu1": self.sim.mu1.tolist(),
-                "mu0": self.sim.mu0.tolist(),
-                "sigma_scale": self.sim.sigma_scale,
-                "seed": self.sim.seed,
-            },
-            "csv_path": self.csv_path,
-            "outcome_kind": self.outcome_kind,
-            "split": {"train_frac": self.split.train_frac,
-                      "val_frac": self.split.val_frac,
-                      "test_frac": self.split.test_frac,
-                      "seed": self.split.seed},
-            "train": self.train.to_dict(),
-            "estimators": list(self.estimators),
-            "replications": self.replications,
-            "kl_levels": None if self.kl_levels is None else list(self.kl_levels),
-            "knn_k": self.knn_k,
-            "out_dir": self.out_dir,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ExperimentConfig":
-        d = dict(d)
-        if d.get("sim") is not None:
-            d["sim"] = SimConfig(**d["sim"])
-        if d.get("split") is not None:
-            d["split"] = SplitSpec(**d["split"])
-        if d.get("train") is not None:
-            d["train"] = TrainConfig.from_dict(d["train"])
-        if d.get("kl_levels") is not None:
-            d["kl_levels"] = tuple(d["kl_levels"])
-        if d.get("estimators") is not None:
-            d["estimators"] = tuple(d["estimators"])
-        return cls(**d)
+        """``asdict`` in JSON-native values (ndarrays and tuples as lists)."""
+        return json.loads(json.dumps(asdict(self), default=np.ndarray.tolist))
 
 
 # =========================================================================
@@ -141,12 +111,6 @@ class Report:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> "Report":
-        d = json.loads(text)
-        return cls(rows=d["rows"], aggregates=d["aggregates"],
-                   failures=d["failures"], metadata=d["metadata"])
 
 
 def aggregate_rows(rows: list[dict]) -> list[dict]:
@@ -195,24 +159,33 @@ def _seeds_for(base_seed: int, level_index: int, replication: int,
     return [int(s) for s in ss.generate_state(count, dtype=np.uint32)]
 
 
+def simulate_at_kl(sim: SimConfig, level: float,
+                   seed: int) -> tuple[Dataset, TrueModel, float]:
+    """Simulator draw whose between-group KL is pinned to ``level``.
+
+    The mixing matrix is drawn from ``seed`` first; mu1 is then rescaled
+    along mu1 - mu0 to hit the level and the sample drawn with the same
+    seed. Returns (data, truth, realized KL).
+    """
+    rng = np.random.default_rng(seed)
+    mixing = rng.uniform(-1.0, 1.0, size=(sim.dim, sim.dim))
+    cov = sim.sigma_scale * (mixing @ mixing.T)
+    mu1 = kl_target_mu1(sim.mu1, sim.mu0, cov, level)
+    realized = kl_selection_bias(mu1, sim.mu0, cov)
+    if abs(realized - level) > KL_MATCH_TOL:
+        raise RuntimeError(
+            f"KL inversion off target: requested {level}, got {realized}")
+    data, truth = generate_simulation(replace(sim, mu1=mu1), seed=seed,
+                                      mixing=mixing)
+    return data, truth, realized
+
+
 def _make_data(cfg: ExperimentConfig, level: float | None,
                gen_seed: int) -> tuple[Dataset, float | None]:
     if cfg.source == "simulator":
-        sim = cfg.sim
-        realized = None
-        if level is not None:
-            rng = np.random.default_rng(gen_seed)
-            mixing = rng.uniform(-1.0, 1.0, size=(sim.dim, sim.dim))
-            cov = sim.sigma_scale * (mixing @ mixing.T)
-            mu1 = kl_target_mu1(sim.mu1, sim.mu0, cov, level)
-            realized = kl_selection_bias(mu1, sim.mu0, cov)
-            if abs(realized - level) > KL_MATCH_TOL:
-                raise RuntimeError(
-                    f"KL inversion off target: requested {level}, got {realized}")
-            sim = replace(sim, mu1=mu1)
-            data, _ = generate_simulation(sim, seed=gen_seed, mixing=mixing)
-        else:
-            data, _ = generate_simulation(sim, seed=gen_seed)
+        if level is None:
+            return generate_simulation(cfg.sim, seed=gen_seed)[0], None
+        data, _, realized = simulate_at_kl(cfg.sim, level, gen_seed)
         return data, realized
     if cfg.source == "csv":
         return load_csv(cfg.csv_path, cfg.outcome_kind), None
@@ -236,18 +209,10 @@ def nuisances_from_net(net, data: Dataset) -> est.NuisanceEstimates:
     return est.NuisanceEstimates(g0_hat=yhat0, g1_hat=yhat1, m_hat=p)
 
 
-def _ground_truth_ite(data: Dataset) -> tuple[np.ndarray, np.ndarray] | None:
-    if data.mu0 is not None and data.mu1 is not None:
-        return data.mu1, data.mu0
-    if data.y0 is not None and data.y1 is not None:
-        return data.y1, data.y0
-    return None
-
-
 def _metric_row(data: Dataset, tau_hat: float, y0_hat, y1_hat, yhat_factual,
                 propensity, beta: float) -> dict:
     row: dict = {"tau_hat": tau_hat}
-    gt = _ground_truth_ite(data)
+    gt = true_outcomes(data)
     if gt is not None:
         g1, g0 = gt
         tau = float(np.mean(g1 - g0))

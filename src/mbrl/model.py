@@ -51,6 +51,9 @@ def default_beta(outcome_kind: str) -> float:
 # Network
 # =========================================================================
 
+SUBNETS = ("phi", "pi", "f0", "f1")
+
+
 @dataclass
 class MBRLNet:
     """Encoder, discriminator, outcome heads and the two free scalars.
@@ -76,11 +79,20 @@ class MBRLNet:
 
     def __post_init__(self):
         rep = self.phi_spec.output_width
-        for name, spec in (("pi", self.pi_spec), ("f0", self.f0_spec),
-                           ("f1", self.f1_spec)):
-            if spec.input_width != rep:
+        for name in SUBNETS:
+            spec, params = getattr(self, f"{name}_spec"), getattr(self, name)
+            if name != "phi" and spec.input_width != rep:
                 raise ValueError(f"{name} input width must equal the representation "
                                  f"width {rep}")
+            w = spec.layer_widths
+            want = {**{f"W{k}": (o, i) for k, (i, o) in enumerate(zip(w, w[1:]))},
+                    **{f"b{k}": (o,) for k, o in enumerate(w[1:])}}
+            have = {**{f"W{k}": t.shape for k, t in enumerate(params.weights)},
+                    **{f"b{k}": t.shape for k, t in enumerate(params.biases)}}
+            for entry in sorted(want.keys() | have.keys()):
+                if want.get(entry) != have.get(entry):
+                    raise ValueError(f"{name}.{entry} has shape {have.get(entry)}; "
+                                     f"its spec {w} wants {want.get(entry)}")
         self.eps_y = np.asarray(self.eps_y, dtype=float).reshape(())
         self.eps_d = np.asarray(self.eps_d, dtype=float).reshape(())
         if not (np.isfinite(self.eps_y) and np.isfinite(self.eps_d)):
@@ -119,12 +131,8 @@ class Batch(NamedTuple):
     outcome: np.ndarray
 
     @classmethod
-    def from_dataset(cls, data: Dataset, indices: np.ndarray | None = None) -> "Batch":
-        if indices is None:
-            return cls(data.covariates, data.treatment.astype(float),
-                       data.outcome_factual)
-        return cls(data.covariates[indices],
-                   data.treatment[indices].astype(float),
+    def from_dataset(cls, data: Dataset, indices: np.ndarray) -> "Batch":
+        return cls(data.covariates[indices], data.treatment[indices].astype(float),
                    data.outcome_factual[indices])
 
 
@@ -154,6 +162,8 @@ class TrainConfig:
     eps_clip: float = 100.0
 
     def __post_init__(self):
+        if not isinstance(self.sinkhorn, SinkhornConfig):  # JSON: dict or null
+            self.sinkhorn = SinkhornConfig(**(self.sinkhorn or {}))
         if self.lambda1 < 0 or self.lambda2 < 0:
             raise ValueError("regularizer weights must be nonnegative")
         if self.beta is not None and self.beta < 0:
@@ -172,18 +182,6 @@ class TrainConfig:
                 raise ValueError(f"{name} must be at least 1")
         if self.eps_clip <= 0:
             raise ValueError("eps_clip must be positive")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        d = dict(d)
-        sk = d.pop("sinkhorn", None)
-        cfg = cls(**d)
-        if sk is not None:
-            cfg.sinkhorn = SinkhornConfig(**sk)
-        return cfg
 
 
 @dataclass
@@ -447,9 +445,6 @@ class EpochStats:
     val_rmse: float
     val_eps_p: float
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class Checkpoint:
@@ -587,21 +582,23 @@ def _net_to_dict(net: MBRLNet) -> dict:
         "input_mean": net.input_mean.tolist(),
         "input_scale": net.input_scale.tolist(),
         "subnets": {
-            name: {"spec": nn.spec_to_dict(getattr(net, f"{name}_spec")),
+            name: {"spec": asdict(getattr(net, f"{name}_spec")),
                    "params": nn.params_to_dict(getattr(net, name))}
-            for name in ("phi", "pi", "f0", "f1")
+            for name in SUBNETS
         },
     }
 
 
 def _net_from_dict(d: dict) -> MBRLNet:
     parts = {}
-    for name in ("phi", "pi", "f0", "f1"):
+    for name in SUBNETS:
         sub = d["subnets"][name]
-        parts[f"{name}_spec"] = nn.spec_from_dict(sub["spec"])
-        parts[name] = nn.params_from_dict(sub["params"])
-    return MBRLNet(**parts, eps_y=np.asarray(d["eps_y"]),
-                   eps_d=np.asarray(d["eps_d"]),
+        try:
+            parts[f"{name}_spec"] = nn.NetSpec(**sub["spec"])
+            parts[name] = nn.params_from_dict(sub["params"])
+        except KeyError as exc:
+            raise KeyError(f"{name}.{exc.args[0]}") from exc
+    return MBRLNet(**parts, eps_y=d["eps_y"], eps_d=d["eps_d"],
                    outcome_kind=d["outcome_kind"],
                    input_mean=d.get("input_mean"),
                    input_scale=d.get("input_scale"))
@@ -626,8 +623,8 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
     }
     path.write_text(json.dumps(doc, sort_keys=True))
     meta = {
-        "config": None if ckpt.config is None else ckpt.config.to_dict(),
-        "history": [h.to_dict() for h in ckpt.history],
+        "config": None if ckpt.config is None else asdict(ckpt.config),
+        "history": [asdict(h) for h in ckpt.history],
         "selection": ckpt.selection,
         "clip_events": ckpt.clip_events,
         "best_epoch_rmse": ckpt.best_epoch_rmse,
@@ -637,39 +634,34 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
+    """Read a checkpoint and its sidecar (optional). A missing or mis-shaped
+    entry raises ValueError naming the file and the entry."""
     path = Path(path)
     doc = json.loads(path.read_text())
     if doc.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"not a {CHECKPOINT_FORMAT} file: {path}")
     if doc.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {doc.get('version')}")
-    config = None
-    history: list[EpochStats] = []
-    clip_events = 0
-    best_epoch_rmse = None
-    best_val_rmse = None
     side = sidecar_path(path)
-    if side.exists():
-        meta = json.loads(side.read_text())
-        if meta.get("config") is not None:
-            config = TrainConfig.from_dict(meta["config"])
-        history = [EpochStats(**h) for h in meta.get("history", [])]
-        clip_events = meta.get("clip_events", 0)
-        best_epoch_rmse = meta.get("best_epoch_rmse")
-        best_val_rmse = meta.get("best_val_rmse")
-    return Checkpoint(
-        net=_net_from_dict(doc["net"]),
-        best_epoch=doc["best_epoch"],
-        best_eps_p=doc["best_eps_p"],
-        history=history,
-        selection=doc["selection"],
-        beta=doc["beta"],
-        config=config,
-        net_rmse=None if doc.get("net_rmse") is None else _net_from_dict(doc["net_rmse"]),
-        best_epoch_rmse=best_epoch_rmse,
-        best_val_rmse=best_val_rmse,
-        clip_events=clip_events,
-    )
+    meta = json.loads(side.read_text()) if side.exists() else {}
+    try:
+        return Checkpoint(
+            net=_net_from_dict(doc["net"]),
+            best_epoch=doc["best_epoch"],
+            best_eps_p=doc["best_eps_p"],
+            history=[EpochStats(**h) for h in meta.get("history", [])],
+            selection=doc["selection"],
+            beta=doc["beta"],
+            config=None if meta.get("config") is None else TrainConfig(**meta["config"]),
+            net_rmse=None if doc.get("net_rmse") is None else _net_from_dict(doc["net_rmse"]),
+            best_epoch_rmse=meta.get("best_epoch_rmse"),
+            best_val_rmse=meta.get("best_val_rmse"),
+            clip_events=meta.get("clip_events", 0),
+        )
+    except KeyError as exc:
+        raise ValueError(f"malformed checkpoint {path}: missing entry {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"malformed checkpoint {path}: {exc}") from exc
 
 
 def history_to_csv(history: Sequence[EpochStats], path: str | Path) -> None:
@@ -678,4 +670,4 @@ def history_to_csv(history: Sequence[EpochStats], path: str | Path) -> None:
         writer = csv.DictWriter(fh, fieldnames=[f.name for f in fields(EpochStats)])
         writer.writeheader()
         for row in history:
-            writer.writerow(row.to_dict())
+            writer.writerow(asdict(row))

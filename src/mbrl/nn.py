@@ -313,22 +313,6 @@ def grad_check(
 # Serialization helpers (JSON-ready dicts, row-major arrays)
 # =========================================================================
 
-def spec_to_dict(spec: NetSpec) -> dict:
-    return {
-        "layer_widths": list(spec.layer_widths),
-        "hidden_activation": spec.hidden_activation,
-        "output_activation": spec.output_activation,
-    }
-
-
-def spec_from_dict(d: dict) -> NetSpec:
-    return NetSpec(
-        layer_widths=tuple(d["layer_widths"]),
-        hidden_activation=d["hidden_activation"],
-        output_activation=d["output_activation"],
-    )
-
-
 def params_to_dict(params: ParamSet) -> dict:
     out: dict = {}
     for k, w in enumerate(params.weights):

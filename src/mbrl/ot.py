@@ -46,14 +46,9 @@ class SinkhornResult:
     converged: bool
 
 
-def _lse_rows(M: np.ndarray) -> np.ndarray:
-    mx = M.max(axis=1)
-    return mx + np.log(np.exp(M - mx[:, None]).sum(axis=1))
-
-
-def _lse_cols(M: np.ndarray) -> np.ndarray:
-    mx = M.max(axis=0)
-    return mx + np.log(np.exp(M - mx[None, :]).sum(axis=0))
+def _lse(M: np.ndarray, axis: int) -> np.ndarray:
+    mx = M.max(axis=axis, keepdims=True)
+    return mx.squeeze(axis) + np.log(np.exp(M - mx).sum(axis=axis))
 
 
 def _pairwise_sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -104,8 +99,8 @@ def wasserstein_sinkhorn(
     converged = False
     for _ in range(cfg.max_iters):
         iterations += 1
-        f = eps * (log_a - _lse_rows(neg_C + g[None, :] / eps))
-        g = eps * (log_b - _lse_cols(neg_C + f[:, None] / eps))
+        f = eps * (log_a - _lse(neg_C + g[None, :] / eps, 1))
+        g = eps * (log_b - _lse(neg_C + f[:, None] / eps, 0))
         # After the g-update the column marginals are exact; only the rows
         # can violate.
         T = np.exp(neg_C + (f[:, None] + g[None, :]) / eps)

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from mbrl.data import SimConfig, generate_simulation
-from mbrl.harness import kl_target_mu1
+from mbrl.data import SimConfig
+from mbrl.harness import simulate_at_kl
 
 
 def pinned_kl_draw(seed, n_treated, n_control, kl=0.5, dim=10):
@@ -11,16 +11,13 @@ def pinned_kl_draw(seed, n_treated, n_control, kl=0.5, dim=10):
     Keeps the true propensity inside the overlap region so Monte Carlo
     checks of the orthogonality machinery stay informative.
     """
-    rng = np.random.default_rng(seed)
-    mixing = rng.uniform(-1.0, 1.0, size=(dim, dim))
-    cov = 0.5 * mixing @ mixing.T
     # off-origin base mean keeps tanh-based probe directions well away from
     # their symmetry point
     mu0 = np.ones(dim)
-    mu1 = kl_target_mu1(mu0 + np.ones(dim), mu0, cov, kl) if kl > 0 else mu0
     cfg = SimConfig(n_treated=n_treated, n_control=n_control, dim=dim,
-                    mu1=mu1, mu0=mu0, seed=seed)
-    return generate_simulation(cfg, mixing=mixing)
+                    mu1=mu0 + np.ones(dim), mu0=mu0, seed=seed)
+    data, truth, _ = simulate_at_kl(cfg, kl, seed)
+    return data, truth
 
 
 @pytest.fixture

@@ -111,3 +111,27 @@ def test_check_passes_on_healthy_build(capsys):
     out = capsys.readouterr().out
     assert "PASS" in out
     assert "FAIL" not in out
+
+
+def test_evaluate_malformed_checkpoint_exits_1(tmp_path, sim_config,
+                                               train_config, capsys):
+    data_path = str(tmp_path / "data.csv")
+    ckpt_path = tmp_path / "ckpt.json"
+    assert main(["generate", "--config", sim_config, "--out", data_path]) == 0
+    assert main(["train", "--config", train_config, "--data", data_path,
+                 "--out", str(ckpt_path)]) == 0
+    doc = json.loads(ckpt_path.read_text())
+    del doc["net"]["subnets"]["phi"]["params"]["b1"]
+    ckpt_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["evaluate", "--checkpoint", str(ckpt_path),
+                 "--data", data_path]) == 1
+    assert "missing entry 'phi.b1'" in capsys.readouterr().err
+
+
+def test_unknown_train_config_key_exits_1(tmp_path, sim_config):
+    data_path = str(tmp_path / "data.csv")
+    assert main(["generate", "--config", sim_config, "--out", data_path]) == 0
+    cfg = _write(tmp_path / "train.json", {"epochs": 1, "learning_rte": 0.1})
+    assert main(["train", "--config", cfg, "--data", data_path,
+                 "--out", str(tmp_path / "ckpt.json")]) == 1

@@ -43,7 +43,7 @@ def test_config_validation():
 
 def test_config_round_trips_through_dict():
     cfg = _tiny_experiment(kl_levels=(0.0, 1.5), replications=2)
-    back = ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
+    back = ExperimentConfig(**json.loads(json.dumps(cfg.to_dict())))
     assert back.to_dict() == cfg.to_dict()
 
 
@@ -173,7 +173,7 @@ def test_emit_report_files(tmp_path):
     report = run_experiment(cfg)
     paths = emit_report(report, tmp_path / "out")
     text = paths["report"].read_text()
-    back = Report.from_json(text)
+    back = Report(**json.loads(text))
     assert back.rows == report.rows
     assert back.aggregates == report.aggregates
     assert back.metadata == report.metadata

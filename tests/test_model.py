@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -154,7 +155,6 @@ def test_step_applies_task_objective_gradients():
 
 
 def test_step_zero_learning_rate_keeps_parameters():
-    from dataclasses import replace
     cfg = replace(TINY, learning_rate=0.0)
     net = _tiny_net(seed=1)
     state = init_train_state(net, cfg)
@@ -180,7 +180,6 @@ def test_step_single_group_batch_skips_balancing():
 
 
 def test_step_tarnet_mode_never_balances():
-    from dataclasses import replace
     cfg = replace(TINY, ablation="tarnet_mode")
     net = _tiny_net(seed=3)
     state = init_train_state(net, cfg)
@@ -192,7 +191,6 @@ def test_step_tarnet_mode_never_balances():
 
 
 def test_step_cfr_mode_only_adds_balancing():
-    from dataclasses import replace
     net_t = _tiny_net(seed=4)
     net_c = _tiny_net(seed=4)
     cfg_t = replace(TINY, ablation="tarnet_mode")
@@ -226,7 +224,6 @@ def test_stationarity_links_constraint_to_zero_gap():
 
 @pytest.mark.parametrize("task,tol", [(1, 1e-4), (2, 1e-3), (3, 1e-4)])
 def test_task_gradients_match_finite_differences(task, tol):
-    from dataclasses import replace
     cfg = replace(TINY, lambda1=0.05, lambda2=0.05,
                   sinkhorn=SinkhornConfig(entropic_reg=0.01, max_iters=5000,
                                           tol=1e-10))
@@ -240,7 +237,6 @@ def test_task_gradients_match_finite_differences(task, tol):
 
 def test_fit_single_epoch_and_history():
     tr, va, te = _small_sim()
-    from dataclasses import replace
     ckpt = fit(tr, va, replace(TINY, epochs=1))
     assert ckpt.best_epoch == 1
     assert len(ckpt.history) == 1
@@ -249,7 +245,6 @@ def test_fit_single_epoch_and_history():
 
 def test_fit_selects_minimum_eps_p():
     tr, va, te = _small_sim(seed=1)
-    from dataclasses import replace
     ckpt = fit(tr, va, replace(TINY, epochs=5))
     eps = [h.val_eps_p for h in ckpt.history]
     assert ckpt.best_eps_p == min(eps)
@@ -262,7 +257,6 @@ def test_fit_selects_minimum_eps_p():
 
 def test_fit_deterministic_bitwise():
     tr, va, te = _small_sim(seed=2)
-    from dataclasses import replace
     cfg = replace(TINY, epochs=3, seed=11)
     a = fit(tr, va, cfg)
     b = fit(tr, va, cfg)
@@ -275,7 +269,6 @@ def test_fit_deterministic_bitwise():
 
 def test_fit_no_eps_p_ablation_selects_on_rmse():
     tr, va, te = _small_sim(seed=3)
-    from dataclasses import replace
     ckpt = fit(tr, va, replace(TINY, epochs=4, ablation="no_eps_p"))
     assert ckpt.selection == "rmse"
     assert ckpt.best_epoch == ckpt.best_epoch_rmse
@@ -284,7 +277,6 @@ def test_fit_no_eps_p_ablation_selects_on_rmse():
 
 def test_fit_raises_when_no_epoch_is_finite(monkeypatch):
     tr, va, te = _small_sim(seed=4)
-    from dataclasses import replace
     monkeypatch.setattr(model, "validation_scores",
                         lambda net, val, beta: (float("nan"), float("nan")))
     with pytest.raises(RuntimeError, match="finite validation"):
@@ -305,7 +297,6 @@ def test_fit_rejects_mismatched_splits():
 
 def test_validation_scores_match_perturbation_error():
     tr, va, te = _small_sim(seed=5)
-    from dataclasses import replace
     ckpt = fit(tr, va, replace(TINY, epochs=1))
     val_rmse, val_eps_p = validation_scores(ckpt.net, va, ckpt.beta)
     assert val_eps_p >= val_rmse  # the cross term is nonnegative
@@ -328,7 +319,6 @@ def test_train_config_validation():
 
 def test_checkpoint_round_trip(tmp_path):
     tr, va, te = _small_sim(seed=9)
-    from dataclasses import replace
     ckpt = fit(tr, va, replace(TINY, epochs=2))
     path = tmp_path / "ckpt.json"
     save_checkpoint(ckpt, path)
@@ -353,7 +343,6 @@ def test_checkpoint_in_the_earlier_layout_still_loads(tmp_path):
     # Earlier files stored an empty "scalars" map in every subnet and no
     # net_rmse; such a file loads and predicts exactly as before.
     tr, va, te = _small_sim(seed=9)
-    from dataclasses import replace
     ckpt = fit(tr, va, replace(TINY, epochs=2))
     path = tmp_path / "ckpt.json"
     save_checkpoint(ckpt, path)
@@ -372,7 +361,6 @@ def test_checkpoint_in_the_earlier_layout_still_loads(tmp_path):
 
 def test_history_csv(tmp_path):
     tr, va, te = _small_sim(seed=10)
-    from dataclasses import replace
     ckpt = fit(tr, va, replace(TINY, epochs=3))
     from mbrl.model import history_to_csv
     path = tmp_path / "log.csv"
@@ -380,3 +368,63 @@ def test_history_csv(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "epoch,l_fo,l_dis,l_imb,omega_y,omega_d,val_rmse,val_eps_p"
     assert len(lines) == 4
+
+
+def test_train_config_json_round_trip_with_sinkhorn():
+    cfg = TrainConfig(epochs=3, beta=0.5, ablation="cfr_mode",
+                      sinkhorn=SinkhornConfig(entropic_reg=0.05, max_iters=17,
+                                              tol=1e-4, cost="squared_euclidean"))
+    back = TrainConfig(**json.loads(json.dumps(asdict(cfg))))
+    assert back == cfg
+    assert isinstance(back.sinkhorn, SinkhornConfig)
+    assert TrainConfig(sinkhorn=None).sinkhorn == SinkhornConfig()
+    with pytest.raises(TypeError):
+        TrainConfig(**{**asdict(cfg), "sinkhorn": {"max_iter": 5}})
+
+
+def _saved_checkpoint(tmp_path):
+    tr, va, _ = _small_sim(seed=9)
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(fit(tr, va, replace(TINY, epochs=1)), path)
+    return path
+
+
+def test_checkpoint_save_load_save_is_byte_identical(tmp_path):
+    first = _saved_checkpoint(tmp_path)
+    second = tmp_path / "again.json"
+    save_checkpoint(load_checkpoint(first), second)
+    assert second.read_bytes() == first.read_bytes()
+    assert (tmp_path / "again.meta.json").read_bytes() == \
+        (tmp_path / "ckpt.meta.json").read_bytes()
+
+
+def _corrupt(path, edit):
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc, sort_keys=True))
+
+
+def test_load_checkpoint_rejects_misshaped_tensor(tmp_path):
+    path = _saved_checkpoint(tmp_path)
+
+    def drop_column(doc):
+        w0 = doc["net"]["subnets"]["phi"]["params"]["W0"]
+        doc["net"]["subnets"]["phi"]["params"]["W0"] = [row[:-1] for row in w0]
+
+    _corrupt(path, drop_column)
+    with pytest.raises(ValueError, match=r"ckpt\.json.*phi\.W0 has shape \(6, 2\)"):
+        load_checkpoint(path)
+
+
+def test_load_checkpoint_rejects_missing_tensor(tmp_path):
+    path = _saved_checkpoint(tmp_path)
+    _corrupt(path, lambda doc: doc["net"]["subnets"]["f0"]["params"].pop("b1"))
+    with pytest.raises(ValueError, match=r"ckpt\.json.*missing entry 'f0\.b1'"):
+        load_checkpoint(path)
+
+
+def test_load_checkpoint_rejects_missing_top_level_key(tmp_path):
+    path = _saved_checkpoint(tmp_path)
+    _corrupt(path, lambda doc: doc.pop("best_epoch"))
+    with pytest.raises(ValueError, match=r"ckpt\.json.*missing entry 'best_epoch'"):
+        load_checkpoint(path)

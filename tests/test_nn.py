@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -199,9 +200,9 @@ def test_adam_rejects_non_finite_gradients():
 def test_net_checkpoint_round_trip():
     spec = nn.NetSpec((3, 4, 1), output_activation="sigmoid")
     params = nn.init_params(spec, seed=2)
-    doc = json.loads(json.dumps({"spec": nn.spec_to_dict(spec),
+    doc = json.loads(json.dumps({"spec": asdict(spec),
                                  "params": nn.params_to_dict(params)}))
-    assert nn.spec_from_dict(doc["spec"]) == spec
+    assert nn.NetSpec(**doc["spec"]) == spec
     params2 = nn.params_from_dict(doc["params"])
     assert len(params2.tensors()) == len(params.tensors())
     for a, b in zip(params.tensors(), params2.tensors()):
