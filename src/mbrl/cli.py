@@ -77,9 +77,13 @@ def _load_json(path: str) -> dict:
     if not p.exists():
         raise _UsageError(f"config file not found: {path}")
     try:
-        return json.loads(p.read_text())
+        doc = json.loads(p.read_text())
     except json.JSONDecodeError as exc:
         raise _UsageError(f"invalid JSON in {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise _UsageError(f"config file {path} must hold a JSON object, "
+                          f"not a {type(doc).__name__}")
+    return doc
 
 
 def _cmd_generate(args) -> int:

@@ -60,8 +60,12 @@ class ExperimentConfig:
     def __post_init__(self):
         for name, record in (("sim", SimConfig), ("split", SplitSpec),
                              ("train", TrainConfig)):
-            if isinstance(getattr(self, name), dict):
-                setattr(self, name, record(**getattr(self, name)))
+            value = getattr(self, name)
+            if isinstance(value, dict):
+                setattr(self, name, record(**value))
+            elif not (isinstance(value, record) or (name == "sim" and value is None)):
+                raise ValueError(f"{name} must be a {record.__name__} or its "
+                                 f"JSON object, not {value!r}")
         if self.source not in SOURCES:
             raise ValueError(f"unknown source {self.source!r}")
         if self.replications < 1:

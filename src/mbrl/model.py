@@ -314,11 +314,14 @@ def multitask_step(state: TrainState, batch: Batch, cfg: TrainConfig) -> TrainSt
     treated = np.asarray(batch.treatment) == 1
     balance = plan.run_balance and treated.any() and not treated.all()
     losses = {"l_imb": 0.0}
+    # Task 1 leaves the encoder as it is, so tasks 1 and 2 share one
+    # encoder pass; task 3 runs after task 2 has moved it.
+    encoded = encode(net, batch)
     for task, opt in ((1, state.opt_discriminator), (2, state.opt_balance),
                       (3, state.opt_outcome)):
         if task == 2 and not balance:
             continue
-        obj = task_objective(net, batch, cfg, task)
+        obj = task_objective(net, batch, cfg, task, encoded if task < 3 else None)
         nn.adam_update(obj.group, obj.grads, opt, maximize=task == 1)
         losses.update(obj.terms)
 
@@ -348,8 +351,15 @@ class TaskObjective(NamedTuple):
     terms: dict[str, float]  # the loss terms the training log records
 
 
+def encode(net: MBRLNet, batch: Batch) -> tuple[np.ndarray, nn.ForwardCache]:
+    """The encoder pass (representation, cache) of a batch's covariates."""
+    return nn.forward(net.phi, net.phi_spec, net.transform(batch.covariates))
+
+
 def task_objective(net: MBRLNet, batch: Batch, cfg: TrainConfig,
-                   task: int) -> TaskObjective:
+                   task: int,
+                   encoded: tuple[np.ndarray, nn.ForwardCache] | None = None
+                   ) -> TaskObjective:
     """Value, analytic gradients, parameter group and logged loss terms of
     one task objective.
 
@@ -358,14 +368,16 @@ def task_objective(net: MBRLNet, batch: Batch, cfg: TrainConfig,
     sign convention (not the update direction). The free scalars join the
     groups of tasks 1 and 3 when the ablation trains them.
     ``multitask_step`` applies exactly these gradients.
+
+    ``encoded`` is ``encode(net, batch)`` at the current encoder weights;
+    when omitted it is computed here.
     """
     plan = _resolve(cfg)
-    Z = net.transform(batch.covariates)
+    R, cache_phi = encode(net, batch) if encoded is None else encoded
     d = np.asarray(batch.treatment, dtype=float)
     y = np.asarray(batch.outcome, dtype=float)
-    b = Z.shape[0]
+    b = R.shape[0]
     if task == 1:
-        R, _ = nn.forward(net.phi, net.phi_spec, Z)
         p_mat, cache_pi = nn.forward(net.pi, net.pi_spec, R)
         p = p_mat[:, 0]
         l_dis = float(np.mean(d * np.log(p) + (1.0 - d) * np.log1p(-p)))
@@ -383,7 +395,6 @@ def task_objective(net: MBRLNet, batch: Batch, cfg: TrainConfig,
         treated = d == 1
         if not treated.any() or treated.all():
             raise ValueError("task 2 needs both treatment arms in the batch")
-        R, cache_phi = nn.forward(net.phi, net.phi_spec, Z)
         res = wasserstein_sinkhorn(R[treated], R[~treated], cfg.sinkhorn)
         dR = np.zeros_like(R)
         dR[treated] = res.grad_a
@@ -392,7 +403,6 @@ def task_objective(net: MBRLNet, batch: Batch, cfg: TrainConfig,
         return TaskObjective(res.distance, [*grads_phi.weights, *grads_phi.biases],
                              _group_encoder(net), {"l_imb": res.distance})
     if task == 3:
-        R, cache_phi = nn.forward(net.phi, net.phi_spec, Z)
         o0_mat, cache_f0 = nn.forward(net.f0, net.f0_spec, R)
         o1_mat, cache_f1 = nn.forward(net.f1, net.f1_spec, R)
         pred = d * o1_mat[:, 0] + (1.0 - d) * o0_mat[:, 0]
@@ -633,17 +643,28 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
     sidecar_path(path).write_text(json.dumps(meta, sort_keys=True, indent=2))
 
 
+def _read_json(path: Path) -> dict:
+    try:
+        doc = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"malformed checkpoint {path}: not valid JSON ({exc})") from exc
+    if not isinstance(doc, dict):
+        raise ValueError(f"malformed checkpoint {path}: not a JSON object")
+    return doc
+
+
 def load_checkpoint(path: str | Path) -> Checkpoint:
-    """Read a checkpoint and its sidecar (optional). A missing or mis-shaped
-    entry raises ValueError naming the file and the entry."""
+    """Read a checkpoint and its sidecar (optional). A file that is not a
+    JSON object, or a missing or mis-shaped entry, raises ValueError naming
+    the file (and the entry)."""
     path = Path(path)
-    doc = json.loads(path.read_text())
+    doc = _read_json(path)
     if doc.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"not a {CHECKPOINT_FORMAT} file: {path}")
     if doc.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {doc.get('version')}")
     side = sidecar_path(path)
-    meta = json.loads(side.read_text()) if side.exists() else {}
+    meta = _read_json(side) if side.exists() else {}
     try:
         return Checkpoint(
             net=_net_from_dict(doc["net"]),

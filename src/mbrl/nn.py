@@ -89,19 +89,18 @@ def init_params(spec: NetSpec, seed: int) -> ParamSet:
 # Activations
 # =========================================================================
 
+# Both take exp of min(x, 0), so large positive inputs cannot overflow, and
+# NaN fails the mask: elu(nan) is nan and elu_grad(nan) is 1.
+
 def elu(x: np.ndarray) -> np.ndarray:
-    out = np.array(x, dtype=float)
-    neg = x <= 0
-    out[neg] = np.expm1(x[neg])
-    return out
+    # x < 0 rather than x <= 0: at +-0 the identity branch returns x, which
+    # keeps the sign of -0.0 that np.minimum(-0.0, 0) would drop.
+    return np.where(x < 0, np.expm1(np.minimum(x, 0.0)), x)
 
 
 def elu_grad(x: np.ndarray) -> np.ndarray:
     # Subderivative at exactly 0 taken as 1 (exp(0)).
-    g = np.ones_like(x, dtype=float)
-    neg = x <= 0
-    g[neg] = np.exp(x[neg])
-    return g
+    return np.where(x <= 0, np.exp(np.minimum(x, 0.0)), 1.0)
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
@@ -199,10 +198,11 @@ def backward(
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators mirroring a tensor list."""
+    """First/second moment accumulators of a tensor list, each one flat
+    vector holding the tensors' entries in list order."""
 
-    m: list[np.ndarray]
-    v: list[np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
     learning_rate: float = 1e-3
     beta1: float = 0.9
@@ -211,11 +211,8 @@ class AdamState:
 
 
 def adam_init(tensors: list[np.ndarray], learning_rate: float = 1e-3) -> AdamState:
-    return AdamState(
-        m=[np.zeros_like(t) for t in tensors],
-        v=[np.zeros_like(t) for t in tensors],
-        learning_rate=learning_rate,
-    )
+    size = sum(np.size(t) for t in tensors)
+    return AdamState(m=np.zeros(size), v=np.zeros(size), learning_rate=learning_rate)
 
 
 def adam_update(
@@ -224,25 +221,45 @@ def adam_update(
     state: AdamState,
     maximize: bool = False,
 ) -> None:
-    """One bias-corrected Adam step, applied to the tensors in place."""
-    if len(tensors) != len(state.m) or len(grads) != len(tensors):
-        raise ValueError("tensor/gradient/state lengths do not match")
-    for g in grads:
-        if not np.all(np.isfinite(g)):
-            raise ValueError("non-finite gradient entries")
+    """One bias-corrected Adam step, applied to the tensors in place.
+
+    The arithmetic is elementwise in the order
+    lr * (m / c1) / (sqrt(v / c2) + eps_hat), done once over the flat
+    gradient vector in two work vectors the call allocates.
+    """
+    if len(grads) != len(tensors) or any(np.shape(g) != np.shape(p)
+                                         for p, g in zip(tensors, grads)):
+        raise ValueError("tensor and gradient shapes do not match")
+    g = np.concatenate([np.ravel(x) for x in grads], dtype=float)
+    if g.size != state.m.size:
+        raise ValueError("tensor sizes do not match the optimizer state")
+    if not np.all(np.isfinite(g)):
+        raise ValueError("non-finite gradient entries")
     state.step += 1
     t = state.step
     c1 = 1.0 - state.beta1 ** t
     c2 = 1.0 - state.beta2 ** t
-    for p, g, m, v in zip(tensors, grads, state.m, state.v):
-        g = np.asarray(g, dtype=float)
-        if maximize:
-            g = -g
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        p -= state.learning_rate * (m / c1) / (np.sqrt(v / c2) + state.eps_hat)
+    if maximize:
+        np.negative(g, out=g)
+    m, v = state.m, state.v
+    m *= state.beta1
+    work = np.multiply(g, 1.0 - state.beta1)
+    m += work
+    v *= state.beta2
+    np.multiply(g, 1.0 - state.beta2, out=work)
+    work *= g
+    v += work
+    # The gradient is spent; g now holds the step.
+    np.divide(v, c2, out=work)
+    np.sqrt(work, out=work)
+    work += state.eps_hat
+    np.divide(m, c1, out=g)
+    g *= state.learning_rate
+    g /= work
+    start = 0
+    for p in tensors:
+        p -= g[start:start + p.size].reshape(p.shape)
+        start += p.size
 
 
 # =========================================================================

@@ -47,8 +47,11 @@ class SinkhornResult:
 
 
 def _lse(M: np.ndarray, axis: int) -> np.ndarray:
+    """Log-sum-exp along ``axis``; overwrites M, so pass a temporary."""
     mx = M.max(axis=axis, keepdims=True)
-    return mx.squeeze(axis) + np.log(np.exp(M - mx).sum(axis=axis))
+    M -= mx
+    np.exp(M, out=M)
+    return mx.squeeze(axis) + np.log(M.sum(axis=axis))
 
 
 def _pairwise_sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -92,19 +95,21 @@ def wasserstein_sinkhorn(
     log_a = np.full(n1, -np.log(n1))
     log_b = np.full(n0, -np.log(n0))
 
-    f = np.zeros(n1)
-    g = np.zeros(n0)
     neg_C = -C / eps
+    work = np.empty_like(C)
+    # lse_rows(-C/eps + g/eps), starting from g = 0. It feeds the next
+    # f-update, and the plan's row sums are exp(f/eps + lse_rows).
+    lse_rows = _lse(np.add(neg_C, 0.0, out=work), 1)
     iterations = 0
     converged = False
     for _ in range(cfg.max_iters):
         iterations += 1
-        f = eps * (log_a - _lse(neg_C + g[None, :] / eps, 1))
-        g = eps * (log_b - _lse(neg_C + f[:, None] / eps, 0))
+        f = eps * (log_a - lse_rows)
+        g = eps * (log_b - _lse(np.add(neg_C, f[:, None] / eps, out=work), 0))
+        lse_rows = _lse(np.add(neg_C, g[None, :] / eps, out=work), 1)
         # After the g-update the column marginals are exact; only the rows
         # can violate.
-        T = np.exp(neg_C + (f[:, None] + g[None, :]) / eps)
-        row_err = np.abs(T.sum(axis=1) - 1.0 / n1).sum()
+        row_err = np.abs(np.exp(f / eps + lse_rows) - 1.0 / n1).sum()
         if row_err <= cfg.tol:
             converged = True
             break

@@ -135,3 +135,37 @@ def test_unknown_train_config_key_exits_1(tmp_path, sim_config):
     cfg = _write(tmp_path / "train.json", {"epochs": 1, "learning_rte": 0.1})
     assert main(["train", "--config", cfg, "--data", data_path,
                  "--out", str(tmp_path / "ckpt.json")]) == 1
+
+
+def test_train_config_that_is_not_an_object_exits_1(tmp_path, sim_config, capsys):
+    data_path = str(tmp_path / "data.csv")
+    assert main(["generate", "--config", sim_config, "--out", data_path]) == 0
+    cfg = _write(tmp_path / "list.json", [1, 2])
+    capsys.readouterr()
+    assert main(["train", "--config", cfg, "--data", data_path,
+                 "--out", str(tmp_path / "ckpt.json")]) == 1
+    assert "must hold a JSON object, not a list" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["split", "train"])
+def test_bench_null_nested_config_exits_1(tmp_path, key, capsys):
+    cfg = _write(tmp_path / "exp.json", {"source": "simulator", key: None,
+                                         "estimators": ["plugin"]})
+    assert main(["bench", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert f"{key} must be a" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_evaluate_truncated_checkpoint_exits_1(tmp_path, sim_config,
+                                               train_config, capsys):
+    data_path = str(tmp_path / "data.csv")
+    ckpt_path = tmp_path / "ckpt.json"
+    assert main(["generate", "--config", sim_config, "--out", data_path]) == 0
+    assert main(["train", "--config", train_config, "--data", data_path,
+                 "--out", str(ckpt_path)]) == 0
+    ckpt_path.write_bytes(ckpt_path.read_bytes()[:500])
+    capsys.readouterr()
+    assert main(["evaluate", "--checkpoint", str(ckpt_path),
+                 "--data", data_path]) == 1
+    err = capsys.readouterr().err
+    assert f"malformed checkpoint {ckpt_path}: not valid JSON" in err

@@ -41,6 +41,12 @@ def test_config_validation():
         ExperimentConfig(source="csv")
 
 
+@pytest.mark.parametrize("key", ["split", "train"])
+def test_config_rejects_null_nested_record(key):
+    with pytest.raises(ValueError, match=f"{key} must be a"):
+        ExperimentConfig(**{key: None})
+
+
 def test_config_round_trips_through_dict():
     cfg = _tiny_experiment(kl_levels=(0.0, 1.5), replications=2)
     back = ExperimentConfig(**json.loads(json.dumps(cfg.to_dict())))

@@ -154,6 +154,19 @@ def test_step_applies_task_objective_gradients():
     assert float(net.eps_y) != 0.3 and float(net.eps_d) != -0.2
 
 
+def test_balanced_step_runs_the_encoder_once_for_tasks_1_and_2(monkeypatch):
+    # encoder + discriminator (tasks 1 and 2 share the encoder pass), then
+    # encoder + two heads for task 3: five forward passes, not six.
+    calls = []
+    forward = nn.forward
+    monkeypatch.setattr(nn, "forward",
+                        lambda params, *a: calls.append(params) or forward(params, *a))
+    net = _tiny_net(seed=9)
+    multitask_step(init_train_state(net, TINY), _batch(seed=10), TINY)
+    assert [id(p) for p in calls] == [id(net.phi), id(net.pi), id(net.phi),
+                                      id(net.f0), id(net.f1)]
+
+
 def test_step_zero_learning_rate_keeps_parameters():
     cfg = replace(TINY, learning_rate=0.0)
     net = _tiny_net(seed=1)
@@ -427,4 +440,14 @@ def test_load_checkpoint_rejects_missing_top_level_key(tmp_path):
     path = _saved_checkpoint(tmp_path)
     _corrupt(path, lambda doc: doc.pop("best_epoch"))
     with pytest.raises(ValueError, match=r"ckpt\.json.*missing entry 'best_epoch'"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("target", ["ckpt.json", "ckpt.meta.json"])
+def test_load_checkpoint_rejects_truncated_json(tmp_path, target):
+    path = _saved_checkpoint(tmp_path)
+    bad = tmp_path / target
+    bad.write_bytes(bad.read_bytes()[:500])
+    with pytest.raises(ValueError, match=rf"malformed checkpoint .*{target}: "
+                                         r"not valid JSON \("):
         load_checkpoint(path)

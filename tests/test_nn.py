@@ -1,4 +1,5 @@
 import json
+import warnings
 from dataclasses import asdict
 
 import numpy as np
@@ -68,6 +69,38 @@ def test_elu_definition():
     assert nn.elu_grad(np.array([1.0]))[0] == 1.0
     assert nn.elu_grad(np.array([-1.0]))[0] == pytest.approx(np.exp(-1.0))
     assert nn.elu_grad(np.array([0.0]))[0] == 1.0
+
+
+def _elu_masked(x):
+    # Boolean-mask scatter form the np.where versions replaced; kept as the
+    # bitwise reference.
+    out = np.array(x, dtype=float)
+    neg = x <= 0
+    out[neg] = np.expm1(x[neg])
+    return out
+
+
+def _elu_grad_masked(x):
+    g = np.ones_like(x, dtype=float)
+    neg = x <= 0
+    g[neg] = np.exp(x[neg])
+    return g
+
+
+def test_elu_matches_masked_reference_bitwise():
+    special = np.array([0.0, -0.0, np.nan, 1e3, -1e3, 1e-320, -1e-320])
+    rng = np.random.default_rng(0)
+    for x in (special, 5.0 * rng.normal(size=(37, 23)), rng.normal(size=0)):
+        want = (_elu_masked(x), _elu_grad_masked(x))
+        # exp(-1e3) underflows to 0 in both forms (the right derivative), so
+        # only underflow is allowed; overflow, invalid and divide raise.
+        with np.errstate(all="raise", under="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = (nn.elu(x), nn.elu_grad(x))
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()   # also the sign of -0.0
+    assert nn.elu_grad(np.array([np.nan]))[0] == 1.0
 
 
 def test_forward_single_sigmoid_unit():
@@ -193,6 +226,79 @@ def test_adam_rejects_non_finite_gradients():
     with pytest.raises(ValueError, match="non-finite gradient"):
         nn.adam_update([p], [_scalar(np.nan)], state)
     assert float(p) == 0.0 and state.step == 0
+
+
+def _adam_per_tensor(tensors, grads, m, v, t, maximize, lr=1e-3,
+                     beta1=0.9, beta2=0.999, eps_hat=1e-8):
+    # One moment pair per tensor, as the flat state replaced; kept as the
+    # bitwise reference.
+    c1 = 1.0 - beta1 ** t
+    c2 = 1.0 - beta2 ** t
+    for p, g, mk, vk in zip(tensors, grads, m, v):
+        g = np.asarray(g, dtype=float)
+        if maximize:
+            g = -g
+        mk *= beta1
+        mk += (1.0 - beta1) * g
+        vk *= beta2
+        vk += (1.0 - beta2) * g * g
+        p -= lr * (mk / c1) / (np.sqrt(vk / c2) + eps_hat)
+
+
+def _adam_case(seed):
+    # Entries near the step size, so a last-bit change in a step is not
+    # rounded away when it is subtracted.
+    rng = np.random.default_rng(seed)
+    tensors = [1e-3 * rng.normal(size=(8, 6)), 1e-3 * rng.normal(size=8),
+               _scalar(5e-4), 1e-3 * rng.normal(size=(2, 5)), _scalar(-1e-3)]
+    return rng, tensors
+
+
+@pytest.mark.parametrize("maximize", [False, True])
+def test_adam_matches_per_tensor_reference_bitwise(maximize):
+    rng, tensors = _adam_case(3)
+    ref = [t.copy() for t in tensors]
+    ref_m = [np.zeros_like(t) for t in ref]
+    ref_v = [np.zeros_like(t) for t in ref]
+    state = nn.adam_init(tensors, learning_rate=1e-3)
+    for t in range(1, 21):
+        grads = [rng.normal(size=p.shape) * 10.0 ** rng.integers(-4, 3)
+                 for p in tensors]
+        nn.adam_update(tensors, grads, state, maximize=maximize)
+        _adam_per_tensor(ref, grads, ref_m, ref_v, t, maximize)
+    assert state.step == 20
+    for a, b in zip(tensors, ref):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert state.m.tobytes() == np.concatenate([m.ravel() for m in ref_m]).tobytes()
+    assert state.v.tobytes() == np.concatenate([v.ravel() for v in ref_v]).tobytes()
+
+
+def test_adam_non_finite_gradient_leaves_state_and_tensors():
+    rng, tensors = _adam_case(4)
+    state = nn.adam_init(tensors)
+    for _ in range(3):
+        nn.adam_update(tensors, [rng.normal(size=p.shape) for p in tensors], state)
+    before = ([t.copy() for t in tensors], state.m.copy(), state.v.copy())
+    grads = [rng.normal(size=p.shape) for p in tensors]
+    grads[1][2] = np.inf
+    with pytest.raises(ValueError, match="non-finite gradient"):
+        nn.adam_update(tensors, grads, state)
+    assert state.step == 3
+    for a, b in zip(tensors, before[0]):
+        np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(state.m, before[1])
+    np.testing.assert_array_equal(state.v, before[2])
+
+
+def test_adam_rejects_mismatched_gradient_shapes():
+    _, tensors = _adam_case(5)
+    state = nn.adam_init(tensors)
+    grads = [np.zeros(p.shape) for p in tensors]
+    grads[0] = np.zeros((3, 4))
+    with pytest.raises(ValueError, match="shapes do not match"):
+        nn.adam_update(tensors, grads, state)
+    with pytest.raises(ValueError, match="shapes do not match"):
+        nn.adam_update(tensors, grads[:-1], state)
 
 
 # ---------------------------------------------------------------- persistence

@@ -159,3 +159,69 @@ def test_envelope_gradient_matches_finite_differences(cost):
     rel = np.abs(res.grad_a - numeric) / np.maximum(
         1.0, np.abs(res.grad_a) + np.abs(numeric))
     assert rel.max() <= 1e-3
+
+
+# ---------------------------------------------------------------- bit identity
+
+def _sinkhorn_plan_rebuild(A, B, cfg):
+    """The solver as it was before the row check moved into the dual update:
+    it rebuilt the plan every iteration to test the row marginals. Kept to
+    pin the current solver to the same bits."""
+    def lse(M, axis):
+        mx = M.max(axis=axis, keepdims=True)
+        return mx.squeeze(axis) + np.log(np.exp(M - mx).sum(axis=axis))
+
+    n1, n0 = A.shape[0], B.shape[0]
+    d2 = np.maximum(np.sum(A * A, axis=1)[:, None] + np.sum(B * B, axis=1)[None, :]
+                    - 2.0 * A @ B.T, 0.0)
+    C = d2 if cfg.cost == "squared_euclidean" else np.sqrt(d2)
+    eps = cfg.entropic_reg
+    log_a = np.full(n1, -np.log(n1))
+    log_b = np.full(n0, -np.log(n0))
+    f, g = np.zeros(n1), np.zeros(n0)
+    neg_C = -C / eps
+    iterations, converged = 0, False
+    for _ in range(cfg.max_iters):
+        iterations += 1
+        f = eps * (log_a - lse(neg_C + g[None, :] / eps, 1))
+        g = eps * (log_b - lse(neg_C + f[:, None] / eps, 0))
+        T = np.exp(neg_C + (f[:, None] + g[None, :]) / eps)
+        if np.abs(T.sum(axis=1) - 1.0 / n1).sum() <= cfg.tol:
+            converged = True
+            break
+    T = np.exp(neg_C + (f[:, None] + g[None, :]) / eps)
+    if cfg.cost == "squared_euclidean":
+        grad_a = 2.0 * (T.sum(axis=1)[:, None] * A - T @ B)
+        grad_b = 2.0 * (T.sum(axis=0)[:, None] * B - T.T @ A)
+    else:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            W = np.where(C > 0, T / np.where(C > 0, C, 1.0), 0.0)
+        grad_a = W.sum(axis=1)[:, None] * A - W @ B
+        grad_b = W.sum(axis=0)[:, None] * B - W.T @ A
+    return float(np.sum(T * C)), grad_a, grad_b, iterations, converged
+
+
+@pytest.mark.parametrize("cost", ["euclidean", "squared_euclidean"])
+@pytest.mark.parametrize("max_iters,tol,want_converged", [
+    (1000, 1e-6, True),     # converges well inside the cap
+    (5, 1e-12, False),      # stops at the cap
+])
+@pytest.mark.parametrize("seed", range(4))
+def test_sinkhorn_matches_plan_rebuild_reference_bitwise(cost, max_iters, tol,
+                                                         want_converged, seed):
+    rng = np.random.default_rng(300 + seed)
+    n1, n0, r = 20 + 7 * seed, 35 + 5 * seed, 16
+    A = rng.normal(size=(n1, r))
+    B = rng.normal(size=(n0, r)) + 0.3
+    B[0] = A[0]  # one coincident pair: a zero-cost cell
+    # Squared costs are ~r times larger; a larger eps keeps both kinds at
+    # 20-80 iterations to converge.
+    reg = 2.0 if cost == "squared_euclidean" else 0.5
+    cfg = SinkhornConfig(entropic_reg=reg, max_iters=max_iters, tol=tol, cost=cost)
+    res = wasserstein_sinkhorn(A, B, cfg)
+    distance, grad_a, grad_b, iterations, converged = _sinkhorn_plan_rebuild(A, B, cfg)
+    assert converged is want_converged
+    assert (res.iterations, res.converged) == (iterations, converged)
+    assert res.distance == distance
+    np.testing.assert_array_equal(res.grad_a, grad_a)
+    np.testing.assert_array_equal(res.grad_b, grad_b)
