@@ -4,7 +4,8 @@ Subcommands: ``generate`` (simulator to CSV), ``train`` (fit plus
 checkpoint), ``evaluate`` (checkpoint plus CSV to metrics), ``bench``
 (replication experiment), ``check`` (numerical verification suite).
 
-Exit codes: 0 success, 1 validation/usage error, 2 runtime failure. The
+Exit codes: 0 success, 1 validation/usage error, 2 runtime failure
+(``bench``: every replication failed; its report is still written). The
 environment variable ``MBRL_OUTPUT_DIR`` overrides the output directory.
 """
 
@@ -152,6 +153,10 @@ def _cmd_bench(args) -> int:
     paths = emit_report(report, out_dir)
     print(f"{len(report.rows)} rows, {len(report.failures)} failed replications "
           f"-> {paths['report']}")
+    if not report.rows:  # each replication that succeeds adds rows
+        print(f"error: all {len(report.failures)} replications failed",
+              file=sys.stderr)
+        return 2
     return 0
 
 

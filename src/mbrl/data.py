@@ -17,6 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .nn import sigmoid
+from .records import require_int_fields
 
 OUTCOME_KINDS = ("continuous", "binary")
 
@@ -165,6 +166,7 @@ class SplitSpec:
     seed: int = 0
 
     def __post_init__(self):
+        require_int_fields(self)
         fracs = (self.train_frac, self.val_frac, self.test_frac)
         if any(f <= 0 for f in fracs):
             raise ValueError("split fractions must be positive")
@@ -213,6 +215,7 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
+        require_int_fields(self)
         if self.n_treated < 1 or self.n_control < 1:
             raise ValueError("group counts must be at least 1")
         if self.dim < 1:
@@ -238,7 +241,6 @@ class TrueModel:
     m0: Callable[[np.ndarray], np.ndarray]
     w1: np.ndarray | None = None
     w0: np.ndarray | None = None
-    noise_sd_outcome: float | None = None
     assign_w: np.ndarray | None = None
     assign_n: float | None = None
 
@@ -308,7 +310,7 @@ def generate_simulation(
     prior = cfg.n_treated / n
     data = Dataset(Z, d, y, "continuous", y0=y0, y1=y1, mu0=mu0_vec, mu1=mu1_vec)
     truth = TrueModel(m0=_gaussian_posterior(cfg.mu1, cfg.mu0, cov, prior),
-                      w1=w1, w0=w0, noise_sd_outcome=OUTCOME_NOISE_SD)
+                      w1=w1, w0=w0)
     return data, truth
 
 

@@ -25,6 +25,7 @@ from .data import (DEFAULT_SPLIT, Dataset, SimConfig, SplitSpec, TrueModel,
                    concat, generate_simulation, generate_twins_assignment,
                    kl_selection_bias, load_csv, split, true_outcomes)
 from .model import Checkpoint, TrainConfig, fit, perturbation_error, predict
+from .records import require_int_fields
 
 logger = logging.getLogger(__name__)
 
@@ -58,6 +59,7 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
+        require_int_fields(self)
         for name, record in (("sim", SimConfig), ("split", SplitSpec),
                              ("train", TrainConfig)):
             value = getattr(self, name)
@@ -88,8 +90,9 @@ class ExperimentConfig:
                 raise ValueError("KL levels must be nonnegative")
 
     def to_dict(self) -> dict:
-        """``asdict`` in JSON-native values (ndarrays and tuples as lists)."""
-        return json.loads(json.dumps(asdict(self), default=np.ndarray.tolist))
+        """``asdict`` in JSON-native values (ndarrays and tuples as lists,
+        numpy scalars as Python numbers)."""
+        return json.loads(json.dumps(asdict(self), default=lambda v: v.tolist()))
 
 
 # =========================================================================

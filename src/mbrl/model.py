@@ -30,14 +30,26 @@ from . import nn
 from .data import Dataset
 from .metrics import rmse
 from .ot import SinkhornConfig, wasserstein_sinkhorn
+from .records import require_int_fields
 
 logger = logging.getLogger(__name__)
 
-# cfr_mode (the balancing task without the noise regularizers) is another
-# name for no_orthogonality; both are accepted and resolve to one plan.
-ABLATION_ALIASES = {"cfr_mode": "no_orthogonality"}
-ABLATIONS = ("full_mbrl", "no_eps_p", "no_orthogonality", "tarnet_mode",
-             *ABLATION_ALIASES)
+
+class _TaskPlan(NamedTuple):
+    """What an ablation keeps of the method."""
+
+    train_eps: bool    # the noise regularizers and their free scalars
+    run_balance: bool  # task 2, the Wasserstein balancing
+    selection: str     # validation score that picks the epoch: "eps_p" or "rmse"
+
+
+ABLATIONS = {
+    "full_mbrl": _TaskPlan(True, True, "eps_p"),
+    "no_eps_p": _TaskPlan(True, True, "rmse"),
+    "no_orthogonality": _TaskPlan(False, True, "rmse"),
+    "cfr_mode": _TaskPlan(False, True, "rmse"),  # = no_orthogonality
+    "tarnet_mode": _TaskPlan(False, False, "rmse"),
+}
 
 BETA_DEFAULT_CONTINUOUS = 0.1
 BETA_DEFAULT_BINARY = 100.0
@@ -162,6 +174,7 @@ class TrainConfig:
     eps_clip: float = 100.0
 
     def __post_init__(self):
+        require_int_fields(self)
         if not isinstance(self.sinkhorn, SinkhornConfig):  # JSON: dict or null
             self.sinkhorn = SinkhornConfig(**(self.sinkhorn or {}))
         if self.lambda1 < 0 or self.lambda2 < 0:
@@ -182,27 +195,6 @@ class TrainConfig:
                 raise ValueError(f"{name} must be at least 1")
         if self.eps_clip <= 0:
             raise ValueError("eps_clip must be positive")
-
-
-@dataclass
-class _TaskPlan:
-    """Effective task behavior after applying the ablation flags."""
-
-    lambda1: float
-    lambda2: float
-    train_eps: bool
-    run_balance: bool
-    selection: str  # "eps_p" or "rmse"
-
-
-def _resolve(cfg: TrainConfig) -> _TaskPlan:
-    ablation = ABLATION_ALIASES.get(cfg.ablation, cfg.ablation)
-    if ablation in ("full_mbrl", "no_eps_p"):
-        return _TaskPlan(cfg.lambda1, cfg.lambda2, True, True,
-                         "eps_p" if ablation == "full_mbrl" else "rmse")
-    if ablation == "no_orthogonality":
-        return _TaskPlan(0.0, 0.0, False, True, "rmse")
-    return _TaskPlan(0.0, 0.0, False, False, "rmse")  # tarnet_mode
 
 
 def build_net(n_covariates: int, outcome_kind: str, cfg: TrainConfig,
@@ -262,43 +254,35 @@ def perturbation_error(y, yhat, d, dhat, beta: float) -> float:
 @dataclass
 class TrainState:
     net: MBRLNet
-    opt_discriminator: nn.AdamState
-    opt_balance: nn.AdamState
-    opt_outcome: nn.AdamState
+    opts: dict[int, nn.AdamState]  # task -> the optimizer of its group
     step_count: int = 0
     clip_events: int = 0
     last: dict = field(default_factory=dict)
 
 
-def _group_discriminator(net: MBRLNet, train_eps: bool) -> list[np.ndarray]:
-    group = [*net.pi.weights, *net.pi.biases]
-    if train_eps:
-        group.append(net.eps_d)
-    return group
+# Task -> (subnets it trains, free scalar it trains when the ablation keeps
+# the noise regularizers). Groups list each subnet's tensors in this order.
+TASK_GROUPS = {
+    1: (("pi",), "eps_d"),
+    2: (("phi",), None),
+    3: (("phi", "f0", "f1"), "eps_y"),
+}
 
 
-def _group_encoder(net: MBRLNet) -> list[np.ndarray]:
-    return [*net.phi.weights, *net.phi.biases]
-
-
-def _group_outcome(net: MBRLNet, train_eps: bool) -> list[np.ndarray]:
-    group = [*net.phi.weights, *net.phi.biases,
-             *net.f0.weights, *net.f0.biases,
-             *net.f1.weights, *net.f1.biases]
-    if train_eps:
-        group.append(net.eps_y)
+def task_group(net: MBRLNet, task: int, train_eps: bool) -> list[np.ndarray]:
+    """The parameters one task updates, in its gradients' order."""
+    subnets, scalar = TASK_GROUPS[task]
+    group = [t for name in subnets for t in getattr(net, name).tensors()]
+    if train_eps and scalar is not None:
+        group.append(getattr(net, scalar))
     return group
 
 
 def init_train_state(net: MBRLNet, cfg: TrainConfig) -> TrainState:
-    plan = _resolve(cfg)
-    lr = cfg.learning_rate
-    return TrainState(
-        net=net,
-        opt_discriminator=nn.adam_init(_group_discriminator(net, plan.train_eps), lr),
-        opt_balance=nn.adam_init(_group_encoder(net), lr),
-        opt_outcome=nn.adam_init(_group_outcome(net, plan.train_eps), lr),
-    )
+    train_eps = ABLATIONS[cfg.ablation].train_eps
+    return TrainState(net=net, opts={
+        task: nn.adam_init(task_group(net, task, train_eps), cfg.learning_rate)
+        for task in TASK_GROUPS})
 
 
 def multitask_step(state: TrainState, batch: Batch, cfg: TrainConfig) -> TrainState:
@@ -309,7 +293,7 @@ def multitask_step(state: TrainState, batch: Batch, cfg: TrainConfig) -> TrainSt
     The balancing task is skipped when the batch lacks a treatment arm (the
     imbalance loss is then defined as 0) and under the tarnet ablation.
     """
-    plan = _resolve(cfg)
+    plan = ABLATIONS[cfg.ablation]
     net = state.net
     treated = np.asarray(batch.treatment) == 1
     balance = plan.run_balance and treated.any() and not treated.all()
@@ -317,8 +301,7 @@ def multitask_step(state: TrainState, batch: Batch, cfg: TrainConfig) -> TrainSt
     # Task 1 leaves the encoder as it is, so tasks 1 and 2 share one
     # encoder pass; task 3 runs after task 2 has moved it.
     encoded = encode(net, batch)
-    for task, opt in ((1, state.opt_discriminator), (2, state.opt_balance),
-                      (3, state.opt_outcome)):
+    for task, opt in state.opts.items():
         if task == 2 and not balance:
             continue
         obj = task_objective(net, batch, cfg, task, encoded if task < 3 else None)
@@ -356,8 +339,7 @@ def encode(net: MBRLNet, batch: Batch) -> tuple[np.ndarray, nn.ForwardCache]:
     return nn.forward(net.phi, net.phi_spec, net.transform(batch.covariates))
 
 
-def task_objective(net: MBRLNet, batch: Batch, cfg: TrainConfig,
-                   task: int,
+def task_objective(net: MBRLNet, batch: Batch, cfg: TrainConfig, task: int,
                    encoded: tuple[np.ndarray, nn.ForwardCache] | None = None
                    ) -> TaskObjective:
     """Value, analytic gradients, parameter group and logged loss terms of
@@ -365,33 +347,35 @@ def task_objective(net: MBRLNet, batch: Batch, cfg: TrainConfig,
 
     Task 1 returns the ascent objective L_dis - lambda1*Omega_d; tasks 2 and
     3 return the descent objectives. Gradients follow the objective's own
-    sign convention (not the update direction). The free scalars join the
-    groups of tasks 1 and 3 when the ablation trains them.
-    ``multitask_step`` applies exactly these gradients.
+    sign convention (not the update direction), in ``task_group`` order.
+    Ablations without the noise regularizers take lambda1 = lambda2 = 0 and
+    leave the free scalars out. ``multitask_step`` applies these gradients.
 
     ``encoded`` is ``encode(net, batch)`` at the current encoder weights;
     when omitted it is computed here.
     """
-    plan = _resolve(cfg)
+    if task not in TASK_GROUPS:
+        raise ValueError("task must be 1, 2 or 3")
+    train_eps = ABLATIONS[cfg.ablation].train_eps
+    lambda1, lambda2 = (cfg.lambda1, cfg.lambda2) if train_eps else (0.0, 0.0)
     R, cache_phi = encode(net, batch) if encoded is None else encoded
     d = np.asarray(batch.treatment, dtype=float)
     y = np.asarray(batch.outcome, dtype=float)
     b = R.shape[0]
+    scalar_grad = 0.0  # of the task's free scalar, when it trains one
     if task == 1:
         p_mat, cache_pi = nn.forward(net.pi, net.pi_spec, R)
         p = p_mat[:, 0]
         l_dis = float(np.mean(d * np.log(p) + (1.0 - d) * np.log1p(-p)))
         gap = float(np.mean(d - p))
-        value = l_dis - plan.lambda1 * float(net.eps_d) * abs(gap)
+        value = l_dis - lambda1 * float(net.eps_d) * abs(gap)
         dobj = (d / p - (1.0 - d) / (1.0 - p)) / b
-        dobj = dobj + plan.lambda1 * float(net.eps_d) * np.sign(gap) / b
+        dobj = dobj + lambda1 * float(net.eps_d) * np.sign(gap) / b
         grads_pi, _ = nn.backward(net.pi, net.pi_spec, cache_pi, dobj[:, None])
-        grads = [*grads_pi.weights, *grads_pi.biases]
-        if plan.train_eps:
-            grads.append(np.asarray(-plan.lambda1 * abs(gap)))
-        return TaskObjective(value, grads, _group_discriminator(net, plan.train_eps),
-                             {"l_dis": l_dis, "omega_d": float(net.eps_d) * abs(gap)})
-    if task == 2:
+        sub_grads = {"pi": grads_pi}
+        scalar_grad = -lambda1 * abs(gap)
+        terms = {"l_dis": l_dis, "omega_d": float(net.eps_d) * abs(gap)}
+    elif task == 2:
         treated = d == 1
         if not treated.any() or treated.all():
             raise ValueError("task 2 needs both treatment arms in the batch")
@@ -400,9 +384,9 @@ def task_objective(net: MBRLNet, batch: Batch, cfg: TrainConfig,
         dR[treated] = res.grad_a
         dR[~treated] = res.grad_b
         grads_phi, _ = nn.backward(net.phi, net.phi_spec, cache_phi, dR)
-        return TaskObjective(res.distance, [*grads_phi.weights, *grads_phi.biases],
-                             _group_encoder(net), {"l_imb": res.distance})
-    if task == 3:
+        sub_grads = {"phi": grads_phi}
+        value, terms = res.distance, {"l_imb": res.distance}
+    else:
         o0_mat, cache_f0 = nn.forward(net.f0, net.f0_spec, R)
         o1_mat, cache_f1 = nn.forward(net.f1, net.f1_spec, R)
         pred = d * o1_mat[:, 0] + (1.0 - d) * o0_mat[:, 0]
@@ -413,20 +397,20 @@ def task_objective(net: MBRLNet, batch: Batch, cfg: TrainConfig,
             l_fo = float(np.mean((y - pred) ** 2))
             dpred = 2.0 * (pred - y) / b
         gap = float(np.mean(y - pred))
-        value = l_fo + plan.lambda2 * float(net.eps_y) * abs(gap)
-        dpred = dpred - plan.lambda2 * float(net.eps_y) * np.sign(gap) / b
+        value = l_fo + lambda2 * float(net.eps_y) * abs(gap)
+        dpred = dpred - lambda2 * float(net.eps_y) * np.sign(gap) / b
         grads_f1, dR1 = nn.backward(net.f1, net.f1_spec, cache_f1, (dpred * d)[:, None])
         grads_f0, dR0 = nn.backward(net.f0, net.f0_spec, cache_f0,
                                     (dpred * (1.0 - d))[:, None])
         grads_phi, _ = nn.backward(net.phi, net.phi_spec, cache_phi, dR1 + dR0)
-        grads = [*grads_phi.weights, *grads_phi.biases,
-                 *grads_f0.weights, *grads_f0.biases,
-                 *grads_f1.weights, *grads_f1.biases]
-        if plan.train_eps:
-            grads.append(np.asarray(plan.lambda2 * abs(gap)))
-        return TaskObjective(value, grads, _group_outcome(net, plan.train_eps),
-                             {"l_fo": l_fo, "omega_y": float(net.eps_y) * abs(gap)})
-    raise ValueError("task must be 1, 2 or 3")
+        sub_grads = {"phi": grads_phi, "f0": grads_f0, "f1": grads_f1}
+        scalar_grad = lambda2 * abs(gap)
+        terms = {"l_fo": l_fo, "omega_y": float(net.eps_y) * abs(gap)}
+    subnets, scalar = TASK_GROUPS[task]
+    grads = [g for name in subnets for g in sub_grads[name].tensors()]
+    if train_eps and scalar is not None:
+        grads.append(np.asarray(scalar_grad))
+    return TaskObjective(value, grads, task_group(net, task, train_eps), terms)
 
 
 def task_gradient_error(net: MBRLNet, batch: Batch, cfg: TrainConfig,
@@ -503,7 +487,7 @@ def fit(train: Dataset, val: Dataset, cfg: TrainConfig) -> Checkpoint:
     if train.outcome_kind != val.outcome_kind:
         raise ValueError("train and validation outcome kinds differ")
 
-    plan = _resolve(cfg)
+    selection = ABLATIONS[cfg.ablation].selection
     beta = default_beta(train.outcome_kind) if cfg.beta is None else cfg.beta
     root = np.random.SeedSequence(cfg.seed).spawn(2)
     mean, scale = standardizer_from(train)
@@ -515,25 +499,20 @@ def fit(train: Dataset, val: Dataset, cfg: TrainConfig) -> Checkpoint:
 
     n = train.n_units
     history: list[EpochStats] = []
-    best_eps_p = np.inf
-    best_epoch = 0
-    best_net: MBRLNet | None = None
-    best_rmse = np.inf
-    best_epoch_rmse = 0
-    best_net_rmse: MBRLNet | None = None
+    # Selection rule -> (best value, its epoch, the net at that epoch).
+    best = {rule: (np.inf, 0, None) for rule in ("eps_p", "rmse")}
 
     for epoch in range(1, cfg.epochs + 1):
         order = rng.permutation(n)
-        sums = {"l_fo": 0.0, "l_dis": 0.0, "l_imb": 0.0,
-                "omega_y": 0.0, "omega_d": 0.0}
+        sums: dict[str, float] = {}
         n_steps = 0
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
             if idx.size < 2:
                 continue
             multitask_step(state, Batch.from_dataset(train, idx), cfg)
-            for k in sums:
-                sums[k] += state.last[k]
+            for k, v in state.last.items():
+                sums[k] = sums.get(k, 0.0) + v
             n_steps += 1
         if n_steps == 0:
             raise ValueError("batch_size leaves no usable minibatch")
@@ -541,35 +520,27 @@ def fit(train: Dataset, val: Dataset, cfg: TrainConfig) -> Checkpoint:
         val_rmse, val_eps_p = validation_scores(net, val, beta)
         history.append(EpochStats(
             epoch=epoch,
-            **{k: sums[k] / n_steps for k in sums},
+            **{k: v / n_steps for k, v in sums.items()},
             val_rmse=val_rmse, val_eps_p=val_eps_p,
         ))
-        if val_eps_p < best_eps_p:
-            best_eps_p = val_eps_p
-            best_epoch = epoch
-            best_net = net.copy()
-        if val_rmse < best_rmse:
-            best_rmse = val_rmse
-            best_epoch_rmse = epoch
-            best_net_rmse = net.copy()
+        for rule, value in (("eps_p", val_eps_p), ("rmse", val_rmse)):
+            if value < best[rule][0]:
+                best[rule] = (value, epoch, net.copy())
 
-    if plan.selection == "eps_p":
-        selected_net, selected_epoch, selected_value = best_net, best_epoch, best_eps_p
-    else:
-        selected_net, selected_epoch, selected_value = (
-            best_net_rmse, best_epoch_rmse, best_rmse)
-    if selected_net is None:
+    value, epoch, selected = best[selection]
+    if selected is None:
         raise RuntimeError(f"no epoch of {cfg.epochs} had a finite validation "
-                           f"{plan.selection}; nothing to select")
+                           f"{selection}; nothing to select")
+    best_rmse, best_epoch_rmse, net_rmse = best["rmse"]
     return Checkpoint(
-        net=selected_net,
-        best_epoch=selected_epoch,
-        best_eps_p=float(selected_value),
+        net=selected,
+        best_epoch=epoch,
+        best_eps_p=float(value),
         history=history,
-        selection=plan.selection,
+        selection=selection,
         beta=beta,
         config=cfg,
-        net_rmse=best_net_rmse,
+        net_rmse=net_rmse,
         best_epoch_rmse=best_epoch_rmse,
         best_val_rmse=float(best_rmse),
         clip_events=state.clip_events,

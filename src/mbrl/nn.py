@@ -66,10 +66,6 @@ class ParamSet:
         """All trainable arrays in a fixed order (weights, then biases)."""
         return [*self.weights, *self.biases]
 
-    def copy(self) -> "ParamSet":
-        return ParamSet(weights=[w.copy() for w in self.weights],
-                        biases=[b.copy() for b in self.biases])
-
 
 def init_params(spec: NetSpec, seed: int) -> ParamSet:
     """Deterministic fan-based uniform init: W ~ U(-a, a), a = sqrt(6/(fan_in+fan_out)).
@@ -196,6 +192,11 @@ def backward(
 # Adam
 # =========================================================================
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS_HAT = 1e-8
+
+
 @dataclass
 class AdamState:
     """First/second moment accumulators of a tensor list, each one flat
@@ -205,9 +206,6 @@ class AdamState:
     v: np.ndarray
     step: int = 0
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps_hat: float = 1e-8
 
 
 def adam_init(tensors: list[np.ndarray], learning_rate: float = 1e-3) -> AdamState:
@@ -237,22 +235,22 @@ def adam_update(
         raise ValueError("non-finite gradient entries")
     state.step += 1
     t = state.step
-    c1 = 1.0 - state.beta1 ** t
-    c2 = 1.0 - state.beta2 ** t
+    c1 = 1.0 - ADAM_BETA1 ** t
+    c2 = 1.0 - ADAM_BETA2 ** t
     if maximize:
         np.negative(g, out=g)
     m, v = state.m, state.v
-    m *= state.beta1
-    work = np.multiply(g, 1.0 - state.beta1)
+    m *= ADAM_BETA1
+    work = np.multiply(g, 1.0 - ADAM_BETA1)
     m += work
-    v *= state.beta2
-    np.multiply(g, 1.0 - state.beta2, out=work)
+    v *= ADAM_BETA2
+    np.multiply(g, 1.0 - ADAM_BETA2, out=work)
     work *= g
     v += work
     # The gradient is spent; g now holds the step.
     np.divide(v, c2, out=work)
     np.sqrt(work, out=work)
-    work += state.eps_hat
+    work += ADAM_EPS_HAT
     np.divide(m, c1, out=g)
     g *= state.learning_rate
     g /= work

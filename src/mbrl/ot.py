@@ -14,6 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog
 
+from .records import require_int_fields
+
 COST_KINDS = ("euclidean", "squared_euclidean")
 
 EXACT_OT_MAX_CELLS = 64
@@ -27,6 +29,7 @@ class SinkhornConfig:
     cost: str = "euclidean"
 
     def __post_init__(self):
+        require_int_fields(self)
         if self.entropic_reg <= 0:
             raise ValueError("entropic_reg must be positive")
         if self.max_iters < 1:

@@ -141,8 +141,7 @@ def test_step_applies_task_objective_gradients():
     multitask_step(init_train_state(net, TINY), batch, TINY)
 
     ref_state = init_train_state(ref, TINY)
-    for task, opt in ((1, ref_state.opt_discriminator),
-                      (2, ref_state.opt_balance), (3, ref_state.opt_outcome)):
+    for task, opt in ref_state.opts.items():
         _, grads, group, _ = task_objective(ref, batch, TINY, task)
         nn.adam_update(group, grads, opt, maximize=task == 1)
 
@@ -187,9 +186,9 @@ def test_step_single_group_batch_skips_balancing():
     all_control = Batch(rng.normal(size=(6, 3)), np.zeros(6), rng.normal(size=6))
     multitask_step(state, all_control, TINY)
     assert state.last["l_imb"] == 0.0
-    assert state.opt_balance.step == 0      # task 2 untouched
-    assert state.opt_discriminator.step == 1
-    assert state.opt_outcome.step == 1
+    assert state.opts[2].step == 0      # task 2 untouched
+    assert state.opts[1].step == 1
+    assert state.opts[3].step == 1
 
 
 def test_step_tarnet_mode_never_balances():
@@ -197,7 +196,7 @@ def test_step_tarnet_mode_never_balances():
     net = _tiny_net(seed=3)
     state = init_train_state(net, cfg)
     multitask_step(state, _batch(), cfg)
-    assert state.opt_balance.step == 0
+    assert state.opts[2].step == 0
     assert state.last["l_imb"] == 0.0
     # eps scalars frozen
     assert float(net.eps_y) == 0.0 and float(net.eps_d) == 0.0
@@ -213,7 +212,7 @@ def test_step_cfr_mode_only_adds_balancing():
     batch = _batch(seed=5)
     multitask_step(st_t, batch, cfg_t)
     multitask_step(st_c, batch, cfg_c)
-    assert st_c.opt_balance.step == 1 and st_t.opt_balance.step == 0
+    assert st_c.opts[2].step == 1 and st_t.opts[2].step == 0
     # task 1 runs before balancing and is unaffected by it
     for a, b in zip(net_t.pi.tensors(), net_c.pi.tensors()):
         np.testing.assert_array_equal(a, b)
@@ -326,6 +325,43 @@ def test_train_config_validation():
         TrainConfig(ablation="dropout")
     assert set(ABLATIONS) == {"full_mbrl", "no_eps_p", "no_orthogonality",
                               "tarnet_mode", "cfr_mode"}
+
+
+def test_no_eps_p_trains_like_full_mbrl_and_selects_its_rmse_net():
+    # The two rows of ABLATIONS differ only in the selection rule.
+    tr, va, te = _small_sim(seed=6)
+    cfg = replace(TINY, epochs=4, seed=3)
+    full = fit(tr, va, cfg)
+    no_eps_p = fit(tr, va, replace(cfg, ablation="no_eps_p"))
+    assert no_eps_p.history == full.history
+    assert no_eps_p.best_epoch == full.best_epoch_rmse
+    for x, y in zip(predict(no_eps_p.net, te.covariates),
+                    predict(full.net_rmse, te.covariates)):
+        np.testing.assert_array_equal(x, y)
+
+
+def test_cfr_mode_checkpoint_is_byte_identical_to_no_orthogonality(tmp_path):
+    tr, va, _ = _small_sim(seed=7)
+    paths = {}
+    for ablation in ("no_orthogonality", "cfr_mode"):
+        paths[ablation] = tmp_path / f"{ablation}.json"
+        save_checkpoint(fit(tr, va, replace(TINY, epochs=3, ablation=ablation)),
+                        paths[ablation])
+    assert (paths["cfr_mode"].read_bytes()
+            == paths["no_orthogonality"].read_bytes())
+    # the sidecars differ only in the recorded ablation name
+    metas = [json.loads(model.sidecar_path(p).read_text()) for p in paths.values()]
+    for meta in metas:
+        del meta["config"]["ablation"]
+    assert metas[0] == metas[1]
+
+
+@pytest.mark.parametrize("ablation", list(ABLATIONS))
+def test_every_ablation_fits_one_epoch(ablation):
+    tr, va, _ = _small_sim(seed=8)
+    ckpt = fit(tr, va, replace(TINY, epochs=1, ablation=ablation))
+    assert ckpt.best_epoch == 1 and len(ckpt.history) == 1
+    assert ckpt.selection == ABLATIONS[ablation].selection
 
 
 # ---------------------------------------------------------------- persistence
