@@ -385,7 +385,9 @@ def task_objective(net: MBRLNet, batch: Batch, cfg: TrainConfig, task: int,
         dR[~treated] = res.grad_b
         grads_phi, _ = nn.backward(net.phi, net.phi_spec, cache_phi, dR)
         sub_grads = {"phi": grads_phi}
-        value, terms = res.distance, {"l_imb": res.distance}
+        # At convergence the fixed-plan gradient above is the gradient of
+        # the entropic dual value; the log keeps the transport cost.
+        value, terms = res.dual_value, {"l_imb": res.distance}
     else:
         o0_mat, cache_f0 = nn.forward(net.f0, net.f0_spec, R)
         o1_mat, cache_f1 = nn.forward(net.f1, net.f1_spec, R)

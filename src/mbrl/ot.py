@@ -1,9 +1,12 @@
 """Wasserstein imbalance distance between treated and control point clouds.
 
-The practical surrogate is entropic-regularized optimal transport solved by
-log-domain Sinkhorn scaling with uniform marginals. The reported distance is
-the transport cost of the converged plan (entropy term excluded); gradients
-treat the plan as fixed (envelope approximation). A small-instance exact LP
+The practical surrogate is entropic-regularized optimal transport with
+uniform marginals, solved by Sinkhorn scalings in the kernel domain on a
+kernel that absorbs the dual potentials and is re-anchored in the log domain
+whenever a scaling leaves its bound. The reported distance is the transport
+cost of the plan (entropy term excluded); gradients treat the plan as fixed
+(envelope gradients), which makes them, at convergence, the gradients of the
+entropic dual value the solver also reports. A small-instance exact LP
 solver serves as an independent oracle.
 """
 
@@ -19,6 +22,10 @@ from .records import require_int_fields
 COST_KINDS = ("euclidean", "squared_euclidean")
 
 EXACT_OT_MAX_CELLS = 64
+
+# Kernel-domain scalings u, v stay within [1/SCALING_BOUND, SCALING_BOUND];
+# a step that would leave it re-anchors the kernel in the log domain.
+SCALING_BOUND = 1e6
 
 
 @dataclass(frozen=True)
@@ -47,6 +54,7 @@ class SinkhornResult:
     grad_b: np.ndarray
     iterations: int
     converged: bool
+    dual_value: float
 
 
 def _lse(M: np.ndarray, axis: int) -> np.ndarray:
@@ -68,6 +76,17 @@ def _cost_matrix(A: np.ndarray, B: np.ndarray, cost: str) -> np.ndarray:
     return d2 if cost == "squared_euclidean" else np.sqrt(d2)
 
 
+def _anchor(neg_C: np.ndarray, f: np.ndarray, log_b: np.ndarray, eps: float,
+            work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The log-domain g-half-step for potential f, and the absorbed kernel
+    exp((f + g - C)/eps) of the result. Its columns sum to b, and each row
+    holds an entry of at least a_i * b_j / n0 when f is the f-half-step of
+    some g, so no row or column of the kernel underflows."""
+    g = eps * (log_b - _lse(np.add(neg_C, f[:, None] / eps, out=work), 0))
+    K = np.exp(neg_C + (f[:, None] + g[None, :]) / eps)
+    return g, K
+
+
 def wasserstein_sinkhorn(
     A: np.ndarray,
     B: np.ndarray,
@@ -75,12 +94,20 @@ def wasserstein_sinkhorn(
 ) -> SinkhornResult:
     """Entropic OT between clouds A (n1, r) and B (n0, r), uniform marginals.
 
-    Iterates log-domain Sinkhorn scalings until the L1 marginal violation
-    drops below cfg.tol or cfg.max_iters is hit; non-convergence is reported
-    through the ``converged`` flag rather than an exception.
+    Sinkhorn scalings run in the kernel domain, u = a / (K v) and
+    v = b / (K^T u), on a kernel K = exp((f + g - C)/eps) that absorbs the
+    dual potentials f, g. The first iteration is a log-domain f- then
+    g-half-step from g = 0, which anchors K. Whenever a scaling would leave
+    [1/SCALING_BOUND, SCALING_BOUND], the iteration folds eps * log u into
+    f, redoes the g-half-step in the log domain and re-anchors K, so small
+    eps neither overflows nor underflows the kernel. Iterations stop when
+    the L1 violation of the row marginals after a g-update drops below
+    cfg.tol or cfg.max_iters is hit; non-convergence is reported through
+    the ``converged`` flag rather than an exception.
 
-    Returns the transport cost of the converged plan and its exact gradients
-    with respect to both clouds under a fixed plan.
+    Returns the transport cost of the plan, its exact gradients with
+    respect to both clouds under a fixed plan, and the entropic dual value,
+    whose exact gradient that fixed-plan gradient is at convergence.
     """
     cfg = cfg or SinkhornConfig()
     A = np.asarray(A, dtype=float)
@@ -95,30 +122,48 @@ def wasserstein_sinkhorn(
     n1, n0 = A.shape[0], B.shape[0]
     C = _cost_matrix(A, B, cfg.cost)
     eps = cfg.entropic_reg
-    log_a = np.full(n1, -np.log(n1))
+    a, b = 1.0 / n1, 1.0 / n0
     log_b = np.full(n0, -np.log(n0))
+    # u = a / Kv and v = b / K^T u stay inside the bound exactly when their
+    # denominators stay inside these ranges; a K^T u entry that underflows
+    # to 0 fails the check before any division by it.
+    Kv_lo, Kv_hi = a / SCALING_BOUND, a * SCALING_BOUND
+    KTu_lo, KTu_hi = b / SCALING_BOUND, b * SCALING_BOUND
 
     neg_C = -C / eps
     work = np.empty_like(C)
-    # lse_rows(-C/eps + g/eps), starting from g = 0. It feeds the next
-    # f-update, and the plan's row sums are exp(f/eps + lse_rows).
-    lse_rows = _lse(np.add(neg_C, 0.0, out=work), 1)
-    iterations = 0
+    # The f-half-step from g = 0 in the log domain, where exp(-C/eps) may
+    # underflow whole rows or columns.
+    f = eps * (-np.log(n1) - _lse(np.add(neg_C, 0.0, out=work), 1))
+    g, K = _anchor(neg_C, f, log_b, eps, work)
+    u, v = np.ones(n1), np.ones(n0)
+    iterations = 1
     converged = False
-    for _ in range(cfg.max_iters):
-        iterations += 1
-        f = eps * (log_a - lse_rows)
-        g = eps * (log_b - _lse(np.add(neg_C, f[:, None] / eps, out=work), 0))
-        lse_rows = _lse(np.add(neg_C, g[None, :] / eps, out=work), 1)
+    while True:
+        Kv = K @ v
         # After the g-update the column marginals are exact; only the rows
         # can violate.
-        row_err = np.abs(np.exp(f / eps + lse_rows) - 1.0 / n1).sum()
-        if row_err <= cfg.tol:
+        if np.abs(u * Kv - a).sum() <= cfg.tol:
             converged = True
             break
+        if iterations == cfg.max_iters:
+            break
+        iterations += 1
+        u = a / Kv
+        KTu = u @ K
+        if (Kv_lo <= Kv.min() and Kv.max() <= Kv_hi
+                and KTu_lo <= KTu.min() and KTu.max() <= KTu_hi):
+            v = b / KTu
+        else:
+            f = f + eps * np.log(u)
+            g, K = _anchor(neg_C, f, log_b, eps, work)
+            u, v = np.ones(n1), np.ones(n0)
 
-    T = np.exp(neg_C + (f[:, None] + g[None, :]) / eps)
+    T = u[:, None] * K * v
     distance = float(np.sum(T * C))
+    f = f + eps * np.log(u)
+    g = g + eps * np.log(v)
+    dual_value = float(a * f.sum() + b * g.sum() - eps * T.sum())
 
     if cfg.cost == "squared_euclidean":
         # dC_ij/da_i = 2 (a_i - b_j)
@@ -132,7 +177,8 @@ def wasserstein_sinkhorn(
         grad_b = W.sum(axis=0)[:, None] * B - W.T @ A
 
     return SinkhornResult(distance=distance, grad_a=grad_a, grad_b=grad_b,
-                          iterations=iterations, converged=converged)
+                          iterations=iterations, converged=converged,
+                          dual_value=dual_value)
 
 
 def exact_ot_small(A: np.ndarray, B: np.ndarray, cost: str = "euclidean") -> float:

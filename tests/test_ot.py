@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mbrl import ot
 from mbrl.ot import SinkhornConfig, exact_ot_small, wasserstein_sinkhorn
 
 TIGHT = SinkhornConfig(entropic_reg=0.01, max_iters=20000, tol=1e-9)
@@ -161,12 +162,37 @@ def test_envelope_gradient_matches_finite_differences(cost):
     assert rel.max() <= 1e-3
 
 
-# ---------------------------------------------------------------- bit identity
+# ---------------------------------------------------------------- dual value
+
+@pytest.mark.parametrize("cost", ["euclidean", "squared_euclidean"])
+def test_fixed_plan_gradient_is_the_gradient_of_the_dual_value(cost):
+    # At eps = 0.5 the plan is far from a vertex, so the transport cost's own
+    # gradient differs from the fixed-plan one; the entropic dual value's
+    # gradient is the fixed-plan one at convergence.
+    rng = np.random.default_rng(6)
+    A = rng.normal(size=(4, 2))
+    B = rng.normal(size=(5, 2))
+    cfg = SinkhornConfig(entropic_reg=0.5, max_iters=20000, tol=1e-13, cost=cost)
+    res = wasserstein_sinkhorn(A, B, cfg)
+    h = 1e-6
+    numeric = np.zeros_like(A)
+    for i in range(A.shape[0]):
+        for j in range(A.shape[1]):
+            A[i, j] += h
+            fp = wasserstein_sinkhorn(A, B, cfg).dual_value
+            A[i, j] -= 2 * h
+            fm = wasserstein_sinkhorn(A, B, cfg).dual_value
+            A[i, j] += h
+            numeric[i, j] = (fp - fm) / (2 * h)
+    np.testing.assert_allclose(res.grad_a, numeric, rtol=0, atol=1e-7)
+
+
+# ---------------------------------------------------------------- log-domain reference
 
 def _sinkhorn_plan_rebuild(A, B, cfg):
-    """The solver as it was before the row check moved into the dual update:
-    it rebuilt the plan every iteration to test the row marginals. Kept to
-    pin the current solver to the same bits."""
+    """The log-domain solver that rebuilt the plan every iteration to test
+    the row marginals. Kept as the reference the kernel-domain solver must
+    follow: the same iterations and flag, the same numbers to rounding."""
     def lse(M, axis):
         mx = M.max(axis=axis, keepdims=True)
         return mx.squeeze(axis) + np.log(np.exp(M - mx).sum(axis=axis))
@@ -201,6 +227,25 @@ def _sinkhorn_plan_rebuild(A, B, cfg):
     return float(np.sum(T * C)), grad_a, grad_b, iterations, converged
 
 
+def _assert_follows_reference(A, B, cfg, rtol):
+    # Floating-point errors raise, so no overflow, division by zero or
+    # invalid operation hides in the kernel-domain path.
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        res = wasserstein_sinkhorn(A, B, cfg)
+    distance, grad_a, grad_b, iterations, converged = _sinkhorn_plan_rebuild(A, B, cfg)
+    assert (res.iterations, res.converged) == (iterations, converged)
+    assert np.isfinite(res.distance) and np.isfinite(res.dual_value)
+    np.testing.assert_allclose(res.distance, distance, rtol=rtol, atol=0)
+    # A gradient entry is a difference of two plan-weighted sums, so its own
+    # relative error carries their cancellation; compare against the scale
+    # of the whole gradient.
+    for got, want in ((res.grad_a, grad_a), (res.grad_b, grad_b)):
+        np.testing.assert_allclose(got, want, rtol=0, atol=rtol * np.abs(want).max())
+    return res
+
+
+# The name is older than the kernel-domain solver, which follows the
+# reference to rounding rather than to the bit.
 @pytest.mark.parametrize("cost", ["euclidean", "squared_euclidean"])
 @pytest.mark.parametrize("max_iters,tol,want_converged", [
     (1000, 1e-6, True),     # converges well inside the cap
@@ -218,10 +263,49 @@ def test_sinkhorn_matches_plan_rebuild_reference_bitwise(cost, max_iters, tol,
     # 20-80 iterations to converge.
     reg = 2.0 if cost == "squared_euclidean" else 0.5
     cfg = SinkhornConfig(entropic_reg=reg, max_iters=max_iters, tol=tol, cost=cost)
-    res = wasserstein_sinkhorn(A, B, cfg)
-    distance, grad_a, grad_b, iterations, converged = _sinkhorn_plan_rebuild(A, B, cfg)
-    assert converged is want_converged
-    assert (res.iterations, res.converged) == (iterations, converged)
-    assert res.distance == distance
-    np.testing.assert_array_equal(res.grad_a, grad_a)
-    np.testing.assert_array_equal(res.grad_b, grad_b)
+    res = _assert_follows_reference(A, B, cfg, rtol=1e-12)
+    assert res.converged is want_converged
+
+
+def _count_anchors(monkeypatch):
+    calls = []
+    anchor = ot._anchor
+
+    def counted(*args):
+        calls.append(1)
+        return anchor(*args)
+
+    monkeypatch.setattr(ot, "_anchor", counted)
+    return calls
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_sinkhorn_reanchors_past_an_underflowed_kernel_column(seed, monkeypatch):
+    # One control point far from every treated point: at eps = 1e-3 its
+    # whole column of exp(-C/eps) underflows to zero.
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(6, 2))
+    B = rng.normal(size=(7, 2))
+    B[0] = [40.0, 40.0]
+    cfg = SinkhornConfig(entropic_reg=1e-3, max_iters=5000, tol=1e-9)
+    assert not np.any(np.exp(-np.linalg.norm(A - B[0], axis=1) / 1e-3))
+    anchors = _count_anchors(monkeypatch)
+    # The reference's potentials reach max(C)/eps ~ 6e4, so each of its exps
+    # carries ~6e4 * 2**-52 ~ 1e-11 relative rounding.
+    res = _assert_follows_reference(A, B, cfg, rtol=1e-9)
+    assert res.converged
+    assert len(anchors) > 1
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_sinkhorn_reanchors_when_a_scaling_leaves_its_bound(seed, monkeypatch):
+    # At eps = 0.01 the potentials move by more than eps * log(SCALING_BOUND)
+    # between anchors, so u or v would leave the bound.
+    rng = np.random.default_rng(10 + seed)
+    A = rng.normal(size=(10, 3))
+    B = rng.normal(size=(12, 3)) + 1.0
+    cfg = SinkhornConfig(entropic_reg=0.01, max_iters=5000, tol=1e-9)
+    anchors = _count_anchors(monkeypatch)
+    res = _assert_follows_reference(A, B, cfg, rtol=1e-12)
+    assert res.converged
+    assert len(anchors) > 1
