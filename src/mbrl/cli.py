@@ -22,8 +22,8 @@ from pathlib import Path
 from .checks import run_checks
 from .data import (DEFAULT_SPLIT, SimConfig, SplitSpec, generate_simulation,
                    load_csv, save_csv, split)
-from .harness import (ExperimentConfig, emit_report, evaluate_estimator,
-                      run_experiment)
+from .harness import (MBRL_ESTIMATORS, ExperimentConfig, emit_report,
+                      evaluate_estimator, nuisances_from_net, run_experiment)
 from .model import (TrainConfig, fit, history_to_csv, load_checkpoint,
                     save_checkpoint)
 
@@ -126,8 +126,9 @@ def _cmd_evaluate(args) -> int:
     data = load_csv(args.data, ckpt.net.outcome_kind)
     result: dict = {"n_units": data.n_units, "selection": ckpt.selection,
                     "best_epoch": ckpt.best_epoch}
-    for name in ("plugin", "psi1", "psi2"):
-        row = evaluate_estimator(name, ckpt=ckpt, fit_data=data,
+    nuis = nuisances_from_net(ckpt.net, data)
+    for name in MBRL_ESTIMATORS:
+        row = evaluate_estimator(name, ckpt=ckpt, nuis=nuis, fit_data=data,
                                  eval_data=data, beta=ckpt.beta, knn_k=5)
         result[name] = {k: row[k] for k in
                         ("tau_hat", "eps_ate", "pehe_root", "auc", "rmse", "eps_p")}

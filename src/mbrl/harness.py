@@ -245,11 +245,13 @@ def _metric_row(data: Dataset, tau_hat: float, y0_hat, y1_hat, yhat_factual,
     return row
 
 
-def evaluate_estimator(name: str, *, ckpt: Checkpoint, fit_data: Dataset,
+def evaluate_estimator(name: str, *, ckpt: Checkpoint,
+                       nuis: est.NuisanceEstimates | None, fit_data: Dataset,
                        eval_data: Dataset, beta: float, knn_k: int) -> dict:
-    """One estimator's metrics on one unit set."""
+    """One estimator's metrics on one unit set. ``nuis`` is
+    ``nuisances_from_net(ckpt.net, eval_data)``, computed once per unit set
+    by the caller; the baselines do not read it."""
     if name in MBRL_ESTIMATORS:
-        nuis = nuisances_from_net(ckpt.net, eval_data)
         if name == "plugin":
             tau_hat = est.plug_in_ate(nuis).ate
         else:
@@ -280,9 +282,11 @@ def _run_replication(cfg: ExperimentConfig, level: float | None,
     beta = ckpt.beta
     insample = concat([tr, va])
     rows = []
+    uses_net = any(name in MBRL_ESTIMATORS for name in cfg.estimators)
     for sample, dataset in (("in", insample), ("out", te)):
+        nuis = nuisances_from_net(ckpt.net, dataset) if uses_net else None
         for name in cfg.estimators:
-            row = evaluate_estimator(name, ckpt=ckpt, fit_data=insample,
+            row = evaluate_estimator(name, ckpt=ckpt, nuis=nuis, fit_data=insample,
                                      eval_data=dataset, beta=beta, knn_k=cfg.knn_k)
             row.update({"kl_level": level, "kl_realized": realized,
                         "replication": rep, "sample": sample,

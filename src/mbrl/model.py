@@ -238,6 +238,25 @@ def predict(net: MBRLNet, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
     return o0[:, 0], o1[:, 0], p[:, 0]
 
 
+def factual_heads(net: MBRLNet, R: np.ndarray, treated: np.ndarray
+                  ) -> tuple[np.ndarray, list[tuple[str, np.ndarray, nn.ForwardCache]]]:
+    """Each outcome head on its own arm's rows of a representation batch:
+    f0 on the control rows, f1 on the treated rows.
+
+    Returns the factual prediction of every row and, per head, (name, the
+    boolean rows it ran on, its forward cache). A head whose arm has no
+    rows runs on zero rows, and its backward pass gives exact-zero
+    parameter gradients.
+    """
+    pred = np.empty(R.shape[0])
+    heads = []
+    for name, rows in (("f0", ~treated), ("f1", treated)):
+        out, cache = nn.forward(getattr(net, name), getattr(net, f"{name}_spec"), R[rows])
+        pred[rows] = out[:, 0]
+        heads.append((name, rows, cache))
+    return pred, heads
+
+
 def perturbation_error(y, yhat, d, dhat, beta: float) -> float:
     """RMSE plus beta times the absolute mean cross-residual product."""
     y, yhat, d, dhat = (np.asarray(v, dtype=float) for v in (y, yhat, d, dhat))
@@ -361,6 +380,7 @@ def task_objective(net: MBRLNet, batch: Batch, cfg: TrainConfig, task: int,
     R, cache_phi = encode(net, batch) if encoded is None else encoded
     d = np.asarray(batch.treatment, dtype=float)
     y = np.asarray(batch.outcome, dtype=float)
+    treated = d == 1
     b = R.shape[0]
     scalar_grad = 0.0  # of the task's free scalar, when it trains one
     if task == 1:
@@ -371,27 +391,26 @@ def task_objective(net: MBRLNet, batch: Batch, cfg: TrainConfig, task: int,
         value = l_dis - lambda1 * float(net.eps_d) * abs(gap)
         dobj = (d / p - (1.0 - d) / (1.0 - p)) / b
         dobj = dobj + lambda1 * float(net.eps_d) * np.sign(gap) / b
-        grads_pi, _ = nn.backward(net.pi, net.pi_spec, cache_pi, dobj[:, None])
+        grads_pi, _ = nn.backward(net.pi, net.pi_spec, cache_pi, dobj[:, None],
+                                  input_grad=False)
         sub_grads = {"pi": grads_pi}
         scalar_grad = -lambda1 * abs(gap)
         terms = {"l_dis": l_dis, "omega_d": float(net.eps_d) * abs(gap)}
     elif task == 2:
-        treated = d == 1
         if not treated.any() or treated.all():
             raise ValueError("task 2 needs both treatment arms in the batch")
         res = wasserstein_sinkhorn(R[treated], R[~treated], cfg.sinkhorn)
         dR = np.zeros_like(R)
         dR[treated] = res.grad_a
         dR[~treated] = res.grad_b
-        grads_phi, _ = nn.backward(net.phi, net.phi_spec, cache_phi, dR)
+        grads_phi, _ = nn.backward(net.phi, net.phi_spec, cache_phi, dR,
+                                   input_grad=False)
         sub_grads = {"phi": grads_phi}
         # At convergence the fixed-plan gradient above is the gradient of
         # the entropic dual value; the log keeps the transport cost.
         value, terms = res.dual_value, {"l_imb": res.distance}
     else:
-        o0_mat, cache_f0 = nn.forward(net.f0, net.f0_spec, R)
-        o1_mat, cache_f1 = nn.forward(net.f1, net.f1_spec, R)
-        pred = d * o1_mat[:, 0] + (1.0 - d) * o0_mat[:, 0]
+        pred, heads = factual_heads(net, R, treated)
         if net.outcome_kind == "binary":
             l_fo = float(-np.mean(y * np.log(pred) + (1.0 - y) * np.log1p(-pred)))
             dpred = (-(y / pred) + (1.0 - y) / (1.0 - pred)) / b
@@ -401,11 +420,15 @@ def task_objective(net: MBRLNet, batch: Batch, cfg: TrainConfig, task: int,
         gap = float(np.mean(y - pred))
         value = l_fo + lambda2 * float(net.eps_y) * abs(gap)
         dpred = dpred - lambda2 * float(net.eps_y) * np.sign(gap) / b
-        grads_f1, dR1 = nn.backward(net.f1, net.f1_spec, cache_f1, (dpred * d)[:, None])
-        grads_f0, dR0 = nn.backward(net.f0, net.f0_spec, cache_f0,
-                                    (dpred * (1.0 - d))[:, None])
-        grads_phi, _ = nn.backward(net.phi, net.phi_spec, cache_phi, dR1 + dR0)
-        sub_grads = {"phi": grads_phi, "f0": grads_f0, "f1": grads_f1}
+        # The heads' rows partition the batch, so each row of dR is written
+        # once, by the head that owns it.
+        dR = np.empty_like(R)
+        sub_grads = {}
+        for name, rows, cache in heads:
+            sub_grads[name], dR[rows] = nn.backward(
+                getattr(net, name), getattr(net, f"{name}_spec"), cache, dpred[rows, None])
+        sub_grads["phi"], _ = nn.backward(net.phi, net.phi_spec, cache_phi, dR,
+                                          input_grad=False)
         scalar_grad = lambda2 * abs(gap)
         terms = {"l_fo": l_fo, "omega_y": float(net.eps_y) * abs(gap)}
     subnets, scalar = TASK_GROUPS[task]
@@ -464,12 +487,14 @@ class Checkpoint:
 
 
 def validation_scores(net: MBRLNet, val: Dataset, beta: float) -> tuple[float, float]:
-    """(RMSE, perturbation error) of factual predictions on a dataset."""
-    yhat0, yhat1, p = predict(net, val.covariates)
-    pred = np.where(val.treatment == 1, yhat1, yhat0)
+    """(RMSE, perturbation error) of factual predictions on a dataset: the
+    encoder and discriminator on every unit, each head on its own arm."""
+    R, _ = nn.forward(net.phi, net.phi_spec, net.transform(val.covariates))
+    p, _ = nn.forward(net.pi, net.pi_spec, R)
+    pred, _ = factual_heads(net, R, val.treatment == 1)
     val_rmse = rmse(val.outcome_factual, pred)
     eps_p = perturbation_error(val.outcome_factual, pred,
-                               val.treatment.astype(float), p, beta)
+                               val.treatment.astype(float), p[:, 0], beta)
     return val_rmse, eps_p
 
 

@@ -154,10 +154,14 @@ def backward(
     spec: NetSpec,
     cache: ForwardCache,
     output_grad: np.ndarray,
-) -> tuple[ParamSet, np.ndarray]:
+    input_grad: bool = True,
+) -> tuple[ParamSet, np.ndarray | None]:
     """Exact reverse-mode gradients for the scalar whose output-gradient is given.
 
     Returns (gradients shaped like params, gradient w.r.t. the input batch).
+    With ``input_grad=False`` the first layer's product for the input
+    gradient is skipped and None is returned in its place; the parameter
+    gradients are the same bytes either way.
     """
     output_grad = np.asarray(output_grad, dtype=float)
     if len(cache.preacts) != spec.n_layers:
@@ -184,7 +188,7 @@ def backward(
             dz = g * elu_grad(z)
         g_w[k] = dz.T @ cache.inputs[k]
         g_b[k] = dz.sum(axis=0)
-        g = dz @ params.weights[k]
+        g = dz @ params.weights[k] if k or input_grad else None
     return ParamSet(weights=g_w, biases=g_b), g
 
 

@@ -87,6 +87,20 @@ def _anchor(neg_C: np.ndarray, f: np.ndarray, log_b: np.ndarray, eps: float,
     return g, K
 
 
+def _fixed_plan_grads(A: np.ndarray, B: np.ndarray, T: np.ndarray, C: np.ndarray,
+                      cost: str) -> tuple[np.ndarray, np.ndarray]:
+    """Gradients of <T, C(A, B)> with respect to A and B with the plan T
+    held fixed."""
+    if cost == "squared_euclidean":
+        # dC_ij/da_i = 2 (a_i - b_j)
+        grad_a = 2.0 * (T.sum(axis=1)[:, None] * A - T @ B)
+        grad_b = 2.0 * (T.sum(axis=0)[:, None] * B - T.T @ A)
+        return grad_a, grad_b
+    # dC_ij/da_i = (a_i - b_j) / ||a_i - b_j||, zero at coincident points
+    W = np.divide(T, C, out=np.zeros_like(T), where=C > 0)
+    return W.sum(axis=1)[:, None] * A - W @ B, W.sum(axis=0)[:, None] * B - W.T @ A
+
+
 def wasserstein_sinkhorn(
     A: np.ndarray,
     B: np.ndarray,
@@ -165,17 +179,7 @@ def wasserstein_sinkhorn(
     g = g + eps * np.log(v)
     dual_value = float(a * f.sum() + b * g.sum() - eps * T.sum())
 
-    if cfg.cost == "squared_euclidean":
-        # dC_ij/da_i = 2 (a_i - b_j)
-        grad_a = 2.0 * (T.sum(axis=1)[:, None] * A - T @ B)
-        grad_b = 2.0 * (T.sum(axis=0)[:, None] * B - T.T @ A)
-    else:
-        # dC_ij/da_i = (a_i - b_j) / ||a_i - b_j||, zero at coincident points
-        with np.errstate(divide="ignore", invalid="ignore"):
-            W = np.where(C > 0, T / np.where(C > 0, C, 1.0), 0.0)
-        grad_a = W.sum(axis=1)[:, None] * A - W @ B
-        grad_b = W.sum(axis=0)[:, None] * B - W.T @ A
-
+    grad_a, grad_b = _fixed_plan_grads(A, B, T, C, cfg.cost)
     return SinkhornResult(distance=distance, grad_a=grad_a, grad_b=grad_b,
                           iterations=iterations, converged=converged,
                           dual_value=dual_value)

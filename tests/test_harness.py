@@ -102,6 +102,19 @@ def test_baseline_rows_have_no_model_fields():
             assert row["eps_p"] is not None
 
 
+def test_each_sample_runs_predict_once_for_the_mbrl_estimators(monkeypatch):
+    calls = []
+    predict = harness.predict
+    monkeypatch.setattr(harness, "predict",
+                        lambda net, Z: calls.append(len(Z)) or predict(net, Z))
+    report = run_experiment(_tiny_experiment(
+        replications=2, estimators=("plugin", "psi1", "psi2", "ols_lr1")))
+    assert report.metadata["n_failures"] == 0
+    # one call per replication for the in-sample units, one for the test units
+    assert len(calls) == 2 * 2
+    assert sorted(set(calls)) == sorted({r["n_units"] for r in report.rows})
+
+
 def test_aggregates_recompute_from_rows():
     cfg = _tiny_experiment(replications=3, estimators=("plugin", "psi1"))
     report = run_experiment(cfg)

@@ -7,6 +7,7 @@ import pytest
 from mbrl import model, nn
 from mbrl.checks import check_task_gradients
 from mbrl.data import Dataset, SimConfig, SplitSpec, generate_simulation, split
+from mbrl.metrics import rmse
 from mbrl.model import (ABLATIONS, Batch, TrainConfig, build_net,
                         default_beta, fit, init_train_state, load_checkpoint,
                         multitask_step, perturbation_error, predict,
@@ -156,15 +157,70 @@ def test_step_applies_task_objective_gradients():
 
 def test_balanced_step_runs_the_encoder_once_for_tasks_1_and_2(monkeypatch):
     # encoder + discriminator (tasks 1 and 2 share the encoder pass), then
-    # encoder + two heads for task 3: five forward passes, not six.
+    # encoder + two heads for task 3: five forward passes, not six. Each
+    # head sees only its own arm: f0 the 5 control rows, f1 the 3 treated.
     calls = []
     forward = nn.forward
-    monkeypatch.setattr(nn, "forward",
-                        lambda params, *a: calls.append(params) or forward(params, *a))
+    monkeypatch.setattr(nn, "forward", lambda params, spec, X: calls.append(
+        (params, len(X))) or forward(params, spec, X))
     net = _tiny_net(seed=9)
-    multitask_step(init_train_state(net, TINY), _batch(seed=10), TINY)
-    assert [id(p) for p in calls] == [id(net.phi), id(net.pi), id(net.phi),
-                                      id(net.f0), id(net.f1)]
+    batch = _batch(seed=10)._replace(treatment=np.array([1.0, 0, 0, 1, 0, 0, 1, 0]))
+    multitask_step(init_train_state(net, TINY), batch, TINY)
+    assert [(id(p), rows) for p, rows in calls] == [
+        (id(net.phi), 8), (id(net.pi), 8), (id(net.phi), 8),
+        (id(net.f0), 5), (id(net.f1), 3)]
+
+
+def _task3_full_batch_reference(net, batch, cfg):
+    # Both heads on every row; the rows a head does not own are zeroed by
+    # the treatment mask in the prediction and in each head's output
+    # gradient.
+    R, cache_phi = model.encode(net, batch)
+    d, y = batch.treatment, batch.outcome
+    b = len(d)
+    o0, cache_f0 = nn.forward(net.f0, net.f0_spec, R)
+    o1, cache_f1 = nn.forward(net.f1, net.f1_spec, R)
+    pred = d * o1[:, 0] + (1.0 - d) * o0[:, 0]
+    if net.outcome_kind == "binary":
+        l_fo = float(-np.mean(y * np.log(pred) + (1.0 - y) * np.log1p(-pred)))
+        dpred = (-(y / pred) + (1.0 - y) / (1.0 - pred)) / b
+    else:
+        l_fo = float(np.mean((y - pred) ** 2))
+        dpred = 2.0 * (pred - y) / b
+    gap = float(np.mean(y - pred))
+    value = l_fo + cfg.lambda2 * float(net.eps_y) * abs(gap)
+    dpred = dpred - cfg.lambda2 * float(net.eps_y) * np.sign(gap) / b
+    grads_f1, dR1 = nn.backward(net.f1, net.f1_spec, cache_f1, (dpred * d)[:, None])
+    grads_f0, dR0 = nn.backward(net.f0, net.f0_spec, cache_f0,
+                                (dpred * (1.0 - d))[:, None])
+    grads_phi, _ = nn.backward(net.phi, net.phi_spec, cache_phi, dR1 + dR0)
+    return value, [*grads_phi.tensors(), *grads_f0.tensors(), *grads_f1.tensors(),
+                   np.asarray(cfg.lambda2 * abs(gap))]
+
+
+@pytest.mark.parametrize("outcome_kind", ["continuous", "binary"])
+@pytest.mark.parametrize("arms", ["mixed", "even", "all_treated", "all_control"])
+def test_task3_heads_on_their_own_arm_match_the_masked_full_batch(outcome_kind, arms):
+    net = _tiny_net(outcome_kind, seed=12)
+    net.eps_y[()] = 0.6
+    rng = np.random.default_rng(13)
+    d = {"mixed": np.array([1.0, 0, 0, 1, 0, 1, 0, 0, 0, 0]),
+         "even": np.array([0.0, 1, 1, 0, 1, 0, 0, 1, 1, 0]),
+         "all_treated": np.ones(10), "all_control": np.zeros(10)}[arms]
+    y = rng.normal(size=10) if outcome_kind == "continuous" else rng.integers(0, 2, 10) * 1.0
+    batch = Batch(rng.normal(size=(10, 3)), d, y)
+    obj = task_objective(net, batch, TINY, 3)
+    value, want = _task3_full_batch_reference(net, batch, TINY)
+    assert obj.value == pytest.approx(value, rel=1e-12, abs=0)
+    assert len(obj.grads) == len(want)
+    for got, ref in zip(obj.grads, want):
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+    n_phi, n_head = len(net.phi.tensors()), len(net.f0.tensors())
+    heads = {"f0": obj.grads[n_phi:n_phi + n_head],
+             "f1": obj.grads[n_phi + n_head:n_phi + 2 * n_head]}
+    absent = {"all_treated": "f0", "all_control": "f1"}.get(arms)
+    for name, grads in heads.items():
+        assert all(not np.any(g) for g in grads) == (name == absent)
 
 
 def test_step_zero_learning_rate_keeps_parameters():
@@ -322,6 +378,18 @@ def test_validation_scores_match_perturbation_error():
     ckpt = fit(tr, va, replace(TINY, epochs=1))
     val_rmse, val_eps_p = validation_scores(ckpt.net, va, ckpt.beta)
     assert val_eps_p >= val_rmse  # the cross term is nonnegative
+
+
+@pytest.mark.parametrize("seed", [5, 6])
+def test_validation_scores_match_the_predict_reference(seed):
+    # Both heads on every unit, then the factual one picked per unit.
+    tr, va, te = _small_sim(seed=seed)
+    net = fit(tr, va, replace(TINY, epochs=1)).net
+    yhat0, yhat1, p = predict(net, va.covariates)
+    pred = np.where(va.treatment == 1, yhat1, yhat0)
+    want = (rmse(va.outcome_factual, pred),
+            perturbation_error(va.outcome_factual, pred, va.treatment, p, 0.1))
+    np.testing.assert_allclose(validation_scores(net, va, 0.1), want, rtol=1e-12, atol=0)
 
 
 # ---------------------------------------------------------------- ablation plumbing

@@ -152,6 +152,20 @@ def test_backward_linear_net_matches_hand_gradient():
     np.testing.assert_allclose(g_in, np.ones((4, 2)) @ params.weights[0])
 
 
+@pytest.mark.parametrize("output_activation", ["identity", "sigmoid"])
+def test_backward_without_input_grad_keeps_parameter_gradients(output_activation):
+    spec = nn.NetSpec((4, 6, 5, 2), output_activation=output_activation)
+    params = nn.init_params(spec, seed=3)
+    rng = np.random.default_rng(4)
+    _, cache = nn.forward(params, spec, rng.normal(size=(7, 4)))
+    out_grad = rng.normal(size=(7, 2))
+    full, g_in = nn.backward(params, spec, cache, out_grad)
+    skipped, none = nn.backward(params, spec, cache, out_grad, input_grad=False)
+    assert g_in.shape == (7, 4) and none is None
+    for a, b in zip(full.tensors(), skipped.tensors()):
+        assert a.tobytes() == b.tobytes()
+
+
 def test_backward_rejects_mismatched_cache():
     spec = nn.NetSpec((3, 2))
     params = nn.init_params(spec, seed=0)

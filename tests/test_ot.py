@@ -227,6 +227,25 @@ def _sinkhorn_plan_rebuild(A, B, cfg):
     return float(np.sum(T * C)), grad_a, grad_b, iterations, converged
 
 
+def test_euclidean_gradient_weights_match_the_two_where_expression_bitwise():
+    # Integer coordinates keep the distance expansion exact, so coincident
+    # points give exact-zero cells.
+    rng = np.random.default_rng(40)
+    A = rng.integers(-3, 4, size=(40, 16)).astype(float)
+    B = rng.integers(-3, 4, size=(80, 16)).astype(float)
+    B[:3] = A[:3]
+    C = ot._cost_matrix(A, B, "euclidean")
+    assert np.count_nonzero(C == 0) >= 3
+    T = rng.random(C.shape) / C.size
+    with np.errstate(divide="ignore", invalid="ignore"):
+        W = np.where(C > 0, T / np.where(C > 0, C, 1.0), 0.0)
+    want = (W.sum(axis=1)[:, None] * A - W @ B, W.sum(axis=0)[:, None] * B - W.T @ A)
+    with np.errstate(all="raise"):
+        got = ot._fixed_plan_grads(A, B, T, C, "euclidean")
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
+
+
 def _assert_follows_reference(A, B, cfg, rtol):
     # Floating-point errors raise, so no overflow, division by zero or
     # invalid operation hides in the kernel-domain path.
