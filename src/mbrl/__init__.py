@@ -7,10 +7,9 @@ and its training loop (``model``), ATE estimators and orthogonality probes
 harness (``harness``).
 """
 
-from .data import (Dataset, OverlapReport, SimConfig, SplitSpec, TrueModel,
-                   check_overlap, concat, generate_simulation,
-                   generate_twins_assignment, kl_selection_bias, load_csv,
-                   save_csv, split, true_ate)
+from .data import (Dataset, SimConfig, SplitSpec, TrueModel, concat,
+                   generate_simulation, generate_twins_assignment,
+                   kl_selection_bias, load_csv, save_csv, split, true_ate)
 from .estimators import (BaselineResult, NoiseOrthogonalityResult,
                          NuisanceEstimates, ProbeResult, ThetaPair,
                          ate_orthogonal, baseline, noise_orthogonality_stat,

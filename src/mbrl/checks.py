@@ -35,10 +35,10 @@ def _random_net_loss(spec: nn.NetSpec, X: np.ndarray, y: np.ndarray):
     return loss
 
 
-def check_dense_gradients(seed: int, n_nets: int = 5) -> CheckResult:
+def check_dense_gradients(seed: int) -> CheckResult:
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for k in range(n_nets):
+    for k in range(5):
         widths = tuple(int(w) for w in rng.integers(2, 9, size=rng.integers(2, 4)))
         out_act = "sigmoid" if k % 2 else "identity"
         spec = nn.NetSpec((int(rng.integers(2, 6)), *widths, 1),
@@ -77,11 +77,11 @@ def check_task_gradients(seed: int) -> CheckResult:
         f"task1 {errs[0]:.2e} task2 {errs[1]:.2e} task3 {errs[2]:.2e}")
 
 
-def check_ot_oracle(seed: int, n_instances: int = 20) -> CheckResult:
+def check_ot_oracle(seed: int) -> CheckResult:
     rng = np.random.default_rng(seed)
     cfg = SinkhornConfig(entropic_reg=0.01, max_iters=20000, tol=1e-9)
     worst = 0.0
-    for _ in range(n_instances):
+    for _ in range(20):
         n1, n0 = int(rng.integers(2, 9)), int(rng.integers(2, 9))
         r = int(rng.integers(1, 4))
         A = 2.0 * rng.normal(size=(n1, r))
@@ -110,18 +110,18 @@ def check_sinkhorn_invariances(seed: int) -> CheckResult:
                        f"symmetry gap {sym:.1e}, translation gap {trans:.1e}")
 
 
-def _probe_draw(seed: int, n_units: int, kl: float = 0.5):
+def _probe_draw(seed: int, n_units: int):
     # Pin the selection-bias level so the true propensity stays inside the
     # overlap region and the probe's Monte Carlo error stays informative.
     n_treated = n_units // 3
     sim = SimConfig(n_treated=n_treated, n_control=n_units - n_treated,
                     dim=10, mu1=np.ones(10), seed=seed)
-    data, truth, _ = simulate_at_kl(sim, kl, seed)
+    data, truth, _ = simulate_at_kl(sim, 0.5, seed)
     return data, truth
 
 
-def check_orthogonality(seed: int, n_units: int = 30_000) -> CheckResult:
-    data, truth = _probe_draw(seed, n_units)
+def check_orthogonality(seed: int) -> CheckResult:
+    data, truth = _probe_draw(seed, 30_000)
     details = []
     ok = True
     for kind in ("psi1", "psi2"):
@@ -137,15 +137,15 @@ def check_orthogonality(seed: int, n_units: int = 30_000) -> CheckResult:
     return CheckResult("orthogonality probes", ok, "; ".join(details))
 
 
-def check_noise_orthogonality(seed: int, n_units: int = 10_000) -> CheckResult:
-    data, truth = _probe_draw(seed, n_units)
+def check_noise_orthogonality(seed: int) -> CheckResult:
+    data, truth = _probe_draw(seed, 10_000)
     res = noise_orthogonality_stat(data, truth)
     passed = abs(res.stat) <= 3.0 * res.std_error
     return CheckResult("noise orthogonality", passed,
                        f"stat {res.stat:+.5f} vs 3se {3 * res.std_error:.5f}")
 
 
-def run_checks(seed: int = 0) -> list[CheckResult]:
+def run_checks(seed: int) -> list[CheckResult]:
     return [
         check_dense_gradients(seed),
         check_task_gradients(seed + 1),

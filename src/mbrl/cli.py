@@ -22,8 +22,8 @@ from pathlib import Path
 from .checks import run_checks
 from .data import (DEFAULT_SPLIT, SimConfig, SplitSpec, generate_simulation,
                    load_csv, save_csv, split)
-from .harness import (MBRL_ESTIMATORS, ExperimentConfig, emit_report,
-                      evaluate_estimator, nuisances_from_net, run_experiment)
+from .harness import (MBRL_ESTIMATORS, ExperimentConfig, emit_report, mbrl_row,
+                      nuisances_from_net, run_experiment)
 from .model import (TrainConfig, fit, history_to_csv, load_checkpoint,
                     save_checkpoint)
 
@@ -43,19 +43,28 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def nonnegative_int(text: str) -> int:
+    """Type of the ``--seed`` flags: numpy's generators take nonnegative
+    seeds only."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, not {value}")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="mbrl", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p_gen = sub.add_parser("generate", help="simulate a dataset and write CSV")
     p_gen.add_argument("--config", required=True, help="SimConfig JSON file")
-    p_gen.add_argument("--seed", type=int, default=None)
+    p_gen.add_argument("--seed", type=nonnegative_int, default=None)
     p_gen.add_argument("--out", required=True, help="output CSV path")
 
     p_train = sub.add_parser("train", help="fit the model on a CSV dataset")
     p_train.add_argument("--config", default=None, help="train-config JSON file")
     p_train.add_argument("--data", required=True, help="input CSV")
-    p_train.add_argument("--seed", type=int, default=None)
+    p_train.add_argument("--seed", type=nonnegative_int, default=None)
     p_train.add_argument("--out", required=True, help="checkpoint path (JSON)")
 
     p_eval = sub.add_parser("evaluate", help="evaluate a checkpoint on a CSV dataset")
@@ -65,11 +74,11 @@ def _build_parser() -> _Parser:
 
     p_bench = sub.add_parser("bench", help="run a replication experiment")
     p_bench.add_argument("--config", required=True, help="ExperimentConfig JSON file")
-    p_bench.add_argument("--seed", type=int, default=None)
+    p_bench.add_argument("--seed", type=nonnegative_int, default=None)
     p_bench.add_argument("--out", default=None, help="output directory")
 
     p_check = sub.add_parser("check", help="run the numerical verification suite")
-    p_check.add_argument("--seed", type=int, default=0)
+    p_check.add_argument("--seed", type=nonnegative_int, default=0)
     return parser
 
 
@@ -128,11 +137,8 @@ def _cmd_evaluate(args) -> int:
                     "best_epoch": ckpt.best_epoch}
     nuis = nuisances_from_net(ckpt.net, data)
     for name in MBRL_ESTIMATORS:
-        row = evaluate_estimator(name, ckpt=ckpt, nuis=nuis, fit_data=data,
-                                 eval_data=data, beta=ckpt.beta, knn_k=5)
-        result[name] = {k: row[k] for k in
-                        ("tau_hat", "eps_ate", "pehe_root", "auc", "rmse", "eps_p")}
-    result["tau_true"] = row["tau_true"]
+        result[name] = mbrl_row(name, nuis, data, ckpt.beta)
+        result["tau_true"] = result[name].pop("tau_true")
     text = json.dumps(result, sort_keys=True, indent=2)
     if args.out:
         Path(args.out).write_text(text + "\n")
@@ -148,7 +154,7 @@ def _cmd_bench(args) -> int:
     except (TypeError, ValueError) as exc:
         raise _UsageError(f"bad experiment config: {exc}") from exc
     if args.seed is not None:
-        cfg.seed = args.seed
+        cfg = replace(cfg, seed=args.seed)
     out_dir = args.out or os.environ.get(OUTPUT_DIR_ENV) or cfg.out_dir
     report = run_experiment(cfg)
     paths = emit_report(report, out_dir)

@@ -235,14 +235,12 @@ class TrueModel:
     """Closed-form nuisance functions of a synthetic generator.
 
     The linear simulator stores its outcome coefficients (w1, w0); the
-    treatment-assignment generator stores the realized logistic weights.
+    treatment-assignment generator has no outcome model.
     """
 
     m0: Callable[[np.ndarray], np.ndarray]
     w1: np.ndarray | None = None
     w0: np.ndarray | None = None
-    assign_w: np.ndarray | None = None
-    assign_n: float | None = None
 
     def g0(self, d, Z) -> np.ndarray:
         if self.w1 is None or self.w0 is None:
@@ -314,38 +312,25 @@ def generate_simulation(
     return data, truth
 
 
-def generate_twins_assignment(
-    covariates: np.ndarray,
-    seed: int,
-    w: np.ndarray | None = None,
-    n: float | None = None,
-) -> tuple[np.ndarray, TrueModel]:
+def generate_twins_assignment(covariates: np.ndarray,
+                              seed: int) -> tuple[np.ndarray, TrueModel]:
     """Covariate-dependent Bernoulli treatment assignment.
 
     D_m ~ Bernoulli(sigmoid(w^T z_m + n)) with w uniform on (-0.01, 0.01) and
-    a single intercept noise n ~ N(0, 0.01). Passing ``w``/``n`` explicitly
-    is a debug hook (w = 0, n = 0 yields propensity exactly 0.5 everywhere).
+    a single intercept noise n ~ N(0, 0.01).
     """
     Z = np.asarray(covariates, dtype=float)
     if Z.ndim != 2:
         raise ValueError("covariates must be a 2-d matrix")
     rng = np.random.default_rng(seed)
-    if w is None:
-        w = rng.uniform(-ASSIGNMENT_WEIGHT_RANGE, ASSIGNMENT_WEIGHT_RANGE,
-                        size=Z.shape[1])
-    else:
-        w = np.asarray(w, dtype=float)
-    if n is None:
-        n = float(rng.normal(0.0, ASSIGNMENT_NOISE_SD))
-    p = sigmoid(Z @ w + n)
-    d = rng.binomial(1, p).astype(int)
-
-    w_fixed, n_fixed = w, float(n)
+    w = rng.uniform(-ASSIGNMENT_WEIGHT_RANGE, ASSIGNMENT_WEIGHT_RANGE, size=Z.shape[1])
+    n = float(rng.normal(0.0, ASSIGNMENT_NOISE_SD))
+    d = rng.binomial(1, sigmoid(Z @ w + n)).astype(int)
 
     def m0(Znew: np.ndarray) -> np.ndarray:
-        return sigmoid(np.atleast_2d(np.asarray(Znew, dtype=float)) @ w_fixed + n_fixed)
+        return sigmoid(np.atleast_2d(np.asarray(Znew, dtype=float)) @ w + n)
 
-    return d, TrueModel(m0=m0, assign_w=w_fixed, assign_n=n_fixed)
+    return d, TrueModel(m0=m0)
 
 
 # =========================================================================
@@ -369,29 +354,6 @@ def kl_selection_bias(mu1: np.ndarray, mu0: np.ndarray, cov: np.ndarray) -> floa
         raise ValueError("singular covariance") from exc
     x = np.linalg.solve(chol, mu1 - mu0)
     return 0.5 * float(x @ x)
-
-
-@dataclass
-class OverlapReport:
-    passed: bool
-    n_violations: int
-    violation_indices: np.ndarray
-    eps: float
-
-
-def check_overlap(propensities: np.ndarray, eps: float) -> OverlapReport:
-    """Flag units whose propensity leaves [eps, 1 - eps].
-
-    Non-finite or out-of-(0,1) entries are counted as violations rather than
-    raising.
-    """
-    if not 0.0 < eps < 0.5:
-        raise ValueError("invalid eps")
-    p = np.asarray(propensities, dtype=float).ravel()
-    bad = ~np.isfinite(p) | (p < eps) | (p > 1.0 - eps)
-    idx = np.flatnonzero(bad)
-    return OverlapReport(passed=idx.size == 0, n_violations=int(idx.size),
-                         violation_indices=idx, eps=float(eps))
 
 
 def true_outcomes(data: Dataset) -> tuple[np.ndarray, np.ndarray] | None:
@@ -423,7 +385,7 @@ def load_csv(path: str | Path, outcome_kind: str = "continuous") -> Dataset:
     """Read a dataset from the documented CSV schema.
 
     The header must name columns z1..zs, d, y and optionally the pairs
-    y0,y1 and mu0,mu1 (any order, no extras).
+    y0,y1 and mu0,mu1 (any order, each once, no extras).
     """
     path = Path(path)
     with open(path, newline="", encoding="utf-8") as fh:
@@ -434,6 +396,9 @@ def load_csv(path: str | Path, outcome_kind: str = "continuous") -> Dataset:
             raise ValueError(f"{path}: empty file") from None
         rows = [r for r in reader if r]
 
+    duplicated = sorted({c for c in header if header.count(c) > 1})
+    if duplicated:
+        raise ValueError(f"{path}: duplicate column(s) {duplicated}")
     known_extra = {"d", "y", "y0", "y1", "mu0", "mu1"}
     z_names = [c for c in header if c not in known_extra]
     s = len(z_names)

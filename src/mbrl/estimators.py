@@ -97,15 +97,14 @@ def score_psi1(y, d, g_i, m, theta, i):
     return theta - g_i - (y - g_i) * indicator / prob
 
 
-def score_psi2(y, d, g_i, g_d, m, theta, i):
+def score_psi2(y, d, g_i, g_d, m, theta):
     """Second orthogonal score: squared treatment-residual reweighting.
 
     The conditional noise moments are taken as E[nu | z] = 0 and
     E[nu^2 | z] = m(1 - m), and the unobserved potential-outcome residual is
-    replaced by the factual residual y - g_d.
+    replaced by the factual residual y - g_d. The arm enters only through
+    ``g_i``.
     """
-    if i not in (0, 1):
-        raise ValueError("i must be 0 or 1")
     y, d, g_i, g_d, m = (np.asarray(v, dtype=float) for v in (y, d, g_i, g_d, m))
     return theta - g_i - (y - g_d) * (d - m) ** 2 / (m * (1.0 - m))
 
@@ -129,7 +128,7 @@ def solve_theta(kind: str, data: Dataset, nuis: NuisanceEstimates, i: int) -> fl
         psi = score_psi1(y, d, g_i, nuis.m_hat, 0.0, i)
     else:
         g_d = d * nuis.g1_hat + (1.0 - d) * nuis.g0_hat
-        psi = score_psi2(y, d, g_i, g_d, nuis.m_hat, 0.0, i)
+        psi = score_psi2(y, d, g_i, g_d, nuis.m_hat, 0.0)
     return -float(np.mean(psi))
 
 
@@ -148,7 +147,6 @@ class ProbeResult:
 
     derivative: float
     std_error: float
-    n_units: int
 
 
 def orthogonality_probe(
@@ -199,7 +197,7 @@ def orthogonality_probe(
         if kind == "psi1":
             return score_psi1(y, d, g_i, m, theta, i)
         if kind == "psi2":
-            return score_psi2(y, d, g_i, g_d0 + g_shift, m, theta, i)
+            return score_psi2(y, d, g_i, g_d0 + g_shift, m, theta)
         return theta - g_i
 
     if direction == "perturb_g":
@@ -209,14 +207,13 @@ def orthogonality_probe(
     u = (up - down) / (2.0 * t)
     derivative = float(np.mean(u) / scale)
     std_error = float(np.std(u, ddof=1) / (np.sqrt(n) * abs(scale)))
-    return ProbeResult(derivative=derivative, std_error=std_error, n_units=n)
+    return ProbeResult(derivative=derivative, std_error=std_error)
 
 
 @dataclass(frozen=True)
 class NoiseOrthogonalityResult:
     stat: float
     std_error: float
-    n_units: int
 
 
 def noise_orthogonality_stat(data: Dataset, truth: TrueModel) -> NoiseOrthogonalityResult:
@@ -229,11 +226,9 @@ def noise_orthogonality_stat(data: Dataset, truth: TrueModel) -> NoiseOrthogonal
         raise ValueError("truth missing")
     products = ((data.outcome_factual - truth.g0(data.treatment, data.covariates))
                 * (data.treatment - truth.m0(data.covariates)))
-    n = products.shape[0]
     return NoiseOrthogonalityResult(
         stat=float(np.mean(products)),
-        std_error=float(np.std(products, ddof=1) / np.sqrt(n)),
-        n_units=n,
+        std_error=float(np.std(products, ddof=1) / np.sqrt(data.n_units)),
     )
 
 
@@ -244,7 +239,6 @@ def noise_orthogonality_stat(data: Dataset, truth: TrueModel) -> NoiseOrthogonal
 @dataclass
 class BaselineResult:
     theta: ThetaPair
-    ite: np.ndarray
     y0_hat: np.ndarray
     y1_hat: np.ndarray
     yhat_factual: np.ndarray
@@ -322,7 +316,6 @@ def baseline(kind: str, train: Dataset, eval_data: Dataset,
         # Same-arm k-NN mean, used only for factual-fit reporting.
         yhat_factual = np.where(de == 1, imput1, imput0)
 
-    ite = y1_hat - y0_hat
     theta = ThetaPair(theta0=float(np.mean(y0_hat)), theta1=float(np.mean(y1_hat)))
-    return BaselineResult(theta=theta, ite=ite, y0_hat=y0_hat, y1_hat=y1_hat,
+    return BaselineResult(theta=theta, y0_hat=y0_hat, y1_hat=y1_hat,
                           yhat_factual=yhat_factual, rank_deficient=deficient)

@@ -21,10 +21,10 @@ import numpy as np
 
 from . import estimators as est
 from . import metrics
-from .data import (DEFAULT_SPLIT, Dataset, SimConfig, SplitSpec, TrueModel,
-                   concat, generate_simulation, generate_twins_assignment,
+from .data import (DEFAULT_SPLIT, OUTCOME_KINDS, Dataset, SimConfig, SplitSpec,
+                   TrueModel, concat, generate_simulation, generate_twins_assignment,
                    kl_selection_bias, load_csv, split, true_outcomes)
-from .model import Checkpoint, TrainConfig, fit, perturbation_error, predict
+from .model import TrainConfig, fit, perturbation_error, predict
 from .records import require_int_fields
 
 logger = logging.getLogger(__name__)
@@ -70,6 +70,11 @@ class ExperimentConfig:
                                  f"JSON object, not {value!r}")
         if self.source not in SOURCES:
             raise ValueError(f"unknown source {self.source!r}")
+        if self.outcome_kind not in OUTCOME_KINDS:
+            raise ValueError(f"unknown outcome_kind {self.outcome_kind!r}")
+        if self.source == "simulator" and self.outcome_kind != "continuous":
+            raise ValueError("the simulator source draws continuous outcomes only; "
+                             f"outcome_kind {self.outcome_kind!r} does not apply")
         if self.replications < 1:
             raise ValueError("replications must be at least 1")
         self.estimators = tuple(self.estimators)
@@ -86,6 +91,9 @@ class ExperimentConfig:
             self.kl_levels = tuple(float(v) for v in self.kl_levels)
             if self.source != "simulator":
                 raise ValueError("kl_levels only apply to the simulator source")
+            if not self.kl_levels:
+                raise ValueError("kl_levels must be nonempty (or null for one "
+                                 "draw at the sim config's own means)")
             if any(v < 0 for v in self.kl_levels):
                 raise ValueError("KL levels must be nonnegative")
 
@@ -217,7 +225,7 @@ def nuisances_from_net(net, data: Dataset) -> est.NuisanceEstimates:
 
 
 def _metric_row(data: Dataset, tau_hat: float, y0_hat, y1_hat, yhat_factual,
-                propensity, beta: float) -> dict:
+                eps_p: float | None) -> dict:
     row: dict = {"tau_hat": tau_hat}
     gt = true_outcomes(data)
     if gt is not None:
@@ -237,36 +245,31 @@ def _metric_row(data: Dataset, tau_hat: float, y0_hat, y1_hat, yhat_factual,
         row.update({"tau_true": None, "eps_ate": None,
                     "pehe_root": None, "auc": None})
     row["rmse"] = metrics.rmse(data.outcome_factual, yhat_factual)
-    if propensity is not None:
-        row["eps_p"] = perturbation_error(data.outcome_factual, yhat_factual,
-                                          data.treatment, propensity, beta)
-    else:
-        row["eps_p"] = None
+    row["eps_p"] = eps_p
     return row
 
 
-def evaluate_estimator(name: str, *, ckpt: Checkpoint,
-                       nuis: est.NuisanceEstimates | None, fit_data: Dataset,
-                       eval_data: Dataset, beta: float, knn_k: int) -> dict:
-    """One estimator's metrics on one unit set. ``nuis`` is
-    ``nuisances_from_net(ckpt.net, eval_data)``, computed once per unit set
-    by the caller; the baselines do not read it."""
-    if name in MBRL_ESTIMATORS:
-        if name == "plugin":
-            tau_hat = est.plug_in_ate(nuis).ate
-        else:
-            tau_hat = est.ate_orthogonal(name, eval_data, nuis).ate
-        yhat_factual = np.where(eval_data.treatment == 1, nuis.g1_hat, nuis.g0_hat)
-        row = _metric_row(eval_data, tau_hat, nuis.g0_hat, nuis.g1_hat,
-                          yhat_factual, nuis.m_hat, beta)
-        row["best_epoch"] = ckpt.best_epoch
+def mbrl_row(name: str, nuis: est.NuisanceEstimates, data: Dataset,
+             beta: float) -> dict:
+    """Metrics of one network-based estimator on one unit set. ``nuis`` is
+    ``nuisances_from_net(net, data)``, computed once per unit set by the
+    caller."""
+    if name == "plugin":
+        tau_hat = est.plug_in_ate(nuis).ate
     else:
-        res = est.baseline(name, fit_data, eval_data, k=knn_k)
-        row = _metric_row(eval_data, res.theta.ate, res.y0_hat, res.y1_hat,
-                          res.yhat_factual, None, beta)
-        row["best_epoch"] = None
-    row["estimator"] = name
-    return row
+        tau_hat = est.ate_orthogonal(name, data, nuis).ate
+    yhat_factual = np.where(data.treatment == 1, nuis.g1_hat, nuis.g0_hat)
+    eps_p = perturbation_error(data.outcome_factual, yhat_factual, data.treatment,
+                               nuis.m_hat, beta)
+    return _metric_row(data, tau_hat, nuis.g0_hat, nuis.g1_hat, yhat_factual, eps_p)
+
+
+def baseline_row(name: str, fit_data: Dataset, data: Dataset, knn_k: int) -> dict:
+    """Metrics of one baseline fitted on ``fit_data`` and scored on ``data``;
+    a baseline has no propensity, so its ``eps_p`` is None."""
+    res = est.baseline(name, fit_data, data, k=knn_k)
+    return _metric_row(data, res.theta.ate, res.y0_hat, res.y1_hat,
+                       res.yhat_factual, None)
 
 
 # =========================================================================
@@ -279,16 +282,19 @@ def _run_replication(cfg: ExperimentConfig, level: float | None,
     data, realized = _make_data(cfg, level, gen_seed)
     tr, va, te = split(data, replace(cfg.split, seed=split_seed))
     ckpt = fit(tr, va, replace(cfg.train, seed=train_seed))
-    beta = ckpt.beta
     insample = concat([tr, va])
     rows = []
     uses_net = any(name in MBRL_ESTIMATORS for name in cfg.estimators)
     for sample, dataset in (("in", insample), ("out", te)):
         nuis = nuisances_from_net(ckpt.net, dataset) if uses_net else None
         for name in cfg.estimators:
-            row = evaluate_estimator(name, ckpt=ckpt, nuis=nuis, fit_data=insample,
-                                     eval_data=dataset, beta=beta, knn_k=cfg.knn_k)
-            row.update({"kl_level": level, "kl_realized": realized,
+            if name in MBRL_ESTIMATORS:
+                row = mbrl_row(name, nuis, dataset, ckpt.beta)
+                row["best_epoch"] = ckpt.best_epoch
+            else:
+                row = baseline_row(name, insample, dataset, cfg.knn_k)
+                row["best_epoch"] = None
+            row.update({"estimator": name, "kl_level": level, "kl_realized": realized,
                         "replication": rep, "sample": sample,
                         "n_units": dataset.n_units})
             rows.append(row)

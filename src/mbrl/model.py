@@ -122,10 +122,11 @@ class MBRLNet:
             raise ValueError("input_scale entries must be positive")
 
     def transform(self, Z: np.ndarray) -> np.ndarray:
-        return (np.asarray(Z, dtype=float) - self.input_mean) / self.input_scale
-
-    def copy(self) -> "MBRLNet":
-        return copy.deepcopy(self)
+        Z = np.asarray(Z, dtype=float)
+        if Z.shape[-1] != self.input_mean.shape[0]:
+            raise ValueError(f"covariates have {Z.shape[-1]} columns, but the net "
+                             f"takes {self.input_mean.shape[0]}")
+        return (Z - self.input_mean) / self.input_scale
 
 
 def standardizer_from(data: Dataset) -> tuple[np.ndarray, np.ndarray]:
@@ -197,12 +198,10 @@ class TrainConfig:
             raise ValueError("eps_clip must be positive")
 
 
-def build_net(n_covariates: int, outcome_kind: str, cfg: TrainConfig,
-              seed: int | None = None,
+def build_net(n_covariates: int, outcome_kind: str, cfg: TrainConfig, seed: int,
               input_mean: np.ndarray | None = None,
               input_scale: np.ndarray | None = None) -> MBRLNet:
     """Construct a freshly initialized network for s-dimensional covariates."""
-    seed = cfg.seed if seed is None else seed
     children = np.random.SeedSequence(seed).spawn(4)
     seeds = [int(c.generate_state(1)[0]) for c in children]
     rep = cfg.phi_width
@@ -439,14 +438,13 @@ def task_objective(net: MBRLNet, batch: Batch, cfg: TrainConfig, task: int,
 
 
 def task_gradient_error(net: MBRLNet, batch: Batch, cfg: TrainConfig,
-                        task: int, h: float = 1e-5,
-                        max_coords: int = 2000, seed: int = 0) -> float:
+                        task: int, h: float = 1e-5) -> float:
     """Max relative error between analytic task gradients and central
     finite differences over the task's parameter group."""
     _, grads, group, _ = task_objective(net, batch, cfg, task)
     return nn.central_difference_error(
         group, grads, lambda: task_objective(net, batch, cfg, task).value,
-        h, max_coords, seed)
+        h, 2000)
 
 
 # =========================================================================
@@ -552,7 +550,7 @@ def fit(train: Dataset, val: Dataset, cfg: TrainConfig) -> Checkpoint:
         ))
         for rule, value in (("eps_p", val_eps_p), ("rmse", val_rmse)):
             if value < best[rule][0]:
-                best[rule] = (value, epoch, net.copy())
+                best[rule] = (value, epoch, copy.deepcopy(net))
 
     value, epoch, selected = best[selection]
     if selected is None:

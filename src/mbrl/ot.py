@@ -104,7 +104,7 @@ def _fixed_plan_grads(A: np.ndarray, B: np.ndarray, T: np.ndarray, C: np.ndarray
 def wasserstein_sinkhorn(
     A: np.ndarray,
     B: np.ndarray,
-    cfg: SinkhornConfig | None = None,
+    cfg: SinkhornConfig,
 ) -> SinkhornResult:
     """Entropic OT between clouds A (n1, r) and B (n0, r), uniform marginals.
 
@@ -123,7 +123,6 @@ def wasserstein_sinkhorn(
     respect to both clouds under a fixed plan, and the entropic dual value,
     whose exact gradient that fixed-plan gradient is at convergence.
     """
-    cfg = cfg or SinkhornConfig()
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
     if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[1]:

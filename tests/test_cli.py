@@ -83,7 +83,11 @@ def test_generate_then_train_then_evaluate(tmp_path, sim_config, train_config):
     assert main(["evaluate", "--checkpoint", str(ckpt_path),
                  "--data", str(data_path), "--out", str(metrics_path)]) == 0
     result = json.loads(metrics_path.read_text())
-    assert "plugin" in result and "psi1" in result and "psi2" in result
+    assert set(result) == {"n_units", "selection", "best_epoch", "tau_true",
+                           "plugin", "psi1", "psi2"}
+    for name in ("plugin", "psi1", "psi2"):
+        assert set(result[name]) == {"tau_hat", "eps_ate", "pehe_root", "auc",
+                                     "rmse", "eps_p"}
     assert result["plugin"]["eps_ate"] >= 0.0
 
 
@@ -245,3 +249,67 @@ def test_bench_with_some_failed_replications_exits_0(tmp_path, monkeypatch):
     assert main(["bench", "--config", cfg, "--out", str(out)]) == 0
     report = json.loads((out / "report.json").read_text())
     assert report["metadata"]["n_failures"] == 1 and report["rows"]
+
+
+@pytest.mark.parametrize("changes,message", [
+    ({"source": "csv", "sim": None, "csv_path": "data.csv",
+      "outcome_kind": "bogus"}, "unknown outcome_kind 'bogus'"),
+    ({"outcome_kind": "binary"}, "continuous outcomes only"),
+    ({"kl_levels": []}, "kl_levels must be nonempty"),
+])
+def test_bench_rejects_outcome_kind_and_empty_kl_levels(tmp_path, capsys,
+                                                         changes, message):
+    cfg = _write(tmp_path / "exp.json", _bench_doc(**changes))
+    out = tmp_path / "out"
+    assert main(["bench", "--config", cfg, "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+FLAG_ERROR = "argument --seed: must be nonnegative"
+
+
+@pytest.mark.parametrize("command,message", [
+    (["bench", "--config", "{exp}", "--seed", "-3"], FLAG_ERROR),
+    (["bench", "--config", "{exp_negative}"], "seed must be nonnegative, not -1"),
+    (["generate", "--config", "{sim}", "--seed", "-1"], FLAG_ERROR),
+    (["train", "--data", "{data}", "--seed", "-1"], FLAG_ERROR),
+])
+def test_negative_seed_exits_1_naming_it(tmp_path, sim_config, capsys,
+                                         command, message):
+    paths = {"exp": _write(tmp_path / "exp.json", _bench_doc()),
+             "exp_negative": _write(tmp_path / "neg.json", _bench_doc(seed=-1)),
+             "sim": sim_config, "data": str(tmp_path / "data.csv")}
+    assert main(["generate", "--config", sim_config, "--out", paths["data"]]) == 0
+    out = str(tmp_path / "out")
+    capsys.readouterr()
+    assert main([arg.format(**paths) for arg in command] + ["--out", out]) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("header,duplicated", [
+    ("z1,d,d,y", "['d']"),
+    ("z1,z1,d,y", "['z1']"),
+])
+def test_csv_with_a_repeated_column_exits_1(tmp_path, capsys, header, duplicated):
+    path = tmp_path / "dup.csv"
+    rows = "".join(f"{0.1 * i},{i % 2},{i % 2},{float(i)}\n" for i in range(20))
+    path.write_text(header + "\n" + rows)
+    assert main(["train", "--data", str(path), "--out",
+                 str(tmp_path / "ckpt.json")]) == 1
+    assert f"duplicate column(s) {duplicated}" in capsys.readouterr().err
+
+
+def test_evaluate_on_other_covariate_width_exits_1(tmp_path, sim_config,
+                                                   train_config, capsys):
+    data_path, ckpt_path = str(tmp_path / "data.csv"), str(tmp_path / "ckpt.json")
+    assert main(["generate", "--config", sim_config, "--out", data_path]) == 0
+    assert main(["train", "--config", train_config, "--data", data_path,
+                 "--out", ckpt_path]) == 0
+    wide = _write(tmp_path / "wide.json", {"n_treated": 30, "n_control": 60, "dim": 4})
+    wide_data = str(tmp_path / "wide.csv")
+    assert main(["generate", "--config", wide, "--out", wide_data]) == 0
+    capsys.readouterr()
+    assert main(["evaluate", "--checkpoint", ckpt_path, "--data", wide_data]) == 1
+    assert "covariates have 4 columns, but the net takes 3" in capsys.readouterr().err

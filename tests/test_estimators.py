@@ -67,10 +67,10 @@ def test_score_psi1_arithmetic():
 
 
 def test_score_psi2_arithmetic():
-    assert score_psi2(y=1.0, d=1, g_i=1.0, g_d=1.0, m=0.3, theta=1.0, i=1) == 0.0
+    assert score_psi2(y=1.0, d=1, g_i=1.0, g_d=1.0, m=0.3, theta=1.0) == 0.0
     # (d-m)^2/(m(1-m)) = 1 at d=1, m=0.5
-    assert score_psi2(y=2.0, d=1, g_i=1.0, g_d=1.0, m=0.5, theta=0.0, i=1) == pytest.approx(-2.0)
-    assert score_psi2(y=0.0, d=0, g_i=1.0, g_d=0.0, m=0.5, theta=1.0, i=1) == pytest.approx(0.0)
+    assert score_psi2(y=2.0, d=1, g_i=1.0, g_d=1.0, m=0.5, theta=0.0) == pytest.approx(-2.0)
+    assert score_psi2(y=0.0, d=0, g_i=1.0, g_d=0.0, m=0.5, theta=1.0) == pytest.approx(0.0)
 
 
 def test_solve_theta_worked_examples():
@@ -119,7 +119,7 @@ def test_mean_score_vanishes_at_solution():
         theta1 = solve_theta("psi1", data, nuis, i)
         assert np.mean(score_psi1(y, d, g_i, m, theta1, i)) == pytest.approx(0.0, abs=1e-12)
         theta2 = solve_theta("psi2", data, nuis, i)
-        assert np.mean(score_psi2(y, d, g_i, g_d, m, theta2, i)) == pytest.approx(0.0, abs=1e-12)
+        assert np.mean(score_psi2(y, d, g_i, g_d, m, theta2)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_psi2_reweighting_factor_is_unbiased(kl_draw):
@@ -195,7 +195,7 @@ def test_ols_lr1_recovers_exact_linear_model():
     data = _linear_treatment_data(effect=1.0)
     res = baseline("ols_lr1", data, data)
     assert res.theta.ate == pytest.approx(1.0, abs=1e-8)
-    np.testing.assert_allclose(res.ite, 1.0, atol=1e-8)
+    np.testing.assert_allclose(res.y1_hat - res.y0_hat, 1.0, atol=1e-8)
 
 
 def test_ols_lr2_matches_group_means_on_simulator():

@@ -1,3 +1,4 @@
+import copy
 import json
 from dataclasses import asdict, replace
 
@@ -138,7 +139,7 @@ def test_step_applies_task_objective_gradients():
     net = _tiny_net(seed=9)
     net.eps_y[()] = 0.3
     net.eps_d[()] = -0.2
-    ref = net.copy()
+    ref = copy.deepcopy(net)
     batch = _batch(seed=10)
     multitask_step(init_train_state(net, TINY), batch, TINY)
 

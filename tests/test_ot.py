@@ -96,7 +96,8 @@ def test_sinkhorn_reports_convergence_flag():
 
 def test_sinkhorn_rejects_non_finite():
     with pytest.raises(ValueError, match="non-finite"):
-        wasserstein_sinkhorn(np.array([[np.inf]]), np.array([[0.0]]))
+        wasserstein_sinkhorn(np.array([[np.inf]]), np.array([[0.0]]),
+                             SinkhornConfig())
 
 
 def test_sinkhorn_config_validation():
