@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -264,9 +265,10 @@ def _knn_means(source_z: np.ndarray, source_y: np.ndarray,
     return source_y[nearest].mean(axis=1)
 
 
-def baseline(kind: str, train: Dataset, eval_data: Dataset,
-             k: int = 5) -> BaselineResult:
-    """Classical reference estimators evaluated on ``eval_data``.
+def fit_baseline(kind: str, train: Dataset,
+                 k: int = 5) -> Callable[[Dataset], BaselineResult]:
+    """Fit a classical reference estimator on ``train`` once; the returned
+    function evaluates it on any dataset with the same covariate width.
 
     ols_lr1: one least-squares fit on [z, d]; the ITE is the (constant)
     treatment coefficient. ols_lr2: separate fits per treatment arm.
@@ -275,13 +277,9 @@ def baseline(kind: str, train: Dataset, eval_data: Dataset,
     """
     if kind not in BASELINE_KINDS:
         raise ValueError(f"unknown baseline {kind!r}")
-    if train.n_covariates != eval_data.n_covariates:
-        raise ValueError("train and eval covariate dimensions differ")
     Zt = train.covariates
     yt = train.outcome_factual
     dt = train.treatment
-    Ze = eval_data.covariates
-    n_eval = eval_data.n_units
     treated = dt == 1
     if not treated.any() or treated.all():
         raise ValueError("a treatment group is empty")
@@ -290,32 +288,48 @@ def baseline(kind: str, train: Dataset, eval_data: Dataset,
     if kind == "ols_lr1":
         X = np.column_stack([np.ones(train.n_units), Zt, dt])
         beta, deficient = _lstsq(X, yt)
-        base = np.column_stack([np.ones(n_eval), Ze]) @ beta[:-1]
-        y0_hat = base
-        y1_hat = base + beta[-1]
-        yhat_factual = np.where(eval_data.treatment == 1, y1_hat, y0_hat)
+
+        def outcomes(data: Dataset):
+            base = np.column_stack([np.ones(data.n_units), data.covariates]) @ beta[:-1]
+            y1_hat = base + beta[-1]
+            return base, y1_hat, np.where(data.treatment == 1, y1_hat, base)
     elif kind == "ols_lr2":
         X1 = np.column_stack([np.ones(int(treated.sum())), Zt[treated]])
         X0 = np.column_stack([np.ones(int((~treated).sum())), Zt[~treated]])
         beta1, d1 = _lstsq(X1, yt[treated])
         beta0, d0 = _lstsq(X0, yt[~treated])
         deficient = d1 or d0
-        Xe = np.column_stack([np.ones(n_eval), Ze])
-        y1_hat = Xe @ beta1
-        y0_hat = Xe @ beta0
-        yhat_factual = np.where(eval_data.treatment == 1, y1_hat, y0_hat)
+
+        def outcomes(data: Dataset):
+            Xe = np.column_stack([np.ones(data.n_units), data.covariates])
+            y1_hat = Xe @ beta1
+            y0_hat = Xe @ beta0
+            return y0_hat, y1_hat, np.where(data.treatment == 1, y1_hat, y0_hat)
     else:
         if k < 1:
             raise ValueError("k must be at least 1")
-        de = eval_data.treatment
-        ye = eval_data.outcome_factual
-        imput1 = _knn_means(Zt[treated], yt[treated], Ze, k)
-        imput0 = _knn_means(Zt[~treated], yt[~treated], Ze, k)
-        y1_hat = np.where(de == 1, ye, imput1)
-        y0_hat = np.where(de == 0, ye, imput0)
-        # Same-arm k-NN mean, used only for factual-fit reporting.
-        yhat_factual = np.where(de == 1, imput1, imput0)
 
-    theta = ThetaPair(theta0=float(np.mean(y0_hat)), theta1=float(np.mean(y1_hat)))
-    return BaselineResult(theta=theta, y0_hat=y0_hat, y1_hat=y1_hat,
-                          yhat_factual=yhat_factual, rank_deficient=deficient)
+        def outcomes(data: Dataset):
+            de = data.treatment
+            ye = data.outcome_factual
+            imput1 = _knn_means(Zt[treated], yt[treated], data.covariates, k)
+            imput0 = _knn_means(Zt[~treated], yt[~treated], data.covariates, k)
+            # The same-arm k-NN mean is used only for factual-fit reporting.
+            return (np.where(de == 0, ye, imput0), np.where(de == 1, ye, imput1),
+                    np.where(de == 1, imput1, imput0))
+
+    def evaluate(eval_data: Dataset) -> BaselineResult:
+        if train.n_covariates != eval_data.n_covariates:
+            raise ValueError("train and eval covariate dimensions differ")
+        y0_hat, y1_hat, yhat_factual = outcomes(eval_data)
+        theta = ThetaPair(theta0=float(np.mean(y0_hat)), theta1=float(np.mean(y1_hat)))
+        return BaselineResult(theta=theta, y0_hat=y0_hat, y1_hat=y1_hat,
+                              yhat_factual=yhat_factual, rank_deficient=deficient)
+
+    return evaluate
+
+
+def baseline(kind: str, train: Dataset, eval_data: Dataset,
+             k: int = 5) -> BaselineResult:
+    """``fit_baseline(kind, train, k)`` evaluated on ``eval_data``."""
+    return fit_baseline(kind, train, k)(eval_data)

@@ -16,6 +16,7 @@ import logging
 import time
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -85,6 +86,10 @@ class ExperimentConfig:
             raise ValueError(f"unknown estimator(s) {unknown}")
         if self.source == "simulator" and self.sim is None:
             self.sim = SimConfig()
+        if self.source != "simulator" and self.sim is not None:
+            raise ValueError(f"sim applies only to the simulator source; source "
+                             f"{self.source!r} reads no simulator, so leave sim "
+                             f"out or null")
         if self.source in ("csv", "twins") and not self.csv_path:
             raise ValueError(f"source {self.source!r} requires csv_path")
         if self.kl_levels is not None:
@@ -264,10 +269,11 @@ def mbrl_row(name: str, nuis: est.NuisanceEstimates, data: Dataset,
     return _metric_row(data, tau_hat, nuis.g0_hat, nuis.g1_hat, yhat_factual, eps_p)
 
 
-def baseline_row(name: str, fit_data: Dataset, data: Dataset, knn_k: int) -> dict:
-    """Metrics of one baseline fitted on ``fit_data`` and scored on ``data``;
-    a baseline has no propensity, so its ``eps_p`` is None."""
-    res = est.baseline(name, fit_data, data, k=knn_k)
+def baseline_row(fitted: Callable[[Dataset], est.BaselineResult],
+                 data: Dataset) -> dict:
+    """Metrics of one fitted baseline (``est.fit_baseline``) scored on
+    ``data``; a baseline has no propensity, so its ``eps_p`` is None."""
+    res = fitted(data)
     return _metric_row(data, res.theta.ate, res.y0_hat, res.y1_hat,
                        res.yhat_factual, None)
 
@@ -285,6 +291,10 @@ def _run_replication(cfg: ExperimentConfig, level: float | None,
     insample = concat([tr, va])
     rows = []
     uses_net = any(name in MBRL_ESTIMATORS for name in cfg.estimators)
+    # Each baseline is fitted once, on the in-sample units, and scored on
+    # both samples.
+    baselines = {name: est.fit_baseline(name, insample, cfg.knn_k)
+                 for name in cfg.estimators if name not in MBRL_ESTIMATORS}
     for sample, dataset in (("in", insample), ("out", te)):
         nuis = nuisances_from_net(ckpt.net, dataset) if uses_net else None
         for name in cfg.estimators:
@@ -292,7 +302,7 @@ def _run_replication(cfg: ExperimentConfig, level: float | None,
                 row = mbrl_row(name, nuis, dataset, ckpt.beta)
                 row["best_epoch"] = ckpt.best_epoch
             else:
-                row = baseline_row(name, insample, dataset, cfg.knn_k)
+                row = baseline_row(baselines[name], dataset)
                 row["best_epoch"] = None
             row.update({"estimator": name, "kl_level": level, "kl_realized": realized,
                         "replication": rep, "sample": sample,

@@ -297,10 +297,16 @@ def task_group(net: MBRLNet, task: int, train_eps: bool) -> list[np.ndarray]:
 
 
 def init_train_state(net: MBRLNet, cfg: TrainConfig) -> TrainState:
+    """One optimizer per task. The three share one Adam scratch sized to the
+    largest group: the tasks run in sequence, and each update consumes its
+    gradients before the next task writes its own."""
     train_eps = ABLATIONS[cfg.ablation].train_eps
+    groups = {task: task_group(net, task, train_eps) for task in TASK_GROUPS}
+    scratch = nn.AdamScratch.sized(max(sum(t.size for t in group)
+                                       for group in groups.values()))
     return TrainState(net=net, opts={
-        task: nn.adam_init(task_group(net, task, train_eps), cfg.learning_rate)
-        for task in TASK_GROUPS})
+        task: nn.adam_init(group, cfg.learning_rate, scratch)
+        for task, group in groups.items()})
 
 
 def multitask_step(state: TrainState, batch: Batch, cfg: TrainConfig) -> TrainState:
@@ -317,12 +323,15 @@ def multitask_step(state: TrainState, batch: Batch, cfg: TrainConfig) -> TrainSt
     balance = plan.run_balance and treated.any() and not treated.all()
     losses = {"l_imb": 0.0}
     # Task 1 leaves the encoder as it is, so tasks 1 and 2 share one
-    # encoder pass; task 3 runs after task 2 has moved it.
+    # encoder pass; task 3 runs after task 2 has moved it, and the shared
+    # pass is released before task 3 makes its own.
     encoded = encode(net, batch)
     for task, opt in state.opts.items():
         if task == 2 and not balance:
             continue
-        obj = task_objective(net, batch, cfg, task, encoded if task < 3 else None)
+        if task == 3:
+            encoded = None
+        obj = task_objective(net, batch, cfg, task, encoded, grads_out=opt.grads)
         nn.adam_update(obj.group, obj.grads, opt, maximize=task == 1)
         losses.update(obj.terms)
 
@@ -358,8 +367,8 @@ def encode(net: MBRLNet, batch: Batch) -> tuple[np.ndarray, nn.ForwardCache]:
 
 
 def task_objective(net: MBRLNet, batch: Batch, cfg: TrainConfig, task: int,
-                   encoded: tuple[np.ndarray, nn.ForwardCache] | None = None
-                   ) -> TaskObjective:
+                   encoded: tuple[np.ndarray, nn.ForwardCache] | None = None,
+                   grads_out: list[np.ndarray] | None = None) -> TaskObjective:
     """Value, analytic gradients, parameter group and logged loss terms of
     one task objective.
 
@@ -370,11 +379,18 @@ def task_objective(net: MBRLNet, batch: Batch, cfg: TrainConfig, task: int,
     leave the free scalars out. ``multitask_step`` applies these gradients.
 
     ``encoded`` is ``encode(net, batch)`` at the current encoder weights;
-    when omitted it is computed here.
+    when omitted it is computed here. ``grads_out`` are arrays shaped like
+    the group (the optimizer's gradient slots in training) that the
+    gradients are written into and returned as ``grads``; when omitted,
+    fresh arrays are.
     """
     if task not in TASK_GROUPS:
         raise ValueError("task must be 1, 2 or 3")
     train_eps = ABLATIONS[cfg.ablation].train_eps
+    group = task_group(net, task, train_eps)
+    if grads_out is None:
+        grads_out = [np.empty_like(t) for t in group]
+    slots = _subnet_slots(net, task, grads_out)
     lambda1, lambda2 = (cfg.lambda1, cfg.lambda2) if train_eps else (0.0, 0.0)
     R, cache_phi = encode(net, batch) if encoded is None else encoded
     d = np.asarray(batch.treatment, dtype=float)
@@ -390,9 +406,8 @@ def task_objective(net: MBRLNet, batch: Batch, cfg: TrainConfig, task: int,
         value = l_dis - lambda1 * float(net.eps_d) * abs(gap)
         dobj = (d / p - (1.0 - d) / (1.0 - p)) / b
         dobj = dobj + lambda1 * float(net.eps_d) * np.sign(gap) / b
-        grads_pi, _ = nn.backward(net.pi, net.pi_spec, cache_pi, dobj[:, None],
-                                  input_grad=False)
-        sub_grads = {"pi": grads_pi}
+        nn.backward(net.pi, net.pi_spec, cache_pi, dobj[:, None],
+                    input_grad=False, out=slots["pi"])
         scalar_grad = -lambda1 * abs(gap)
         terms = {"l_dis": l_dis, "omega_d": float(net.eps_d) * abs(gap)}
     elif task == 2:
@@ -402,9 +417,8 @@ def task_objective(net: MBRLNet, batch: Batch, cfg: TrainConfig, task: int,
         dR = np.zeros_like(R)
         dR[treated] = res.grad_a
         dR[~treated] = res.grad_b
-        grads_phi, _ = nn.backward(net.phi, net.phi_spec, cache_phi, dR,
-                                   input_grad=False)
-        sub_grads = {"phi": grads_phi}
+        nn.backward(net.phi, net.phi_spec, cache_phi, dR, input_grad=False,
+                    out=slots["phi"])
         # At convergence the fixed-plan gradient above is the gradient of
         # the entropic dual value; the log keeps the transport cost.
         value, terms = res.dual_value, {"l_imb": res.distance}
@@ -422,19 +436,29 @@ def task_objective(net: MBRLNet, batch: Batch, cfg: TrainConfig, task: int,
         # The heads' rows partition the batch, so each row of dR is written
         # once, by the head that owns it.
         dR = np.empty_like(R)
-        sub_grads = {}
         for name, rows, cache in heads:
-            sub_grads[name], dR[rows] = nn.backward(
-                getattr(net, name), getattr(net, f"{name}_spec"), cache, dpred[rows, None])
-        sub_grads["phi"], _ = nn.backward(net.phi, net.phi_spec, cache_phi, dR,
-                                          input_grad=False)
+            _, dR[rows] = nn.backward(getattr(net, name), getattr(net, f"{name}_spec"),
+                                      cache, dpred[rows, None], out=slots[name])
+        nn.backward(net.phi, net.phi_spec, cache_phi, dR, input_grad=False,
+                    out=slots["phi"])
         scalar_grad = lambda2 * abs(gap)
         terms = {"l_fo": l_fo, "omega_y": float(net.eps_y) * abs(gap)}
-    subnets, scalar = TASK_GROUPS[task]
-    grads = [g for name in subnets for g in sub_grads[name].tensors()]
-    if train_eps and scalar is not None:
-        grads.append(np.asarray(scalar_grad))
-    return TaskObjective(value, grads, task_group(net, task, train_eps), terms)
+    if train_eps and TASK_GROUPS[task][1] is not None:
+        grads_out[-1][()] = scalar_grad
+    return TaskObjective(value, grads_out, group, terms)
+
+
+def _subnet_slots(net: MBRLNet, task: int, grads_out: list[np.ndarray]
+                  ) -> dict[str, nn.ParamSet]:
+    """A task's gradient slots, in ``task_group`` order, as one ParamSet per
+    subnet (the free scalar's slot, when trained, is the last entry)."""
+    slots, start = {}, 0
+    for name in TASK_GROUPS[task][0]:
+        n = getattr(net, f"{name}_spec").n_layers
+        slots[name] = nn.ParamSet(weights=grads_out[start:start + n],
+                                  biases=grads_out[start + n:start + 2 * n])
+        start += 2 * n
+    return slots
 
 
 def task_gradient_error(net: MBRLNet, batch: Batch, cfg: TrainConfig,

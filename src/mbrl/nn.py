@@ -85,18 +85,23 @@ def init_params(spec: NetSpec, seed: int) -> ParamSet:
 # Activations
 # =========================================================================
 
-# Both take exp of min(x, 0), so large positive inputs cannot overflow, and
-# NaN fails the mask: elu(nan) is nan and elu_grad(nan) is 1.
+# Both are branch-free: exp of the nonpositive part, so large positive
+# inputs cannot overflow, combined without a select. elu(nan) is nan and
+# elu_grad(nan) is 1 (fmin drops the nan).
 
 def elu(x: np.ndarray) -> np.ndarray:
-    # x < 0 rather than x <= 0: at +-0 the identity branch returns x, which
-    # keeps the sign of -0.0 that np.minimum(-0.0, 0) would drop.
-    return np.where(x < 0, np.expm1(np.minimum(x, 0.0)), x)
+    # expm1(min(x, 0)) >= x for x < 0 and is 0 < x for x > 0, so the maximum
+    # picks the right branch. This argument order keeps elu(-0.0) = -0.0;
+    # the other order returns +0.0.
+    out = np.minimum(x, 0.0)
+    np.expm1(out, out=out)
+    return np.maximum(out, x, out=out)
 
 
 def elu_grad(x: np.ndarray) -> np.ndarray:
-    # Subderivative at exactly 0 taken as 1 (exp(0)).
-    return np.where(x <= 0, np.exp(np.minimum(x, 0.0)), 1.0)
+    # exp(0) is exactly 1 for x >= 0: the subderivative at 0 is taken as 1.
+    out = np.fmin(x, 0.0)
+    return np.exp(out, out=out)
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
@@ -138,7 +143,8 @@ def forward(params: ParamSet, spec: NetSpec, X: np.ndarray) -> tuple[np.ndarray,
     last = spec.n_layers - 1
     for k, (W, b) in enumerate(zip(params.weights, params.biases)):
         inputs.append(h)
-        z = h @ W.T + b
+        z = h @ W.T
+        z += b
         preacts.append(z)
         if k < last:
             h = elu(z)
@@ -155,13 +161,17 @@ def backward(
     cache: ForwardCache,
     output_grad: np.ndarray,
     input_grad: bool = True,
+    out: ParamSet | None = None,
 ) -> tuple[ParamSet, np.ndarray | None]:
     """Exact reverse-mode gradients for the scalar whose output-gradient is given.
 
     Returns (gradients shaped like params, gradient w.r.t. the input batch).
-    With ``input_grad=False`` the first layer's product for the input
-    gradient is skipped and None is returned in its place; the parameter
-    gradients are the same bytes either way.
+    The parameter gradients are written into ``out`` when it is given (arrays
+    shaped like params, e.g. views of an optimizer's gradient vector) and
+    into a freshly allocated ParamSet otherwise; ``out`` is returned. With
+    ``input_grad=False`` the first layer's product for the input gradient is
+    skipped and None is returned in its place; the parameter gradients are
+    the same bytes either way.
     """
     output_grad = np.asarray(output_grad, dtype=float)
     if len(cache.preacts) != spec.n_layers:
@@ -170,9 +180,10 @@ def backward(
         raise ValueError(
             f"output_grad shape {output_grad.shape} does not match cached output "
             f"{cache.output.shape}")
+    if out is None:
+        out = ParamSet(weights=[np.empty_like(w) for w in params.weights],
+                       biases=[np.empty_like(b) for b in params.biases])
 
-    g_w = [np.empty(0)] * spec.n_layers
-    g_b = [np.empty(0)] * spec.n_layers
     g = output_grad
     last = spec.n_layers - 1
     for k in range(last, -1, -1):
@@ -185,11 +196,12 @@ def backward(
             else:
                 dz = g
         else:
-            dz = g * elu_grad(z)
-        g_w[k] = dz.T @ cache.inputs[k]
-        g_b[k] = dz.sum(axis=0)
+            dz = elu_grad(z)
+            dz *= g
+        np.matmul(dz.T, cache.inputs[k], out=out.weights[k])
+        np.sum(dz, axis=0, out=out.biases[k])
         g = dz @ params.weights[k] if k or input_grad else None
-    return ParamSet(weights=g_w, biases=g_b), g
+    return out, g
 
 
 # =========================================================================
@@ -202,19 +214,53 @@ ADAM_EPS_HAT = 1e-8
 
 
 @dataclass
+class AdamScratch:
+    """The flat vectors an Adam update works in: the gradient vector, a work
+    vector and the finiteness mask. Updates that run one after another can
+    share one scratch sized to the largest of their tensor groups."""
+
+    grad: np.ndarray
+    work: np.ndarray
+    finite: np.ndarray
+
+    @classmethod
+    def sized(cls, size: int) -> "AdamScratch":
+        return cls(grad=np.zeros(size), work=np.zeros(size),
+                   finite=np.zeros(size, dtype=bool))
+
+
+@dataclass
 class AdamState:
     """First/second moment accumulators of a tensor list, each one flat
-    vector holding the tensors' entries in list order."""
+    vector holding the tensors' entries in list order, and the gradient
+    slots: views of the scratch gradient vector shaped like the tensors,
+    in the same order."""
 
     m: np.ndarray
     v: np.ndarray
+    scratch: AdamScratch
+    grads: list[np.ndarray]
     step: int = 0
     learning_rate: float = 1e-3
 
 
-def adam_init(tensors: list[np.ndarray], learning_rate: float = 1e-3) -> AdamState:
+def adam_init(tensors: list[np.ndarray], learning_rate: float = 1e-3,
+              scratch: AdamScratch | None = None) -> AdamState:
+    """Optimizer state of a tensor list; with ``scratch`` (at least the
+    list's size) its gradient slots share that scratch, else it gets its
+    own."""
     size = sum(np.size(t) for t in tensors)
-    return AdamState(m=np.zeros(size), v=np.zeros(size), learning_rate=learning_rate)
+    if scratch is None:
+        scratch = AdamScratch.sized(size)
+    if scratch.grad.size < size:
+        raise ValueError(f"scratch of size {scratch.grad.size} cannot hold "
+                         f"{size} gradient entries")
+    grads, start = [], 0
+    for t in tensors:
+        grads.append(scratch.grad[start:start + np.size(t)].reshape(np.shape(t)))
+        start += np.size(t)
+    return AdamState(m=np.zeros(size), v=np.zeros(size), scratch=scratch,
+                     grads=grads, learning_rate=learning_rate)
 
 
 def adam_update(
@@ -225,17 +271,28 @@ def adam_update(
 ) -> None:
     """One bias-corrected Adam step, applied to the tensors in place.
 
-    The arithmetic is elementwise in the order
+    A gradient that is its slot in ``state.grads`` (written there by its
+    producer) is read in place; any other is copied into its slot. The
+    arithmetic is elementwise in the order
     lr * (m / c1) / (sqrt(v / c2) + eps_hat), done once over the flat
-    gradient vector in two work vectors the call allocates.
+    gradient vector in the scratch, which it overwrites; nothing is
+    allocated. A failed check raises before any tensor or moment moves.
     """
     if len(grads) != len(tensors) or any(np.shape(g) != np.shape(p)
                                          for p, g in zip(tensors, grads)):
         raise ValueError("tensor and gradient shapes do not match")
-    g = np.concatenate([np.ravel(x) for x in grads], dtype=float)
-    if g.size != state.m.size:
+    if len(tensors) != len(state.grads) or any(
+            np.shape(p) != s.shape for p, s in zip(tensors, state.grads)):
         raise ValueError("tensor sizes do not match the optimizer state")
-    if not np.all(np.isfinite(g)):
+    for slot, grad in zip(state.grads, grads):
+        if grad is not slot:
+            slot[...] = grad
+    n = state.m.size
+    g = state.scratch.grad[:n]
+    work = state.scratch.work[:n]
+    finite = state.scratch.finite[:n]
+    np.isfinite(g, out=finite)
+    if not finite.all():
         raise ValueError("non-finite gradient entries")
     state.step += 1
     t = state.step
@@ -245,7 +302,7 @@ def adam_update(
         np.negative(g, out=g)
     m, v = state.m, state.v
     m *= ADAM_BETA1
-    work = np.multiply(g, 1.0 - ADAM_BETA1)
+    np.multiply(g, 1.0 - ADAM_BETA1, out=work)
     m += work
     v *= ADAM_BETA2
     np.multiply(g, 1.0 - ADAM_BETA2, out=work)
@@ -258,10 +315,8 @@ def adam_update(
     np.divide(m, c1, out=g)
     g *= state.learning_rate
     g /= work
-    start = 0
-    for p in tensors:
-        p -= g[start:start + p.size].reshape(p.shape)
-        start += p.size
+    for p, step in zip(tensors, state.grads):
+        p -= step
 
 
 # =========================================================================

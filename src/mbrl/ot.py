@@ -150,13 +150,17 @@ def wasserstein_sinkhorn(
     f = eps * (-np.log(n1) - _lse(np.add(neg_C, 0.0, out=work), 1))
     g, K = _anchor(neg_C, f, log_b, eps, work)
     u, v = np.ones(n1), np.ones(n0)
+    row_err = np.empty(n1)
+    lo, hi = np.minimum.reduce, np.maximum.reduce
     iterations = 1
     converged = False
     while True:
         Kv = K @ v
         # After the g-update the column marginals are exact; only the rows
         # can violate.
-        if np.abs(u * Kv - a).sum() <= cfg.tol:
+        np.multiply(u, Kv, out=row_err)
+        row_err -= a
+        if np.abs(row_err, out=row_err).sum() <= cfg.tol:
             converged = True
             break
         if iterations == cfg.max_iters:
@@ -164,8 +168,8 @@ def wasserstein_sinkhorn(
         iterations += 1
         u = a / Kv
         KTu = u @ K
-        if (Kv_lo <= Kv.min() and Kv.max() <= Kv_hi
-                and KTu_lo <= KTu.min() and KTu.max() <= KTu_hi):
+        if (Kv_lo <= lo(Kv) and hi(Kv) <= Kv_hi
+                and KTu_lo <= lo(KTu) and hi(KTu) <= KTu_hi):
             v = b / KTu
         else:
             f = f + eps * np.log(u)

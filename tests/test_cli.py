@@ -266,6 +266,14 @@ def test_bench_rejects_outcome_kind_and_empty_kl_levels(tmp_path, capsys,
     assert not out.exists()
 
 
+def test_bench_rejects_a_sim_block_under_a_csv_source(tmp_path, capsys):
+    cfg = _write(tmp_path / "exp.json", _bench_doc(source="csv", csv_path="data.csv"))
+    out = tmp_path / "out"
+    assert main(["bench", "--config", cfg, "--out", str(out)]) == 1
+    assert "sim applies only to the simulator source" in capsys.readouterr().err
+    assert not out.exists()
+
+
 FLAG_ERROR = "argument --seed: must be nonnegative"
 
 

@@ -1,8 +1,10 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import mbrl.estimators as est
 import mbrl.harness as harness
 from mbrl.data import SimConfig, SplitSpec, kl_selection_bias
 from mbrl.harness import (ExperimentConfig, Report, aggregate_rows,
@@ -39,6 +41,14 @@ def test_config_validation():
         _tiny_experiment(replications=0)
     with pytest.raises(ValueError, match="csv_path"):
         ExperimentConfig(source="csv")
+
+
+@pytest.mark.parametrize("source", ["csv", "twins"])
+def test_config_rejects_a_sim_block_its_source_never_reads(source):
+    with pytest.raises(ValueError, match="sim applies only to the simulator"):
+        _tiny_experiment(source=source, csv_path="data.csv")
+    cfg = _tiny_experiment(source=source, csv_path="data.csv", sim=None)
+    assert cfg.to_dict()["sim"] is None
 
 
 @pytest.mark.parametrize("key", ["split", "train"])
@@ -100,6 +110,36 @@ def test_baseline_rows_have_no_model_fields():
             assert row["eps_p"] is None
         else:
             assert row["eps_p"] is not None
+
+
+def test_each_baseline_is_fitted_once_per_replication(monkeypatch):
+    fits = []
+    lstsq = est._lstsq
+    monkeypatch.setattr(est, "_lstsq", lambda X, y: fits.append(X.shape) or lstsq(X, y))
+    report = run_experiment(_tiny_experiment(
+        replications=2, estimators=("ols_lr1", "ols_lr2", "knn")))
+    assert report.metadata["n_failures"] == 0
+    # per replication: one ols_lr1 fit and one fit per arm for ols_lr2, all
+    # on the in-sample units
+    n_in = next(r["n_units"] for r in report.rows if r["sample"] == "in")
+    assert len(fits) == 2 * 3
+    for rep in (fits[:3], fits[3:]):
+        assert rep[0][0] == n_in and rep[1][0] + rep[2][0] == n_in
+
+
+def test_baseline_rows_equal_a_fit_per_sample():
+    cfg = _tiny_experiment(estimators=("ols_lr1", "ols_lr2", "knn"))
+    report = run_experiment(cfg)
+    gen_seed, split_seed, _ = harness._seeds_for(cfg.seed, 0, 0, 3)
+    data, _ = harness._make_data(cfg, None, gen_seed)
+    tr, va, te = harness.split(data, replace(cfg.split, seed=split_seed))
+    insample = harness.concat([tr, va])
+    for row in report.rows:
+        dataset = insample if row["sample"] == "in" else te
+        res = est.baseline(row["estimator"], insample, dataset, k=cfg.knn_k)
+        want = harness._metric_row(dataset, res.theta.ate, res.y0_hat, res.y1_hat,
+                                   res.yhat_factual, None)
+        assert json.dumps({k: row[k] for k in want}) == json.dumps(want)
 
 
 def test_each_sample_runs_predict_once_for_the_mbrl_estimators(monkeypatch):

@@ -135,25 +135,49 @@ def test_default_beta():
 def test_step_applies_task_objective_gradients():
     # One step equals Adam updates built from task_objective's gradients, in
     # task order, on an identical copy of the net: training runs the
-    # objectives the finite-difference checks verify.
+    # objectives the finite-difference checks verify. The step writes the
+    # gradients into the optimizers' slots; the reference hands over fresh
+    # arrays.
+    for ablation, plan in ABLATIONS.items():
+        cfg = replace(TINY, ablation=ablation)
+        net = _tiny_net(seed=9)
+        net.eps_y[()] = 0.3
+        net.eps_d[()] = -0.2
+        ref = copy.deepcopy(net)
+        batch = _batch(seed=10)
+        multitask_step(init_train_state(net, cfg), batch, cfg)
+
+        ref_state = init_train_state(ref, cfg)
+        for task, opt in ref_state.opts.items():
+            if task == 2 and not plan.run_balance:
+                continue
+            _, grads, group, _ = task_objective(ref, batch, cfg, task)
+            nn.adam_update(group, grads, opt, maximize=task == 1)
+
+        for name in ("phi", "pi", "f0", "f1"):
+            for a, b in zip(getattr(net, name).tensors(), getattr(ref, name).tensors()):
+                assert a.tobytes() == b.tobytes(), (ablation, name)
+        assert float(net.eps_y) == float(ref.eps_y)
+        assert float(net.eps_d) == float(ref.eps_d)
+        assert (float(net.eps_y) != 0.3 and float(net.eps_d) != -0.2) == plan.train_eps
+
+
+def test_step_writes_task_gradients_into_one_shared_buffer(monkeypatch):
+    seen = []
+    objective = model.task_objective
+    monkeypatch.setattr(model, "task_objective", lambda *a, **k: seen.append(
+        (a[3], objective(*a, **k))) or seen[-1][1])
     net = _tiny_net(seed=9)
-    net.eps_y[()] = 0.3
-    net.eps_d[()] = -0.2
-    ref = copy.deepcopy(net)
-    batch = _batch(seed=10)
-    multitask_step(init_train_state(net, TINY), batch, TINY)
-
-    ref_state = init_train_state(ref, TINY)
-    for task, opt in ref_state.opts.items():
-        _, grads, group, _ = task_objective(ref, batch, TINY, task)
-        nn.adam_update(group, grads, opt, maximize=task == 1)
-
-    for name in ("phi", "pi", "f0", "f1"):
-        for a, b in zip(getattr(net, name).tensors(), getattr(ref, name).tensors()):
-            np.testing.assert_array_equal(a, b)
-    assert float(net.eps_y) == float(ref.eps_y)
-    assert float(net.eps_d) == float(ref.eps_d)
-    assert float(net.eps_y) != 0.3 and float(net.eps_d) != -0.2
+    state = init_train_state(net, TINY)
+    scratch = state.opts[1].scratch
+    assert all(opt.scratch is scratch for opt in state.opts.values())
+    assert scratch.grad.size == max(opt.m.size for opt in state.opts.values())
+    multitask_step(state, _batch(seed=10), TINY)
+    assert [task for task, _ in seen] == [1, 2, 3]
+    for task, obj in seen:
+        assert len(obj.grads) == len(state.opts[task].grads)
+        for got, slot in zip(obj.grads, state.opts[task].grads):
+            assert got is slot and np.shares_memory(got, scratch.grad)
 
 
 def test_balanced_step_runs_the_encoder_once_for_tasks_1_and_2(monkeypatch):

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 import warnings
 from dataclasses import asdict
 
@@ -87,11 +88,23 @@ def _elu_grad_masked(x):
     return g
 
 
-def test_elu_matches_masked_reference_bitwise():
-    special = np.array([0.0, -0.0, np.nan, 1e3, -1e3, 1e-320, -1e-320])
+def _elu_where(x):
+    # The np.where forms the branch-free versions replaced; kept as the
+    # bitwise reference.
+    return np.where(x < 0, np.expm1(np.minimum(x, 0.0)), x)
+
+
+def _elu_grad_where(x):
+    return np.where(x <= 0, np.exp(np.minimum(x, 0.0)), 1.0)
+
+
+def _assert_elu_matches(elu_ref, elu_grad_ref):
+    special = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 1e3, -1e3,
+                        1e-320, -1e-320, 5e-324, -5e-324, 1e-300, -1e-300])
     rng = np.random.default_rng(0)
     for x in (special, 5.0 * rng.normal(size=(37, 23)), rng.normal(size=0)):
-        want = (_elu_masked(x), _elu_grad_masked(x))
+        with np.errstate(all="ignore"):
+            want = (elu_ref(x), elu_grad_ref(x))
         # exp(-1e3) underflows to 0 in both forms (the right derivative), so
         # only underflow is allowed; overflow, invalid and divide raise.
         with np.errstate(all="raise", under="ignore"), warnings.catch_warnings():
@@ -101,6 +114,28 @@ def test_elu_matches_masked_reference_bitwise():
             assert a.dtype == b.dtype and a.shape == b.shape
             assert a.tobytes() == b.tobytes()   # also the sign of -0.0
     assert nn.elu_grad(np.array([np.nan]))[0] == 1.0
+
+
+def test_elu_matches_masked_reference_bitwise():
+    _assert_elu_matches(_elu_masked, _elu_grad_masked)
+
+
+def test_elu_matches_where_reference_bitwise():
+    _assert_elu_matches(_elu_where, _elu_grad_where)
+
+
+@pytest.mark.parametrize("output_activation", ["identity", "sigmoid"])
+def test_forward_hidden_outputs_are_elu_of_their_preactivations(output_activation):
+    spec = nn.NetSpec((4, 6, 5, 2), output_activation=output_activation)
+    params = nn.init_params(spec, seed=3)
+    params.biases[0][:] = np.linspace(-1.0, 1.0, 6)
+    X = np.random.default_rng(4).normal(size=(7, 4))
+    _, cache = nn.forward(params, spec, X)
+    for k, (W, b) in enumerate(zip(params.weights, params.biases)):
+        assert cache.preacts[k].tobytes() == (cache.inputs[k] @ W.T + b).tobytes()
+    for z, h in zip(cache.preacts[:-1], cache.inputs[1:]):
+        assert h.tobytes() == nn.elu(z).tobytes()
+        assert np.any(z < 0) and np.any(z > 0)
 
 
 def test_forward_single_sigmoid_unit():
@@ -164,6 +199,44 @@ def test_backward_without_input_grad_keeps_parameter_gradients(output_activation
     assert g_in.shape == (7, 4) and none is None
     for a, b in zip(full.tensors(), skipped.tensors()):
         assert a.tobytes() == b.tobytes()
+
+
+def _flat_slots(params, fill):
+    # Gradient slots as an optimizer holds them: views of one flat vector.
+    tensors = params.tensors()
+    flat = np.full(sum(t.size for t in tensors), fill)
+    views, start = [], 0
+    for t in tensors:
+        views.append(flat[start:start + t.size].reshape(t.shape))
+        start += t.size
+    n = len(params.weights)
+    return flat, nn.ParamSet(weights=views[:n], biases=views[n:])
+
+
+@pytest.mark.parametrize("output_activation", ["identity", "sigmoid"])
+@pytest.mark.parametrize("input_grad", [True, False])
+@pytest.mark.parametrize("rows", [7, 0])
+def test_backward_into_slots_matches_the_allocating_path(output_activation,
+                                                         input_grad, rows):
+    spec = nn.NetSpec((4, 6, 5, 2), output_activation=output_activation)
+    params = nn.init_params(spec, seed=3)
+    rng = np.random.default_rng(4)
+    _, cache = nn.forward(params, spec, rng.normal(size=(rows, 4)))
+    out_grad = rng.normal(size=(rows, 2))
+    fresh, g_fresh = nn.backward(params, spec, cache, out_grad, input_grad)
+    flat, slots = _flat_slots(params, np.nan)
+    written, g_slots = nn.backward(params, spec, cache, out_grad, input_grad,
+                                   out=slots)
+    assert written is slots
+    assert all(np.shares_memory(t, flat) for t in written.tensors())
+    for a, b in zip(fresh.tensors(), written.tensors()):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    if input_grad:
+        assert g_fresh.tobytes() == g_slots.tobytes()
+    else:
+        assert g_fresh is None and g_slots is None
+    if rows == 0:   # a head whose arm has no rows: exact-zero gradients
+        assert not np.any(flat)
 
 
 def test_backward_rejects_mismatched_cache():
@@ -285,6 +358,59 @@ def test_adam_matches_per_tensor_reference_bitwise(maximize):
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
     assert state.m.tobytes() == np.concatenate([m.ravel() for m in ref_m]).tobytes()
     assert state.v.tobytes() == np.concatenate([v.ravel() for v in ref_v]).tobytes()
+
+
+def test_adam_reads_gradients_in_their_slots_in_place_and_shares_scratch():
+    # Two groups share one scratch sized to the larger, as the training
+    # tasks do; gradients written into the slots give the same bytes as
+    # gradients handed over as separate arrays.
+    rng, group_a = _adam_case(6)
+    group_b = [1e-3 * rng.normal(size=(3, 4)), _scalar(2e-4)]
+    ref = [[t.copy() for t in g] for g in (group_a, group_b)]
+    ref_states = [nn.adam_init(g) for g in ref]
+    sizes = [sum(t.size for t in g) for g in (group_a, group_b)]
+    scratch = nn.AdamScratch.sized(max(sizes))
+    states = [nn.adam_init(g, scratch=scratch) for g in (group_a, group_b)]
+    assert all(np.shares_memory(s, scratch.grad) for st in states for s in st.grads)
+    for step in range(10):
+        for k, (group, state) in enumerate(zip((group_a, group_b), states)):
+            grads = [rng.normal(size=p.shape) for p in group]
+            for slot, grad in zip(state.grads, grads):
+                slot[...] = grad
+            nn.adam_update(group, state.grads, state, maximize=step % 2 == 1)
+            nn.adam_update(ref[k], grads, ref_states[k], maximize=step % 2 == 1)
+    for got, want in zip([*group_a, *group_b], [*ref[0], *ref[1]]):
+        assert got.tobytes() == want.tobytes()
+    grads = [np.ones(p.shape) for p in group_b]
+    grads[0][1, 2] = np.nan
+    before = [t.copy() for t in group_b]
+    for slot, grad in zip(states[1].grads, grads):
+        slot[...] = grad
+    with pytest.raises(ValueError, match="non-finite gradient"):
+        nn.adam_update(group_b, states[1].grads, states[1])
+    assert states[1].step == 10
+    for a, b in zip(group_b, before):
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("in_slots", [True, False])
+def test_adam_update_allocates_no_gradient_sized_buffer(in_slots):
+    rng = np.random.default_rng(7)
+    tensors = [rng.normal(size=(200, 250)), rng.normal(size=250), _scalar(0.1)]
+    state = nn.adam_init(tensors)
+    grads = [rng.normal(size=p.shape) for p in tensors]
+    if in_slots:
+        for slot, grad in zip(state.grads, grads):
+            slot[...] = grad
+        grads = state.grads
+    nn.adam_update(tensors, grads, state)   # first call outside the trace
+    tracemalloc.start()
+    try:
+        nn.adam_update(tensors, grads, state)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < state.m.nbytes / 100
 
 
 def test_adam_non_finite_gradient_leaves_state_and_tensors():
