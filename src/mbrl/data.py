@@ -12,7 +12,7 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -234,13 +234,20 @@ class SimConfig:
 class TrueModel:
     """Closed-form nuisance functions of a synthetic generator.
 
-    The linear simulator stores its outcome coefficients (w1, w0); the
-    treatment-assignment generator has no outcome model.
+    The propensity is logit-linear, m0(z) = sigmoid(z . m_w + m_c): the
+    linear simulator derives (m_w, m_c) from its two Gaussians, the
+    treatment-assignment generator draws them. The linear simulator also
+    stores its outcome coefficients (w1, w0); the assignment generator has
+    no outcome model.
     """
 
-    m0: Callable[[np.ndarray], np.ndarray]
+    m_w: np.ndarray
+    m_c: float
     w1: np.ndarray | None = None
     w0: np.ndarray | None = None
+
+    def m0(self, Z) -> np.ndarray:
+        return sigmoid(np.atleast_2d(np.asarray(Z, dtype=float)) @ self.m_w + self.m_c)
 
     def g0(self, d, Z) -> np.ndarray:
         if self.w1 is None or self.w0 is None:
@@ -248,22 +255,6 @@ class TrueModel:
         d = np.asarray(d, dtype=float)
         Z = np.asarray(Z, dtype=float)
         return d * (Z @ self.w1) + (1.0 - d) * (Z @ self.w0)
-
-
-def _gaussian_posterior(mu1, mu0, cov, prior_treated) -> Callable[[np.ndarray], np.ndarray]:
-    """Exact P(treated | z) implied by two equal-covariance Gaussians."""
-    prec = np.linalg.inv(cov)
-    log_odds_prior = np.log(prior_treated) - np.log1p(-prior_treated)
-
-    def m0(Z: np.ndarray) -> np.ndarray:
-        Z = np.atleast_2d(np.asarray(Z, dtype=float))
-        a1 = Z - mu1
-        a0 = Z - mu0
-        q1 = ((a1 @ prec) * a1).sum(axis=1)
-        q0 = ((a0 @ prec) * a0).sum(axis=1)
-        return sigmoid(log_odds_prior - 0.5 * (q1 - q0))
-
-    return m0
 
 
 def generate_simulation(
@@ -276,7 +267,10 @@ def generate_simulation(
     Covariates: treated ~ N(mu1, sigma_scale * S S^T), control ~ N(mu0, same),
     with S uniform on (-1, 1). Potential outcomes are w_d^T z plus Gaussian
     noise; noiseless means are stored alongside. The returned TrueModel's
-    propensity is the exact group-membership posterior given z.
+    propensity is the exact group-membership posterior given z. With equal
+    covariances the two quadratic forms cancel to an affine log-odds,
+    sigmoid(z . w + c) with w = cov^-1 (mu1 - mu0) and
+    c = -(mu1 + mu0) . w / 2 + logit(n_treated / n).
 
     ``mixing`` overrides the S draw (used by the KL-targeted sweeps).
     """
@@ -306,9 +300,10 @@ def generate_simulation(
     y = np.where(d == 1, y1, y0)
 
     prior = cfg.n_treated / n
+    m_w = np.linalg.solve(cov, cfg.mu1 - cfg.mu0)
+    m_c = -0.5 * float((cfg.mu1 + cfg.mu0) @ m_w) + math.log(prior) - math.log1p(-prior)
     data = Dataset(Z, d, y, "continuous", y0=y0, y1=y1, mu0=mu0_vec, mu1=mu1_vec)
-    truth = TrueModel(m0=_gaussian_posterior(cfg.mu1, cfg.mu0, cov, prior),
-                      w1=w1, w0=w0)
+    truth = TrueModel(m_w=m_w, m_c=m_c, w1=w1, w0=w0)
     return data, truth
 
 
@@ -325,12 +320,9 @@ def generate_twins_assignment(covariates: np.ndarray,
     rng = np.random.default_rng(seed)
     w = rng.uniform(-ASSIGNMENT_WEIGHT_RANGE, ASSIGNMENT_WEIGHT_RANGE, size=Z.shape[1])
     n = float(rng.normal(0.0, ASSIGNMENT_NOISE_SD))
-    d = rng.binomial(1, sigmoid(Z @ w + n)).astype(int)
-
-    def m0(Znew: np.ndarray) -> np.ndarray:
-        return sigmoid(np.atleast_2d(np.asarray(Znew, dtype=float)) @ w + n)
-
-    return d, TrueModel(m0=m0)
+    truth = TrueModel(m_w=w, m_c=n)
+    d = rng.binomial(1, truth.m0(Z)).astype(int)
+    return d, truth
 
 
 # =========================================================================

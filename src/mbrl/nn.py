@@ -117,7 +117,11 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
 
 @dataclass
 class ForwardCache:
-    """Intermediates of one forward pass, consumed by backward()."""
+    """Intermediates of one forward pass, consumed by backward().
+
+    backward() reads ``output`` (the clamped sigmoid of a sigmoid-output
+    net), so callers must not write into it.
+    """
 
     inputs: list[np.ndarray]
     preacts: list[np.ndarray]
@@ -187,16 +191,15 @@ def backward(
     g = output_grad
     last = spec.n_layers - 1
     for k in range(last, -1, -1):
-        z = cache.preacts[k]
         if k == last:
             if spec.output_activation == "sigmoid":
-                p = sigmoid(z)
+                p = cache.output
                 inside = (p > SIGMOID_CLAMP) & (p < 1.0 - SIGMOID_CLAMP)
                 dz = g * p * (1.0 - p) * inside
             else:
                 dz = g
         else:
-            dz = elu_grad(z)
+            dz = elu_grad(cache.preacts[k])
             dz *= g
         np.matmul(dz.T, cache.inputs[k], out=out.weights[k])
         np.sum(dz, axis=0, out=out.biases[k])

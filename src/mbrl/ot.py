@@ -191,7 +191,8 @@ def wasserstein_sinkhorn(
 def exact_ot_small(A: np.ndarray, B: np.ndarray, cost: str = "euclidean") -> float:
     """Exact optimal-transport cost with uniform marginals via the LP.
 
-    Only intended as a test oracle; instances are capped at n1 * n0 <= 64.
+    The oracle that Sinkhorn is checked against (by the tests and by
+    ``mbrl check``); instances are capped at n1 * n0 <= 64.
     """
     if cost not in COST_KINDS:
         raise ValueError(f"unknown cost {cost!r}")

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mbrl import harness
 from mbrl.data import (Dataset, SimConfig, SplitSpec, concat,
                        generate_simulation, generate_twins_assignment,
                        kl_selection_bias, load_csv, save_csv, sigmoid, split,
@@ -167,10 +168,40 @@ def test_simulation_treated_mean_converges():
 
 
 def test_simulation_symmetric_groups_have_flat_propensity():
-    cfg = SimConfig(n_treated=60, n_control=120, dim=3, seed=3)  # mu1 == mu0 == 0
-    data, truth = generate_simulation(cfg)
-    p = truth.m0(data.covariates)
-    np.testing.assert_allclose(p, 60 / 180, atol=1e-12)
+    for mu in (None, np.array([3.0, -1.5, 0.25])):  # mu1 == mu0, at 0 and off it
+        cfg = SimConfig(n_treated=60, n_control=120, dim=3, mu1=mu, mu0=mu, seed=3)
+        data, truth = generate_simulation(cfg)
+        p = truth.m0(data.covariates)
+        np.testing.assert_allclose(p, 60 / 180, atol=1e-12)
+
+
+def _two_quadratic_form_posterior(Z, mu1, mu0, cov, prior):
+    # P(treated | z) from the two Gaussian densities, before the quadratic
+    # terms are cancelled into the affine log-odds
+    prec = np.linalg.inv(cov)
+    a1 = Z - mu1
+    a0 = Z - mu0
+    q1 = ((a1 @ prec) * a1).sum(axis=1)
+    q0 = ((a0 @ prec) * a0).sum(axis=1)
+    return sigmoid(np.log(prior) - np.log1p(-prior) - 0.5 * (q1 - q0))
+
+
+@pytest.mark.parametrize("kl", [0.0, 0.5, 141.41])
+def test_simulation_affine_propensity_matches_the_quadratic_form(kl, kl_draw,
+                                                                  monkeypatch):
+    drawn = []
+
+    def recording(cfg, seed=None, mixing=None):
+        drawn.append((cfg, mixing))
+        return generate_simulation(cfg, seed, mixing)
+
+    monkeypatch.setattr(harness, "generate_simulation", recording)
+    data, truth = kl_draw(seed=7001, n_treated=2000, n_control=4000, kl=kl)
+    (cfg, mixing), = drawn
+    cov = cfg.sigma_scale * (mixing @ mixing.T)
+    want = _two_quadratic_form_posterior(data.covariates, cfg.mu1, cfg.mu0, cov,
+                                         2000 / 6000)
+    np.testing.assert_allclose(truth.m0(data.covariates), want, rtol=0, atol=1e-10)
 
 
 def test_simulation_posterior_matches_empirical_assignment():
@@ -194,6 +225,18 @@ def test_twins_assignment_shapes_and_determinism():
     assert d1.shape == (11440,)
     np.testing.assert_array_equal(d1, d2)
     np.testing.assert_array_equal(t1.m0(Z), t2.m0(Z))
+
+
+def test_twins_assignment_draws_are_pinned():
+    # d ~ Bernoulli(sigmoid(Z w + n)) with w, n and d drawn in that order
+    Z = np.random.default_rng(5).normal(size=(3000, 30)) * 40
+    d, truth = generate_twins_assignment(Z, seed=11)
+    rng = np.random.default_rng(11)
+    w = rng.uniform(-0.01, 0.01, size=30)
+    n = float(rng.normal(0.0, 0.01))
+    p = sigmoid(Z @ w + n)
+    assert d.tobytes() == rng.binomial(1, p).astype(int).tobytes()
+    assert truth.m0(Z).tobytes() == p.tobytes()
 
 
 def test_twins_assignment_frequency_matches_propensity():

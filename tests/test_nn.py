@@ -239,6 +239,33 @@ def test_backward_into_slots_matches_the_allocating_path(output_activation,
         assert not np.any(flat)
 
 
+def test_backward_sigmoid_output_matches_recompute_from_preactivations():
+    # One sigmoid layer with identity weights, so the output pre-activations
+    # are the inputs: |z| up to 40 (deep in the clamp), exact 0, and both
+    # clamp edges with their neighbours.
+    edge = float(np.log(nn.SIGMOID_CLAMP) - np.log1p(-nn.SIGMOID_CLAMP))
+    edges = [np.nextafter(edge, -np.inf), edge, np.nextafter(edge, np.inf)]
+    z = np.concatenate([np.linspace(-40.0, 40.0, 4001), [0.0],
+                        edges, np.negative(edges)])
+    X = np.stack([z, z[::-1]], axis=1)
+    spec = nn.NetSpec((2, 2), output_activation="sigmoid")
+    params = nn.ParamSet(weights=[np.eye(2)], biases=[np.zeros(2)])
+    _, cache = nn.forward(params, spec, X)
+    assert cache.preacts[0].tobytes() == X.tobytes()
+    g = np.random.default_rng(8).normal(size=X.shape) * 1e3
+    g[::7] = -0.0
+
+    got, g_in = nn.backward(params, spec, cache, g)
+    p = nn.sigmoid(X)
+    inside = (p > nn.SIGMOID_CLAMP) & (p < 1.0 - nn.SIGMOID_CLAMP)
+    dz = g * p * (1.0 - p) * inside
+    want, want_in = nn.backward(params, nn.NetSpec((2, 2)), cache, dz)
+    assert not inside.all() and inside.any()
+    assert g_in.tobytes() == want_in.tobytes()
+    for a, b in zip(got.tensors(), want.tensors()):
+        assert a.tobytes() == b.tobytes()
+
+
 def test_backward_rejects_mismatched_cache():
     spec = nn.NetSpec((3, 2))
     params = nn.init_params(spec, seed=0)
