@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .nn import sigmoid
-from .records import require_int_fields
+from .records import require_integer_and_finite_fields
 
 OUTCOME_KINDS = ("continuous", "binary")
 
@@ -166,7 +166,7 @@ class SplitSpec:
     seed: int = 0
 
     def __post_init__(self):
-        require_int_fields(self)
+        require_integer_and_finite_fields(self)
         fracs = (self.train_frac, self.val_frac, self.test_frac)
         if any(f <= 0 for f in fracs):
             raise ValueError("split fractions must be positive")
@@ -215,7 +215,7 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        require_int_fields(self)
+        require_integer_and_finite_fields(self)
         if self.n_treated < 1 or self.n_control < 1:
             raise ValueError("group counts must be at least 1")
         if self.dim < 1:

@@ -26,7 +26,7 @@ from .data import (DEFAULT_SPLIT, OUTCOME_KINDS, Dataset, SimConfig, SplitSpec,
                    TrueModel, concat, generate_simulation, generate_twins_assignment,
                    kl_selection_bias, load_csv, split, true_outcomes)
 from .model import TrainConfig, fit, perturbation_error, predict
-from .records import require_int_fields
+from .records import require_integer_and_finite_fields
 
 logger = logging.getLogger(__name__)
 
@@ -60,7 +60,7 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
-        require_int_fields(self)
+        require_integer_and_finite_fields(self)
         for name, record in (("sim", SimConfig), ("split", SplitSpec),
                              ("train", TrainConfig)):
             value = getattr(self, name)
@@ -78,6 +78,8 @@ class ExperimentConfig:
                              f"outcome_kind {self.outcome_kind!r} does not apply")
         if self.replications < 1:
             raise ValueError("replications must be at least 1")
+        if self.knn_k < 1:
+            raise ValueError("knn_k must be at least 1")
         self.estimators = tuple(self.estimators)
         if not self.estimators:
             raise ValueError("estimator list must be nonempty")

@@ -6,7 +6,7 @@ the control and treated arms. Two trainable free scalars turn the mean
 outcome and treatment residuals into noise regularizers. Training alternates
 three tasks per minibatch:
 
-  Task 1  ascend   L_dis - lambda1 * Omega_d   over (discriminator, eps_d)
+  Task 1  descend  -L_dis + lambda1 * Omega_d  over (discriminator, eps_d)
   Task 2  descend  L_imb                       over the encoder
   Task 3  descend  L_fo + lambda2 * Omega_y    over (encoder, heads, eps_y)
 
@@ -30,7 +30,7 @@ from . import nn
 from .data import Dataset
 from .metrics import rmse
 from .ot import SinkhornConfig, wasserstein_sinkhorn
-from .records import require_int_fields
+from .records import require_integer_and_finite_fields
 
 logger = logging.getLogger(__name__)
 
@@ -93,9 +93,16 @@ class MBRLNet:
         rep = self.phi_spec.output_width
         for name in SUBNETS:
             spec, params = getattr(self, f"{name}_spec"), getattr(self, name)
-            if name != "phi" and spec.input_width != rep:
-                raise ValueError(f"{name} input width must equal the representation "
-                                 f"width {rep}")
+            if name != "phi":  # a consumer of the representation
+                if spec.input_width != rep:
+                    raise ValueError(f"{name} input width must equal the "
+                                     f"representation width {rep}")
+                if spec.output_width != 1:
+                    raise ValueError(f"{name} must have 1 output, not "
+                                     f"{spec.output_width}")
+            if name == "pi" and spec.output_activation != "sigmoid":
+                raise ValueError(f"pi must have a sigmoid output, not "
+                                 f"{spec.output_activation!r}")
             w = spec.layer_widths
             want = {**{f"W{k}": (o, i) for k, (i, o) in enumerate(zip(w, w[1:]))},
                     **{f"b{k}": (o,) for k, o in enumerate(w[1:])}}
@@ -175,7 +182,7 @@ class TrainConfig:
     eps_clip: float = 100.0
 
     def __post_init__(self):
-        require_int_fields(self)
+        require_integer_and_finite_fields(self)
         if not isinstance(self.sinkhorn, SinkhornConfig):  # JSON: dict or null
             self.sinkhorn = SinkhornConfig(**(self.sinkhorn or {}))
         if self.lambda1 < 0 or self.lambda2 < 0:
@@ -311,8 +318,8 @@ def init_train_state(net: MBRLNet, cfg: TrainConfig) -> TrainState:
 
 def multitask_step(state: TrainState, batch: Batch, cfg: TrainConfig) -> TrainState:
     """Run the three tasks on one minibatch, in order, each with its own
-    optimizer state: task 1 ascends, tasks 2 and 3 descend the gradients
-    ``task_objective`` returns.
+    optimizer: ``task_objective`` writes a task's gradients into its
+    optimizer's slots, and Adam descends them.
 
     The balancing task is skipped when the batch lacks a treatment arm (the
     imbalance loss is then defined as 0) and under the tarnet ablation.
@@ -332,7 +339,7 @@ def multitask_step(state: TrainState, batch: Batch, cfg: TrainConfig) -> TrainSt
         if task == 3:
             encoded = None
         obj = task_objective(net, batch, cfg, task, encoded, grads_out=opt.grads)
-        nn.adam_update(obj.group, obj.grads, opt, maximize=task == 1)
+        nn.adam_update(opt)
         losses.update(obj.terms)
 
     if plan.train_eps:
@@ -357,7 +364,6 @@ def multitask_step(state: TrainState, batch: Batch, cfg: TrainConfig) -> TrainSt
 class TaskObjective(NamedTuple):
     value: float
     grads: list[np.ndarray]
-    group: list[np.ndarray]
     terms: dict[str, float]  # the loss terms the training log records
 
 
@@ -369,14 +375,14 @@ def encode(net: MBRLNet, batch: Batch) -> tuple[np.ndarray, nn.ForwardCache]:
 def task_objective(net: MBRLNet, batch: Batch, cfg: TrainConfig, task: int,
                    encoded: tuple[np.ndarray, nn.ForwardCache] | None = None,
                    grads_out: list[np.ndarray] | None = None) -> TaskObjective:
-    """Value, analytic gradients, parameter group and logged loss terms of
-    one task objective.
+    """Value, analytic gradients and logged loss terms of one task
+    objective.
 
-    Task 1 returns the ascent objective L_dis - lambda1*Omega_d; tasks 2 and
-    3 return the descent objectives. Gradients follow the objective's own
-    sign convention (not the update direction), in ``task_group`` order.
-    Ablations without the noise regularizers take lambda1 = lambda2 = 0 and
-    leave the free scalars out. ``multitask_step`` applies these gradients.
+    Every task objective is descended: -L_dis + lambda1*Omega_d (task 1),
+    the entropic dual value of L_imb (task 2) and L_fo + lambda2*Omega_y
+    (task 3). Gradients are in ``task_group`` order. Ablations without the
+    noise regularizers take lambda1 = lambda2 = 0 and leave the free scalars
+    out. ``multitask_step`` descends these gradients.
 
     ``encoded`` is ``encode(net, batch)`` at the current encoder weights;
     when omitted it is computed here. ``grads_out`` are arrays shaped like
@@ -387,9 +393,8 @@ def task_objective(net: MBRLNet, batch: Batch, cfg: TrainConfig, task: int,
     if task not in TASK_GROUPS:
         raise ValueError("task must be 1, 2 or 3")
     train_eps = ABLATIONS[cfg.ablation].train_eps
-    group = task_group(net, task, train_eps)
     if grads_out is None:
-        grads_out = [np.empty_like(t) for t in group]
+        grads_out = [np.empty_like(t) for t in task_group(net, task, train_eps)]
     slots = _subnet_slots(net, task, grads_out)
     lambda1, lambda2 = (cfg.lambda1, cfg.lambda2) if train_eps else (0.0, 0.0)
     R, cache_phi = encode(net, batch) if encoded is None else encoded
@@ -403,12 +408,12 @@ def task_objective(net: MBRLNet, batch: Batch, cfg: TrainConfig, task: int,
         p = p_mat[:, 0]
         l_dis = float(np.mean(d * np.log(p) + (1.0 - d) * np.log1p(-p)))
         gap = float(np.mean(d - p))
-        value = l_dis - lambda1 * float(net.eps_d) * abs(gap)
-        dobj = (d / p - (1.0 - d) / (1.0 - p)) / b
-        dobj = dobj + lambda1 * float(net.eps_d) * np.sign(gap) / b
+        value = lambda1 * float(net.eps_d) * abs(gap) - l_dis
+        dobj = ((1.0 - d) / (1.0 - p) - d / p) / b
+        dobj = dobj - lambda1 * float(net.eps_d) * np.sign(gap) / b
         nn.backward(net.pi, net.pi_spec, cache_pi, dobj[:, None],
                     input_grad=False, out=slots["pi"])
-        scalar_grad = -lambda1 * abs(gap)
+        scalar_grad = lambda1 * abs(gap)
         terms = {"l_dis": l_dis, "omega_d": float(net.eps_d) * abs(gap)}
     elif task == 2:
         if not treated.any() or treated.all():
@@ -445,7 +450,7 @@ def task_objective(net: MBRLNet, batch: Batch, cfg: TrainConfig, task: int,
         terms = {"l_fo": l_fo, "omega_y": float(net.eps_y) * abs(gap)}
     if train_eps and TASK_GROUPS[task][1] is not None:
         grads_out[-1][()] = scalar_grad
-    return TaskObjective(value, grads_out, group, terms)
+    return TaskObjective(value, grads_out, terms)
 
 
 def _subnet_slots(net: MBRLNet, task: int, grads_out: list[np.ndarray]
@@ -465,7 +470,8 @@ def task_gradient_error(net: MBRLNet, batch: Batch, cfg: TrainConfig,
                         task: int, h: float = 1e-5) -> float:
     """Max relative error between analytic task gradients and central
     finite differences over the task's parameter group."""
-    _, grads, group, _ = task_objective(net, batch, cfg, task)
+    group = task_group(net, task, ABLATIONS[cfg.ablation].train_eps)
+    grads = task_objective(net, batch, cfg, task).grads
     return nn.central_difference_error(
         group, grads, lambda: task_objective(net, batch, cfg, task).value,
         h, 2000)
@@ -491,8 +497,11 @@ class EpochStats:
 class Checkpoint:
     """Best parameters under the run's selection criterion plus its history.
 
-    ``net_rmse`` is the best snapshot under plain validation RMSE, tracked on
-    every run so selection rules can be compared on one trajectory.
+    ``best_eps_p`` holds the selected rule's best validation value: the
+    perturbation error under ``full_mbrl``, the RMSE under the ablations
+    that select by RMSE. ``net_rmse`` is the best snapshot under plain
+    validation RMSE, tracked on every run so selection rules can be compared
+    on one trajectory.
     """
 
     net: MBRLNet

@@ -234,11 +234,12 @@ class AdamScratch:
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators of a tensor list, each one flat
-    vector holding the tensors' entries in list order, and the gradient
-    slots: views of the scratch gradient vector shaped like the tensors,
-    in the same order."""
+    """The tensor list an optimizer updates (its parameter group), their
+    first/second moment accumulators, each one flat vector holding the
+    tensors' entries in list order, and the gradient slots: views of the
+    scratch gradient vector shaped like the tensors, in the same order."""
 
+    params: list[np.ndarray]
     m: np.ndarray
     v: np.ndarray
     scratch: AdamScratch
@@ -262,34 +263,20 @@ def adam_init(tensors: list[np.ndarray], learning_rate: float = 1e-3,
     for t in tensors:
         grads.append(scratch.grad[start:start + np.size(t)].reshape(np.shape(t)))
         start += np.size(t)
-    return AdamState(m=np.zeros(size), v=np.zeros(size), scratch=scratch,
-                     grads=grads, learning_rate=learning_rate)
+    return AdamState(params=list(tensors), m=np.zeros(size), v=np.zeros(size),
+                     scratch=scratch, grads=grads, learning_rate=learning_rate)
 
 
-def adam_update(
-    tensors: list[np.ndarray],
-    grads: list[np.ndarray],
-    state: AdamState,
-    maximize: bool = False,
-) -> None:
-    """One bias-corrected Adam step, applied to the tensors in place.
+def adam_update(state: AdamState) -> None:
+    """One bias-corrected Adam descent step on ``state.params``, in place,
+    from the gradients their producer wrote into ``state.grads``.
 
-    A gradient that is its slot in ``state.grads`` (written there by its
-    producer) is read in place; any other is copied into its slot. The
-    arithmetic is elementwise in the order
+    The arithmetic is elementwise in the order
     lr * (m / c1) / (sqrt(v / c2) + eps_hat), done once over the flat
     gradient vector in the scratch, which it overwrites; nothing is
-    allocated. A failed check raises before any tensor or moment moves.
+    allocated. Non-finite gradient entries raise before any tensor or
+    moment moves.
     """
-    if len(grads) != len(tensors) or any(np.shape(g) != np.shape(p)
-                                         for p, g in zip(tensors, grads)):
-        raise ValueError("tensor and gradient shapes do not match")
-    if len(tensors) != len(state.grads) or any(
-            np.shape(p) != s.shape for p, s in zip(tensors, state.grads)):
-        raise ValueError("tensor sizes do not match the optimizer state")
-    for slot, grad in zip(state.grads, grads):
-        if grad is not slot:
-            slot[...] = grad
     n = state.m.size
     g = state.scratch.grad[:n]
     work = state.scratch.work[:n]
@@ -301,8 +288,6 @@ def adam_update(
     t = state.step
     c1 = 1.0 - ADAM_BETA1 ** t
     c2 = 1.0 - ADAM_BETA2 ** t
-    if maximize:
-        np.negative(g, out=g)
     m, v = state.m, state.v
     m *= ADAM_BETA1
     np.multiply(g, 1.0 - ADAM_BETA1, out=work)
@@ -318,7 +303,7 @@ def adam_update(
     np.divide(m, c1, out=g)
     g *= state.learning_rate
     g /= work
-    for p, step in zip(tensors, state.grads):
+    for p, step in zip(state.params, state.grads):
         p -= step
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog
 
-from .records import require_int_fields
+from .records import require_integer_and_finite_fields
 
 COST_KINDS = ("euclidean", "squared_euclidean")
 
@@ -36,7 +36,7 @@ class SinkhornConfig:
     cost: str = "euclidean"
 
     def __post_init__(self):
-        require_int_fields(self)
+        require_integer_and_finite_fields(self)
         if self.entropic_reg <= 0:
             raise ValueError("entropic_reg must be positive")
         if self.max_iters < 1:

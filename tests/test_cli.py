@@ -202,6 +202,34 @@ def test_bench_rejects_non_integer_int_fields(tmp_path, capsys, path, value):
     assert not out.exists()
 
 
+# Python's JSON reader takes NaN and Infinity; one case per record holding
+# float fields, and the entries of kl_levels.
+@pytest.mark.parametrize("path,value,shown", [
+    ("train.sinkhorn.tol", float("nan"), "nan"),
+    ("train.eps_clip", float("nan"), "nan"),
+    ("train.learning_rate", float("nan"), "nan"),
+    ("train.beta", float("inf"), "inf"),
+    ("sim.sigma_scale", float("inf"), "inf"),
+    ("split.train_frac", float("nan"), "nan"),
+    ("kl_levels", [0.5, float("-inf")], "-inf"),
+])
+def test_bench_rejects_non_finite_float_fields(tmp_path, capsys, path, value, shown):
+    cfg = _write(tmp_path / "exp.json", _bench_doc(**{path: value}))
+    out = tmp_path / "out"
+    assert main(["bench", "--config", cfg, "--out", str(out)]) == 1
+    field = path.rsplit(".", 1)[-1]
+    assert f"{field} must be finite, not {shown}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_bench_rejects_knn_k_below_1(tmp_path, capsys):
+    cfg = _write(tmp_path / "exp.json", _bench_doc(knn_k=0, estimators=["knn"]))
+    out = tmp_path / "out"
+    assert main(["bench", "--config", cfg, "--out", str(out)]) == 1
+    assert "knn_k must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_rejects_non_integer_int_field(tmp_path, sim_config, capsys):
     data_path = str(tmp_path / "data.csv")
     assert main(["generate", "--config", sim_config, "--out", data_path]) == 0

@@ -135,9 +135,9 @@ def test_default_beta():
 def test_step_applies_task_objective_gradients():
     # One step equals Adam updates built from task_objective's gradients, in
     # task order, on an identical copy of the net: training runs the
-    # objectives the finite-difference checks verify. The step writes the
-    # gradients into the optimizers' slots; the reference hands over fresh
-    # arrays.
+    # objectives the finite-difference checks verify. The step has
+    # task_objective write into the optimizers' slots; the reference copies
+    # its freshly allocated gradients in.
     for ablation, plan in ABLATIONS.items():
         cfg = replace(TINY, ablation=ablation)
         net = _tiny_net(seed=9)
@@ -151,8 +151,10 @@ def test_step_applies_task_objective_gradients():
         for task, opt in ref_state.opts.items():
             if task == 2 and not plan.run_balance:
                 continue
-            _, grads, group, _ = task_objective(ref, batch, cfg, task)
-            nn.adam_update(group, grads, opt, maximize=task == 1)
+            grads = task_objective(ref, batch, cfg, task).grads
+            for slot, grad in zip(opt.grads, grads):
+                slot[...] = grad
+            nn.adam_update(opt)
 
         for name in ("phi", "pi", "f0", "f1"):
             for a, b in zip(getattr(net, name).tensors(), getattr(ref, name).tensors()):
@@ -304,8 +306,9 @@ def test_step_cfr_mode_only_adds_balancing():
 
 
 def test_stationarity_links_constraint_to_zero_gap():
-    # the eps_d gradient is -lambda1 * |mean(d - pi)|; it vanishes exactly
-    # when the batch constraint holds
+    # the eps_d gradient of the descended task-1 objective is
+    # lambda1 * |mean(d - pi)|; it vanishes exactly when the batch
+    # constraint holds
     net = _zeroed(_tiny_net(seed=6))  # propensity identically 0.5
     cfg = TINY
     balanced = Batch(np.zeros((2, 3)), np.array([1.0, 0.0]), np.zeros(2))
@@ -313,7 +316,46 @@ def test_stationarity_links_constraint_to_zero_gap():
     assert float(grads[-1]) == 0.0   # mean(d - 0.5) = 0
     lopsided = Batch(np.zeros((2, 3)), np.array([1.0, 1.0]), np.zeros(2))
     grads = task_objective(net, lopsided, cfg, task=1).grads
-    assert float(grads[-1]) == pytest.approx(-cfg.lambda1 * 0.5)
+    assert float(grads[-1]) == pytest.approx(cfg.lambda1 * 0.5)
+
+
+def _task1_ascent_reference(net, batch, cfg):
+    # The gradients of the ascent objective L_dis - lambda1*Omega_d, written
+    # out independently of task_objective.
+    R, _ = model.encode(net, batch)
+    p_mat, cache_pi = nn.forward(net.pi, net.pi_spec, R)
+    p, d, b = p_mat[:, 0], batch.treatment, len(batch.treatment)
+    gap = float(np.mean(d - p))
+    dobj = (d / p - (1.0 - d) / (1.0 - p)) / b
+    dobj = dobj + cfg.lambda1 * float(net.eps_d) * np.sign(gap) / b
+    grads_pi, _ = nn.backward(net.pi, net.pi_spec, cache_pi, dobj[:, None])
+    return [*grads_pi.tensors(), np.asarray(-cfg.lambda1 * abs(gap))]
+
+
+@pytest.mark.parametrize("eps_d", [0.0, -0.4])
+def test_task1_gradients_are_the_negated_ascent_gradients(eps_d):
+    # IEEE negation is exact, so the descent gradients are the ascent
+    # gradients negated entry by entry (== also lets an exact zero differ
+    # in sign).
+    cfg = replace(TINY, lambda1=0.05)
+    net = _tiny_net(seed=14)
+    net.eps_d[()] = eps_d
+    batch = _batch(seed=15)
+    obj = task_objective(net, batch, cfg, 1)
+    want = _task1_ascent_reference(net, batch, cfg)
+    assert len(obj.grads) == len(want)
+    for got, ref in zip(obj.grads, want):
+        assert np.any(ref) and np.array_equal(got, -ref)
+
+
+def test_optimizers_own_their_task_groups():
+    for ablation, plan in ABLATIONS.items():
+        net = _tiny_net(seed=9)
+        state = init_train_state(net, replace(TINY, ablation=ablation))
+        for task, opt in state.opts.items():
+            group = model.task_group(net, task, plan.train_eps)
+            assert len(opt.params) == len(group) == len(opt.grads), (ablation, task)
+            assert all(a is b for a, b in zip(opt.params, group)), (ablation, task)
 
 
 @pytest.mark.parametrize("task,tol", [(1, 1e-4), (2, 1e-3), (3, 1e-4)])
@@ -572,6 +614,31 @@ def test_load_checkpoint_rejects_missing_tensor(tmp_path):
     path = _saved_checkpoint(tmp_path)
     _corrupt(path, lambda doc: doc["net"]["subnets"]["f0"]["params"].pop("b1"))
     with pytest.raises(ValueError, match=r"ckpt\.json.*missing entry 'f0\.b1'"):
+        load_checkpoint(path)
+
+
+def _widen_f0_output(doc):
+    # A consistent f0 of 3 outputs: spec and last layer agree.
+    f0 = doc["net"]["subnets"]["f0"]
+    last = len(f0["spec"]["layer_widths"]) - 2
+    f0["spec"]["layer_widths"][-1] = 3
+    f0["params"][f"W{last}"] *= 3
+    f0["params"][f"b{last}"] *= 3
+
+
+def _identity_pi_output(doc):
+    doc["net"]["subnets"]["pi"]["spec"]["output_activation"] = "identity"
+
+
+@pytest.mark.parametrize("edit,message", [
+    (_widen_f0_output, "f0 must have 1 output, not 3"),
+    (_identity_pi_output, "pi must have a sigmoid output, not 'identity'"),
+])
+def test_load_checkpoint_rejects_subnets_that_cannot_feed_their_consumers(
+        tmp_path, edit, message):
+    path = _saved_checkpoint(tmp_path)
+    _corrupt(path, edit)
+    with pytest.raises(ValueError, match=rf"ckpt\.json.*{message}"):
         load_checkpoint(path)
 
 

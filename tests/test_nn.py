@@ -312,10 +312,17 @@ def _scalar(value):
     return np.asarray(value, dtype=float)
 
 
+def _write_grads(state, grads):
+    # What a gradient producer does: write into the optimizer's slots.
+    for slot, grad in zip(state.grads, grads):
+        slot[...] = grad
+
+
 def test_adam_zero_gradient_is_identity():
     p = _scalar(1.5)
     state = nn.adam_init([p])
-    nn.adam_update([p], [_scalar(0.0)], state)
+    _write_grads(state, [_scalar(0.0)])
+    nn.adam_update(state)
     assert float(p) == 1.5
     assert state.step == 1
 
@@ -323,26 +330,21 @@ def test_adam_zero_gradient_is_identity():
 def test_adam_first_step_is_minus_lr():
     p = _scalar(0.0)
     state = nn.adam_init([p], learning_rate=1e-3)
-    nn.adam_update([p], [_scalar(1.0)], state)
+    _write_grads(state, [_scalar(1.0)])
+    nn.adam_update(state)
     assert float(p) == pytest.approx(-1e-3, rel=1e-6)
-
-
-def test_adam_maximize_flips_sign():
-    p = _scalar(0.0)
-    state = nn.adam_init([p], learning_rate=1e-3)
-    nn.adam_update([p], [_scalar(1.0)], state, maximize=True)
-    assert float(p) == pytest.approx(1e-3, rel=1e-6)
 
 
 def test_adam_rejects_non_finite_gradients():
     p = _scalar(0.0)
     state = nn.adam_init([p])
+    _write_grads(state, [_scalar(np.nan)])
     with pytest.raises(ValueError, match="non-finite gradient"):
-        nn.adam_update([p], [_scalar(np.nan)], state)
+        nn.adam_update(state)
     assert float(p) == 0.0 and state.step == 0
 
 
-def _adam_per_tensor(tensors, grads, m, v, t, maximize, lr=1e-3,
+def _adam_per_tensor(tensors, grads, m, v, t, lr=1e-3,
                      beta1=0.9, beta2=0.999, eps_hat=1e-8):
     # One moment pair per tensor, as the flat state replaced; kept as the
     # bitwise reference.
@@ -350,8 +352,6 @@ def _adam_per_tensor(tensors, grads, m, v, t, maximize, lr=1e-3,
     c2 = 1.0 - beta2 ** t
     for p, g, mk, vk in zip(tensors, grads, m, v):
         g = np.asarray(g, dtype=float)
-        if maximize:
-            g = -g
         mk *= beta1
         mk += (1.0 - beta1) * g
         vk *= beta2
@@ -368,18 +368,19 @@ def _adam_case(seed):
     return rng, tensors
 
 
-@pytest.mark.parametrize("maximize", [False, True])
-def test_adam_matches_per_tensor_reference_bitwise(maximize):
+def test_adam_matches_per_tensor_reference_bitwise():
     rng, tensors = _adam_case(3)
     ref = [t.copy() for t in tensors]
     ref_m = [np.zeros_like(t) for t in ref]
     ref_v = [np.zeros_like(t) for t in ref]
     state = nn.adam_init(tensors, learning_rate=1e-3)
+    assert all(a is b for a, b in zip(state.params, tensors))
     for t in range(1, 21):
         grads = [rng.normal(size=p.shape) * 10.0 ** rng.integers(-4, 3)
                  for p in tensors]
-        nn.adam_update(tensors, grads, state, maximize=maximize)
-        _adam_per_tensor(ref, grads, ref_m, ref_v, t, maximize)
+        _write_grads(state, grads)
+        nn.adam_update(state)
+        _adam_per_tensor(ref, grads, ref_m, ref_v, t)
     assert state.step == 20
     for a, b in zip(tensors, ref):
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
@@ -389,8 +390,8 @@ def test_adam_matches_per_tensor_reference_bitwise(maximize):
 
 def test_adam_reads_gradients_in_their_slots_in_place_and_shares_scratch():
     # Two groups share one scratch sized to the larger, as the training
-    # tasks do; gradients written into the slots give the same bytes as
-    # gradients handed over as separate arrays.
+    # tasks do, and give the same bytes as two optimizers with scratches of
+    # their own.
     rng, group_a = _adam_case(6)
     group_b = [1e-3 * rng.normal(size=(3, 4)), _scalar(2e-4)]
     ref = [[t.copy() for t in g] for g in (group_a, group_b)]
@@ -399,41 +400,35 @@ def test_adam_reads_gradients_in_their_slots_in_place_and_shares_scratch():
     scratch = nn.AdamScratch.sized(max(sizes))
     states = [nn.adam_init(g, scratch=scratch) for g in (group_a, group_b)]
     assert all(np.shares_memory(s, scratch.grad) for st in states for s in st.grads)
-    for step in range(10):
-        for k, (group, state) in enumerate(zip((group_a, group_b), states)):
-            grads = [rng.normal(size=p.shape) for p in group]
-            for slot, grad in zip(state.grads, grads):
-                slot[...] = grad
-            nn.adam_update(group, state.grads, state, maximize=step % 2 == 1)
-            nn.adam_update(ref[k], grads, ref_states[k], maximize=step % 2 == 1)
+    for _ in range(10):
+        for state, ref_state in zip(states, ref_states):
+            grads = [rng.normal(size=p.shape) for p in state.params]
+            _write_grads(state, grads)
+            nn.adam_update(state)
+            _write_grads(ref_state, grads)
+            nn.adam_update(ref_state)
     for got, want in zip([*group_a, *group_b], [*ref[0], *ref[1]]):
         assert got.tobytes() == want.tobytes()
     grads = [np.ones(p.shape) for p in group_b]
     grads[0][1, 2] = np.nan
     before = [t.copy() for t in group_b]
-    for slot, grad in zip(states[1].grads, grads):
-        slot[...] = grad
+    _write_grads(states[1], grads)
     with pytest.raises(ValueError, match="non-finite gradient"):
-        nn.adam_update(group_b, states[1].grads, states[1])
+        nn.adam_update(states[1])
     assert states[1].step == 10
     for a, b in zip(group_b, before):
         assert a.tobytes() == b.tobytes()
 
 
-@pytest.mark.parametrize("in_slots", [True, False])
-def test_adam_update_allocates_no_gradient_sized_buffer(in_slots):
+def test_adam_update_allocates_no_gradient_sized_buffer():
     rng = np.random.default_rng(7)
     tensors = [rng.normal(size=(200, 250)), rng.normal(size=250), _scalar(0.1)]
     state = nn.adam_init(tensors)
-    grads = [rng.normal(size=p.shape) for p in tensors]
-    if in_slots:
-        for slot, grad in zip(state.grads, grads):
-            slot[...] = grad
-        grads = state.grads
-    nn.adam_update(tensors, grads, state)   # first call outside the trace
+    _write_grads(state, [rng.normal(size=p.shape) for p in tensors])
+    nn.adam_update(state)   # first call outside the trace
     tracemalloc.start()
     try:
-        nn.adam_update(tensors, grads, state)
+        nn.adam_update(state)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -444,28 +439,19 @@ def test_adam_non_finite_gradient_leaves_state_and_tensors():
     rng, tensors = _adam_case(4)
     state = nn.adam_init(tensors)
     for _ in range(3):
-        nn.adam_update(tensors, [rng.normal(size=p.shape) for p in tensors], state)
+        _write_grads(state, [rng.normal(size=p.shape) for p in tensors])
+        nn.adam_update(state)
     before = ([t.copy() for t in tensors], state.m.copy(), state.v.copy())
     grads = [rng.normal(size=p.shape) for p in tensors]
     grads[1][2] = np.inf
+    _write_grads(state, grads)
     with pytest.raises(ValueError, match="non-finite gradient"):
-        nn.adam_update(tensors, grads, state)
+        nn.adam_update(state)
     assert state.step == 3
     for a, b in zip(tensors, before[0]):
         np.testing.assert_array_equal(a, b)
     np.testing.assert_array_equal(state.m, before[1])
     np.testing.assert_array_equal(state.v, before[2])
-
-
-def test_adam_rejects_mismatched_gradient_shapes():
-    _, tensors = _adam_case(5)
-    state = nn.adam_init(tensors)
-    grads = [np.zeros(p.shape) for p in tensors]
-    grads[0] = np.zeros((3, 4))
-    with pytest.raises(ValueError, match="shapes do not match"):
-        nn.adam_update(tensors, grads, state)
-    with pytest.raises(ValueError, match="shapes do not match"):
-        nn.adam_update(tensors, grads[:-1], state)
 
 
 # ---------------------------------------------------------------- persistence
