@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -35,12 +35,21 @@ ASSIGNMENT_WEIGHT_RANGE = 0.01
 # Dataset
 # =========================================================================
 
+# Per-unit columns of a Dataset besides the covariate matrix, and the
+# ground-truth pairs among them, each present or absent as a whole.
+_UNIT_COLUMNS = ("treatment", "outcome_factual", "y0", "y1", "mu0", "mu1")
+_TRUTH_PAIRS = (("y0", "y1"), ("mu0", "mu1"))
+
+
 @dataclass
 class Dataset:
     """Observational sample with optional ground-truth potential outcomes.
 
-    ``y0``/``y1`` hold realized potential outcomes, ``mu0``/``mu1`` their
-    noiseless means; either pair enables oracle evaluation.
+    Besides the (n, s) ``covariates`` a sample holds the per-unit columns
+    ``treatment`` (0/1) and ``outcome_factual``, plus the ground-truth pairs
+    ``y0,y1`` (realized potential outcomes) and ``mu0,mu1`` (their noiseless
+    means). Each pair is present or absent as a whole; either one enables
+    oracle evaluation.
     """
 
     covariates: np.ndarray
@@ -53,51 +62,31 @@ class Dataset:
     mu1: np.ndarray | None = None
 
     def __post_init__(self):
-        self.covariates = np.asarray(self.covariates, dtype=float)
-        self.outcome_factual = np.asarray(self.outcome_factual, dtype=float)
         treatment = np.asarray(self.treatment)
         if treatment.size and not np.isin(treatment, (0, 1)).all():
             raise ValueError("treatment not binary")
         self.treatment = treatment.astype(int)
-        for name in ("y0", "y1", "mu0", "mu1"):
-            v = getattr(self, name)
-            if v is not None:
-                setattr(self, name, np.asarray(v, dtype=float))
-        self.validate()
-
-    @property
-    def n_units(self) -> int:
-        return self.covariates.shape[0]
-
-    @property
-    def n_covariates(self) -> int:
-        return self.covariates.shape[1]
-
-    def validate(self) -> None:
+        self.covariates = np.asarray(self.covariates, dtype=float)
+        for name in _UNIT_COLUMNS[1:]:  # the float columns
+            if getattr(self, name) is not None:
+                setattr(self, name, np.asarray(getattr(self, name), dtype=float))
         if self.outcome_kind not in OUTCOME_KINDS:
             raise ValueError(f"unknown outcome kind {self.outcome_kind!r}")
         if self.covariates.ndim != 2:
             raise ValueError("covariates must be a 2-d matrix")
-        n = self.covariates.shape[0]
+        n = self.n_units
         if n < 2:
             raise ValueError("need at least 2 units")
-        for name in ("treatment", "outcome_factual"):
-            v = getattr(self, name)
+        for a, b in _TRUTH_PAIRS:
+            if (getattr(self, a) is None) != (getattr(self, b) is None):
+                raise ValueError(f"{a} and {b} must be provided together")
+        if not np.all(np.isfinite(self.covariates)):
+            raise ValueError("covariates has a non-finite value")
+        for name, v in self._columns().items():
             if v.shape != (n,):
                 raise ValueError(f"{name} must have shape ({n},)")
-        if (self.y0 is None) != (self.y1 is None):
-            raise ValueError("y0 and y1 must be provided together")
-        if (self.mu0 is None) != (self.mu1 is None):
-            raise ValueError("mu0 and mu1 must be provided together")
-        for name in ("y0", "y1", "mu0", "mu1"):
-            v = getattr(self, name)
-            if v is not None and v.shape != (n,):
-                raise ValueError(f"{name} must have shape ({n},)")
-        arrays = [self.covariates, self.outcome_factual, self.y0, self.y1,
-                  self.mu0, self.mu1]
-        for v in arrays:
-            if v is not None and not np.all(np.isfinite(v)):
-                raise ValueError("non-finite value")
+            if not np.all(np.isfinite(v)):
+                raise ValueError(f"{name} has a non-finite value")
         if self.treatment.sum() == 0 or self.treatment.sum() == n:
             raise ValueError("need at least one treated and one control unit")
         if self.outcome_kind == "binary":
@@ -111,20 +100,23 @@ class Dataset:
                                rtol=0.0, atol=CONSISTENCY_ATOL):
                 raise ValueError("consistency violation")
 
+    @property
+    def n_units(self) -> int:
+        return self.covariates.shape[0]
+
+    @property
+    def n_covariates(self) -> int:
+        return self.covariates.shape[1]
+
+    def _columns(self) -> dict[str, np.ndarray]:
+        """The per-unit columns this sample carries, by name."""
+        return {name: getattr(self, name) for name in _UNIT_COLUMNS
+                if getattr(self, name) is not None}
+
     def subset(self, indices: np.ndarray) -> "Dataset":
         indices = np.asarray(indices)
-
-        def take(v):
-            return None if v is None else v[indices]
-
-        return Dataset(
-            covariates=self.covariates[indices],
-            treatment=self.treatment[indices],
-            outcome_factual=self.outcome_factual[indices],
-            outcome_kind=self.outcome_kind,
-            y0=take(self.y0), y1=take(self.y1),
-            mu0=take(self.mu0), mu1=take(self.mu1),
-        )
+        return replace(self, covariates=self.covariates[indices],
+                       **{name: v[indices] for name, v in self._columns().items()})
 
 
 def concat(parts: Sequence[Dataset]) -> Dataset:
@@ -138,20 +130,12 @@ def concat(parts: Sequence[Dataset]) -> Dataset:
     s = parts[0].n_covariates
     if any(p.outcome_kind != kind or p.n_covariates != s for p in parts):
         raise ValueError("datasets are not compatible")
-
-    def stack(name):
+    stacked = {}
+    for name in _UNIT_COLUMNS:
         vals = [getattr(p, name) for p in parts]
-        if any(v is None for v in vals):
-            return None
-        return np.concatenate(vals)
-
-    return Dataset(
-        covariates=np.vstack([p.covariates for p in parts]),
-        treatment=np.concatenate([p.treatment for p in parts]),
-        outcome_factual=np.concatenate([p.outcome_factual for p in parts]),
-        outcome_kind=kind,
-        y0=stack("y0"), y1=stack("y1"), mu0=stack("mu0"), mu1=stack("mu1"),
-    )
+        stacked[name] = None if any(v is None for v in vals) else np.concatenate(vals)
+    return replace(parts[0], covariates=np.concatenate([p.covariates for p in parts]),
+                   **stacked)
 
 
 # =========================================================================
@@ -227,6 +211,8 @@ class SimConfig:
             v = np.zeros(self.dim) if v is None else np.asarray(v, dtype=float)
             if v.shape != (self.dim,):
                 raise ValueError(f"{name} must have length {self.dim}")
+            if not np.all(np.isfinite(v)):
+                raise ValueError(f"{name} must be finite, not {v.tolist()}")
             setattr(self, name, v)
 
 
@@ -370,9 +356,6 @@ def true_ate(data: Dataset) -> float:
 # CSV ingestion
 # =========================================================================
 
-_OPTIONAL_PAIRS = (("y0", "y1"), ("mu0", "mu1"))
-
-
 def load_csv(path: str | Path, outcome_kind: str = "continuous") -> Dataset:
     """Read a dataset from the documented CSV schema.
 
@@ -391,7 +374,7 @@ def load_csv(path: str | Path, outcome_kind: str = "continuous") -> Dataset:
     duplicated = sorted({c for c in header if header.count(c) > 1})
     if duplicated:
         raise ValueError(f"{path}: duplicate column(s) {duplicated}")
-    known_extra = {"d", "y", "y0", "y1", "mu0", "mu1"}
+    known_extra = {"d", "y"}.union(*_TRUTH_PAIRS)
     z_names = [c for c in header if c not in known_extra]
     s = len(z_names)
     expected_z = [f"z{i}" for i in range(1, s + 1)]
@@ -403,7 +386,7 @@ def load_csv(path: str | Path, outcome_kind: str = "continuous") -> Dataset:
             raise ValueError(f"{path}: missing mandatory column {col!r}")
     if s == 0:
         raise ValueError(f"{path}: missing mandatory column 'z1'")
-    for a, b in _OPTIONAL_PAIRS:
+    for a, b in _TRUTH_PAIRS:
         if (a in header) != (b in header):
             raise ValueError(f"{path}: columns {a} and {b} must come together")
 
@@ -422,7 +405,7 @@ def load_csv(path: str | Path, outcome_kind: str = "continuous") -> Dataset:
 
     Z = np.column_stack([column(f"z{i}") for i in range(1, s + 1)])
     kwargs = {}
-    for a, b in _OPTIONAL_PAIRS:
+    for a, b in _TRUTH_PAIRS:
         if a in header:
             kwargs[a] = column(a)
             kwargs[b] = column(b)
@@ -436,7 +419,7 @@ def save_csv(data: Dataset, path: str | Path) -> None:
     path = Path(path)
     cols = [f"z{i}" for i in range(1, data.n_covariates + 1)] + ["d", "y"]
     extras = []
-    for a, b in _OPTIONAL_PAIRS:
+    for a, b in _TRUTH_PAIRS:
         if getattr(data, a) is not None:
             extras.extend([a, b])
     with open(path, "w", newline="", encoding="utf-8") as fh:

@@ -26,7 +26,7 @@ from .data import (DEFAULT_SPLIT, OUTCOME_KINDS, Dataset, SimConfig, SplitSpec,
                    TrueModel, concat, generate_simulation, generate_twins_assignment,
                    kl_selection_bias, load_csv, split, true_outcomes)
 from .model import TrainConfig, fit, perturbation_error, predict
-from .records import require_integer_and_finite_fields
+from .records import nested_record, require_integer_and_finite_fields
 
 logger = logging.getLogger(__name__)
 
@@ -63,12 +63,8 @@ class ExperimentConfig:
         require_integer_and_finite_fields(self)
         for name, record in (("sim", SimConfig), ("split", SplitSpec),
                              ("train", TrainConfig)):
-            value = getattr(self, name)
-            if isinstance(value, dict):
-                setattr(self, name, record(**value))
-            elif not (isinstance(value, record) or (name == "sim" and value is None)):
-                raise ValueError(f"{name} must be a {record.__name__} or its "
-                                 f"JSON object, not {value!r}")
+            setattr(self, name, nested_record(name, getattr(self, name), record,
+                                              nullable=name == "sim"))
         if self.source not in SOURCES:
             raise ValueError(f"unknown source {self.source!r}")
         if self.outcome_kind not in OUTCOME_KINDS:
@@ -80,12 +76,18 @@ class ExperimentConfig:
             raise ValueError("replications must be at least 1")
         if self.knn_k < 1:
             raise ValueError("knn_k must be at least 1")
+        if isinstance(self.estimators, str):
+            raise ValueError(f"estimators must be a list of names, "
+                             f"not {self.estimators!r}")
         self.estimators = tuple(self.estimators)
         if not self.estimators:
             raise ValueError("estimator list must be nonempty")
         unknown = [e for e in self.estimators if e not in ESTIMATOR_NAMES]
         if unknown:
             raise ValueError(f"unknown estimator(s) {unknown}")
+        repeated = sorted({e for e in self.estimators if self.estimators.count(e) > 1})
+        if repeated:
+            raise ValueError(f"estimators lists {repeated} more than once")
         if self.source == "simulator" and self.sim is None:
             self.sim = SimConfig()
         if self.source != "simulator" and self.sim is not None:
@@ -217,9 +219,8 @@ def _make_data(cfg: ExperimentConfig, level: float | None,
     if base.y0 is None or base.y1 is None:
         raise ValueError("twins source requires y0/y1 columns")
     d, _ = generate_twins_assignment(base.covariates, gen_seed)
-    y = np.where(d == 1, base.y1, base.y0)
-    return Dataset(base.covariates, d, y, base.outcome_kind,
-                   y0=base.y0, y1=base.y1, mu0=base.mu0, mu1=base.mu1), None
+    return replace(base, treatment=d,
+                   outcome_factual=np.where(d == 1, base.y1, base.y0)), None
 
 
 # =========================================================================

@@ -30,7 +30,7 @@ from . import nn
 from .data import Dataset
 from .metrics import rmse
 from .ot import SinkhornConfig, wasserstein_sinkhorn
-from .records import require_integer_and_finite_fields
+from .records import nested_record, require_integer_and_finite_fields
 
 logger = logging.getLogger(__name__)
 
@@ -183,8 +183,9 @@ class TrainConfig:
 
     def __post_init__(self):
         require_integer_and_finite_fields(self)
-        if not isinstance(self.sinkhorn, SinkhornConfig):  # JSON: dict or null
-            self.sinkhorn = SinkhornConfig(**(self.sinkhorn or {}))
+        if self.sinkhorn is None:  # JSON null: the default solver
+            self.sinkhorn = SinkhornConfig()
+        self.sinkhorn = nested_record("sinkhorn", self.sinkhorn, SinkhornConfig)
         if self.lambda1 < 0 or self.lambda2 < 0:
             raise ValueError("regularizer weights must be nonnegative")
         if self.beta is not None and self.beta < 0:

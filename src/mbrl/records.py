@@ -1,5 +1,6 @@
 """Checks shared by the config records: ``SimConfig``, ``SplitSpec``,
-``SinkhornConfig``, ``TrainConfig`` and ``ExperimentConfig``."""
+``SinkhornConfig``, ``TrainConfig`` and ``ExperimentConfig``, and the one
+rule by which a record reads a nested record from JSON."""
 
 from __future__ import annotations
 
@@ -33,3 +34,16 @@ def require_integer_and_finite_fields(record) -> None:
             for v in (value,) if f.type in _FLOAT_TYPES else value:
                 if isinstance(v, numbers.Real) and not math.isfinite(v):
                     raise ValueError(f"{f.name} must be finite, not {v}")
+
+
+def nested_record(name: str, value, record: type, nullable: bool = False):
+    """The ``record`` a config field ``name`` holds: ``value`` itself if it
+    is one, else built from ``value`` as its JSON object (a dict). None
+    passes through when ``nullable``; any other value raises ValueError
+    naming the field."""
+    if isinstance(value, dict):
+        return record(**value)
+    if isinstance(value, record) or (nullable and value is None):
+        return value
+    raise ValueError(f"{name} must be a {record.__name__} or its JSON object, "
+                     f"not {value!r}")

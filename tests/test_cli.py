@@ -222,6 +222,41 @@ def test_bench_rejects_non_finite_float_fields(tmp_path, capsys, path, value, sh
     assert not out.exists()
 
 
+@pytest.mark.parametrize("path,value,message", [
+    ("sim.mu1", [float("nan"), 0.0, 0.0], "mu1 must be finite, not [nan, 0.0, 0.0]"),
+    ("sim.mu0", [0.0, float("inf"), 0.0], "mu0 must be finite, not [0.0, inf, 0.0]"),
+    ("estimators", ["ols_lr1", "plugin", "ols_lr1"],
+     "estimators lists ['ols_lr1'] more than once"),
+    ("estimators", "plugin", "estimators must be a list of names, not 'plugin'"),
+    ("train.sinkhorn", [],
+     "sinkhorn must be a SinkhornConfig or its JSON object, not []"),
+    ("train.sinkhorn", False,
+     "sinkhorn must be a SinkhornConfig or its JSON object, not False"),
+    ("train.sinkhorn", 0,
+     "sinkhorn must be a SinkhornConfig or its JSON object, not 0"),
+    ("train.sinkhorn", "",
+     "sinkhorn must be a SinkhornConfig or its JSON object, not ''"),
+], ids=["mu1-nan", "mu0-inf", "estimators-repeated", "estimators-string",
+        "sinkhorn-list", "sinkhorn-false", "sinkhorn-zero", "sinkhorn-string"])
+def test_bench_rejects_bad_means_estimators_and_sinkhorn(tmp_path, capsys,
+                                                         path, value, message):
+    cfg = _write(tmp_path / "exp.json", _bench_doc(**{path: value}))
+    out = tmp_path / "out"
+    assert main(["bench", "--config", cfg, "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["mu1", "mu0"])
+def test_generate_rejects_non_finite_means(tmp_path, capsys, name):
+    cfg = _write(tmp_path / "sim.json", {"n_treated": 5, "n_control": 5,
+                                         "dim": 2, name: [float("nan"), 0.0]})
+    out = tmp_path / "data.csv"
+    assert main(["generate", "--config", cfg, "--out", str(out)]) == 1
+    assert f"{name} must be finite, not [nan, 0.0]" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bench_rejects_knn_k_below_1(tmp_path, capsys):
     cfg = _write(tmp_path / "exp.json", _bench_doc(knn_k=0, estimators=["knn"]))
     out = tmp_path / "out"

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,17 @@ def test_dataset_rejects_nonbinary_treatment():
 def test_dataset_rejects_nonfinite():
     with pytest.raises(ValueError, match="non-finite"):
         Dataset(np.array([[np.nan, 0.0], [0.0, 0.0]]), [0, 1], np.zeros(2))
+
+
+@pytest.mark.parametrize("column", ["covariates", "outcome_factual", "y1", "mu0"])
+def test_dataset_nonfinite_error_names_its_column(column):
+    columns = dict(covariates=np.zeros((2, 1)), outcome_factual=[1.0, 0.0],
+                   y0=[0.0, 0.0], y1=[1.0, 1.0], mu0=[0.0, 0.0], mu1=[1.0, 1.0])
+    columns[column] = np.full(np.shape(columns[column]), np.inf)
+    if column == "outcome_factual":
+        columns.update(y0=None, y1=None)  # keep the consistency check out of it
+    with pytest.raises(ValueError, match=f"^{column} has a non-finite value$"):
+        Dataset(treatment=[1, 0], **columns)
 
 
 def test_dataset_rejects_single_group():
@@ -298,12 +311,70 @@ def test_true_ate_preference_order():
         true_ate(bare)
 
 
-def test_concat_preserves_optional_columns():
-    a, _ = generate_simulation(SimConfig(n_treated=4, n_control=5, dim=2, seed=0))
-    b, _ = generate_simulation(SimConfig(n_treated=3, n_control=6, dim=2, seed=1))
+UNIT_COLUMNS = ("treatment", "outcome_factual", "y0", "y1", "mu0", "mu1")
+
+
+def _binary_sample(n, seed, truth):
+    """Binary-outcome sample carrying the ground-truth columns in ``truth``."""
+    rng = np.random.default_rng(seed)
+    d = np.arange(n) % 2
+    y0 = rng.integers(0, 2, n).astype(float)
+    y1 = rng.integers(0, 2, n).astype(float)
+    columns = {"y0": y0, "y1": y1, "mu0": rng.uniform(size=n),
+               "mu1": rng.uniform(size=n)}
+    return Dataset(rng.normal(size=(n, 3)), d, np.where(d == 1, y1, y0),
+                   outcome_kind="binary",
+                   **{k: v for k, v in columns.items() if k in truth})
+
+
+def _assert_columns_equal(got, want):
+    assert got.outcome_kind == want.outcome_kind
+    assert got.covariates.tobytes() == want.covariates.tobytes()
+    for name in UNIT_COLUMNS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a is None) == (b is None), name
+        if a is not None:
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+over_truth_columns = pytest.mark.parametrize(
+    "truth", [(), ("y0", "y1"), ("mu0", "mu1"), ("y0", "y1", "mu0", "mu1")],
+    ids=["none", "y", "mu", "both"])
+
+
+@over_truth_columns
+def test_concat_preserves_optional_columns(truth):
+    a = _binary_sample(7, 0, truth)
+    b = _binary_sample(5, 1, truth)
     merged = concat([a, b])
-    assert merged.n_units == 18
-    assert merged.y0 is not None
+    assert merged.n_units == 12
+    want = Dataset(np.vstack([a.covariates, b.covariates]),
+                   np.concatenate([a.treatment, b.treatment]),
+                   np.concatenate([a.outcome_factual, b.outcome_factual]),
+                   outcome_kind="binary",
+                   **{k: np.concatenate([getattr(a, k), getattr(b, k)])
+                      for k in truth})
+    _assert_columns_equal(merged, want)
+
+
+@over_truth_columns
+def test_subset_takes_every_column(truth):
+    data = _binary_sample(9, 2, truth)
+    idx = np.array([8, 0, 3, 5, 2])
+    want = Dataset(data.covariates[idx], data.treatment[idx],
+                   data.outcome_factual[idx], outcome_kind="binary",
+                   **{k: getattr(data, k)[idx] for k in truth})
+    _assert_columns_equal(data.subset(idx), want)
+
+
+def test_concat_drops_a_pair_that_one_part_lacks():
+    a = _binary_sample(6, 0, ("y0", "y1", "mu0", "mu1"))
+    b = replace(_binary_sample(4, 1, ("y0", "y1", "mu0", "mu1")),
+                mu0=None, mu1=None)
+    for merged in (concat([a, b]), concat([b, a])):
+        assert merged.mu0 is None and merged.mu1 is None
+        assert merged.y0 is not None and merged.y1 is not None
+    assert concat([a, b]).y1.tobytes() == np.concatenate([a.y1, b.y1]).tobytes()
 
 
 def test_sigmoid_stability():

@@ -209,6 +209,29 @@ def test_twins_source_reassigns_treatment(tmp_path):
     assert all(r["eps_ate"] is not None for r in report.rows)
 
 
+def test_twins_sample_equals_a_field_by_field_construction(tmp_path):
+    from mbrl.data import (Dataset, generate_simulation, generate_twins_assignment,
+                           load_csv, save_csv)
+    sample, _ = generate_simulation(SimConfig(n_treated=30, n_control=50, dim=3,
+                                              seed=2))
+    path = tmp_path / "twins.csv"
+    save_csv(sample, path)  # carries both y0,y1 and mu0,mu1
+    cfg = _tiny_experiment(source="twins", sim=None, csv_path=str(path))
+    got, level = harness._make_data(cfg, None, 11)
+    assert level is None
+    # reference: the sample rebuilt column by column
+    base = load_csv(path)
+    d, _ = generate_twins_assignment(base.covariates, 11)
+    want = Dataset(base.covariates, d, np.where(d == 1, base.y1, base.y0),
+                   base.outcome_kind, y0=base.y0, y1=base.y1,
+                   mu0=base.mu0, mu1=base.mu1)
+    assert got.outcome_kind == want.outcome_kind
+    for name in ("covariates", "treatment", "outcome_factual",
+                 "y0", "y1", "mu0", "mu1"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
 def test_twins_source_requires_potential_outcomes(tmp_path):
     p = tmp_path / "bare.csv"
     p.write_text("z1,d,y\n0.1,1,1.0\n0.2,0,2.0\n0.3,1,0.5\n0.4,0,1.5\n")
