@@ -60,6 +60,14 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # JSON may hand either list field a number, a string or null (null
+        # kl_levels means one draw at the sim config's own means).
+        if not isinstance(self.estimators, (list, tuple)):
+            raise ValueError(f"estimators must be a list of names, "
+                             f"not {self.estimators!r}")
+        if not isinstance(self.kl_levels, (list, tuple, type(None))):
+            raise ValueError(f"kl_levels must be a list of numbers or null, "
+                             f"not {self.kl_levels!r}")
         require_integer_and_finite_fields(self)
         for name, record in (("sim", SimConfig), ("split", SplitSpec),
                              ("train", TrainConfig)):
@@ -76,9 +84,6 @@ class ExperimentConfig:
             raise ValueError("replications must be at least 1")
         if self.knn_k < 1:
             raise ValueError("knn_k must be at least 1")
-        if isinstance(self.estimators, str):
-            raise ValueError(f"estimators must be a list of names, "
-                             f"not {self.estimators!r}")
         self.estimators = tuple(self.estimators)
         if not self.estimators:
             raise ValueError("estimator list must be nonempty")
@@ -204,20 +209,29 @@ def simulate_at_kl(sim: SimConfig, level: float,
     return data, truth, realized
 
 
-def _make_data(cfg: ExperimentConfig, level: float | None,
+def _load_source(cfg: ExperimentConfig) -> Dataset | None:
+    """The file a ``csv`` or ``twins`` source reads, parsed once per run and
+    shared by its replications; None for the simulator."""
+    if cfg.source == "simulator":
+        return None
+    base = load_csv(cfg.csv_path, cfg.outcome_kind)
+    if cfg.source == "twins" and (base.y0 is None or base.y1 is None):
+        raise ValueError("twins source requires y0/y1 columns")
+    return base
+
+
+def _make_data(cfg: ExperimentConfig, base: Dataset | None, level: float | None,
                gen_seed: int) -> tuple[Dataset, float | None]:
+    """One replication's sample; ``base`` is ``_load_source(cfg)``."""
     if cfg.source == "simulator":
         if level is None:
             return generate_simulation(cfg.sim, seed=gen_seed)[0], None
         data, _, realized = simulate_at_kl(cfg.sim, level, gen_seed)
         return data, realized
     if cfg.source == "csv":
-        return load_csv(cfg.csv_path, cfg.outcome_kind), None
+        return base, None
     # twins: reassign treatment over the file's covariates and rebuild the
     # factual outcome from the stored potential outcomes.
-    base = load_csv(cfg.csv_path, cfg.outcome_kind)
-    if base.y0 is None or base.y1 is None:
-        raise ValueError("twins source requires y0/y1 columns")
     d, _ = generate_twins_assignment(base.covariates, gen_seed)
     return replace(base, treatment=d,
                    outcome_factual=np.where(d == 1, base.y1, base.y0)), None
@@ -285,10 +299,10 @@ def baseline_row(fitted: Callable[[Dataset], est.BaselineResult],
 # Experiment driver
 # =========================================================================
 
-def _run_replication(cfg: ExperimentConfig, level: float | None,
-                     level_index: int, rep: int) -> list[dict]:
+def _run_replication(cfg: ExperimentConfig, base: Dataset | None,
+                     level: float | None, level_index: int, rep: int) -> list[dict]:
     gen_seed, split_seed, train_seed = _seeds_for(cfg.seed, level_index, rep, 3)
-    data, realized = _make_data(cfg, level, gen_seed)
+    data, realized = _make_data(cfg, base, level, gen_seed)
     tr, va, te = split(data, replace(cfg.split, seed=split_seed))
     ckpt = fit(tr, va, replace(cfg.train, seed=train_seed))
     insample = concat([tr, va])
@@ -318,22 +332,34 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
     """Replication loop over (KL level, replication) cells.
 
     Errors abort only the affected replication; they are logged and surfaced
-    through the report's failure list and count.
+    through the report's failure list and count. A source file that fails to
+    load fails every replication with its error.
     """
     rows: list[dict] = []
     failures: list[dict] = []
     timings: list[dict] = []
     levels: list[float | None] = (list(cfg.kl_levels)
                                   if cfg.kl_levels is not None else [None])
+    base, load_error = None, None
+    try:
+        base = _load_source(cfg)
+    except Exception as exc:  # noqa: BLE001 - recorded per replication below
+        logger.exception("loading %s failed", cfg.csv_path)
+        load_error = f"{type(exc).__name__}: {exc}"
     for level_index, level in enumerate(levels):
         for rep in range(cfg.replications):
             started = time.perf_counter()
-            try:
-                rows.extend(_run_replication(cfg, level, level_index, rep))
-            except Exception as exc:  # noqa: BLE001 - replication isolation
-                logger.exception("replication %d at KL level %s failed", rep, level)
+            error = load_error
+            if error is None:
+                try:
+                    rows.extend(_run_replication(cfg, base, level, level_index, rep))
+                except Exception as exc:  # noqa: BLE001 - replication isolation
+                    logger.exception("replication %d at KL level %s failed",
+                                     rep, level)
+                    error = f"{type(exc).__name__}: {exc}"
+            if error is not None:
                 failures.append({"kl_level": level, "replication": rep,
-                                 "error": f"{type(exc).__name__}: {exc}"})
+                                 "error": error})
             timings.append({"kl_level": level, "replication": rep,
                             "seconds": time.perf_counter() - started})
     metadata = {

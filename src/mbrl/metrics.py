@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy.stats import rankdata
 
 
 def ate_error(tau_true: float, tau_hat: float) -> float:
@@ -43,7 +42,17 @@ def auc(labels, scores) -> float:
     n_neg = labels.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValueError("single-class input")
-    ranks = rankdata(scores)
+    # Average ranks: a tie run sorted into 0-based positions [start, end)
+    # shares the midpoint rank (start + end + 1) / 2. A nan score leaves
+    # every rank undefined, so the AUC is nan.
+    if np.isnan(scores).any():
+        return float("nan")
+    order = np.argsort(scores, kind="stable")
+    ordered = scores[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], scores.size]
+    ranks = np.empty(scores.size)
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
     return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .records import require_integer_and_finite_fields
 
@@ -192,8 +191,12 @@ def exact_ot_small(A: np.ndarray, B: np.ndarray, cost: str = "euclidean") -> flo
     """Exact optimal-transport cost with uniform marginals via the LP.
 
     The oracle that Sinkhorn is checked against (by the tests and by
-    ``mbrl check``); instances are capped at n1 * n0 <= 64.
+    ``mbrl check``); instances are capped at n1 * n0 <= 64. scipy is
+    imported here, not at module level, so that importing ``mbrl`` loads
+    numpy only.
     """
+    from scipy.optimize import linprog
+
     if cost not in COST_KINDS:
         raise ValueError(f"unknown cost {cost!r}")
     A = np.asarray(A, dtype=float)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -51,6 +55,38 @@ def train_config(tmp_path):
         "split": {"train_frac": 0.6, "val_frac": 0.2, "test_frac": 0.2,
                   "seed": 1},
     })
+
+
+def _fresh_python(code):
+    """stdout of ``code`` run in a new interpreter that imports this
+    checkout's ``mbrl``."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-c", code], check=True, text=True,
+                          capture_output=True,
+                          env=dict(os.environ, PYTHONPATH=path)).stdout
+
+
+_SCIPY_MODULES = ("sorted(m for m in sys.modules "
+                  "if m == 'scipy' or m.startswith('scipy.'))")
+
+
+def test_importing_mbrl_loads_no_scipy():
+    out = _fresh_python(f"import mbrl, mbrl.cli, sys; print({_SCIPY_MODULES})")
+    assert out.strip() == "[]"
+
+
+def test_exact_ot_small_imports_its_solver_on_first_call():
+    # {0, 3} -> {1, 4}: the plan pairing 0-1 and 3-4 costs (1 + 1) / 2
+    out = _fresh_python(
+        "import sys, numpy as np; from mbrl.ot import exact_ot_small; "
+        f"print({_SCIPY_MODULES}); "
+        "print(exact_ot_small(np.array([[0.0], [3.0]]), np.array([[1.0], [4.0]]))); "
+        "print('scipy.optimize' in sys.modules)")
+    before, cost, after = out.split("\n")[:3]
+    assert before == "[]"
+    assert float(cost) == pytest.approx(1.0)
+    assert after == "True"
 
 
 def test_unknown_subcommand_exits_1(capsys):
@@ -240,6 +276,20 @@ def test_bench_rejects_non_finite_float_fields(tmp_path, capsys, path, value, sh
         "sinkhorn-list", "sinkhorn-false", "sinkhorn-zero", "sinkhorn-string"])
 def test_bench_rejects_bad_means_estimators_and_sinkhorn(tmp_path, capsys,
                                                          path, value, message):
+    cfg = _write(tmp_path / "exp.json", _bench_doc(**{path: value}))
+    out = tmp_path / "out"
+    assert main(["bench", "--config", cfg, "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("path,value,message", [
+    ("estimators", 5, "estimators must be a list of names, not 5"),
+    ("estimators", None, "estimators must be a list of names, not None"),
+    ("kl_levels", 5, "kl_levels must be a list of numbers or null, not 5"),
+], ids=["estimators-number", "estimators-null", "kl_levels-number"])
+def test_bench_rejects_list_fields_that_are_not_lists(tmp_path, capsys,
+                                                      path, value, message):
     cfg = _write(tmp_path / "exp.json", _bench_doc(**{path: value}))
     out = tmp_path / "out"
     assert main(["bench", "--config", cfg, "--out", str(out)]) == 1

@@ -131,7 +131,7 @@ def test_baseline_rows_equal_a_fit_per_sample():
     cfg = _tiny_experiment(estimators=("ols_lr1", "ols_lr2", "knn"))
     report = run_experiment(cfg)
     gen_seed, split_seed, _ = harness._seeds_for(cfg.seed, 0, 0, 3)
-    data, _ = harness._make_data(cfg, None, gen_seed)
+    data, _ = harness._make_data(cfg, None, None, gen_seed)
     tr, va, te = harness.split(data, replace(cfg.split, seed=split_seed))
     insample = harness.concat([tr, va])
     for row in report.rows:
@@ -217,7 +217,7 @@ def test_twins_sample_equals_a_field_by_field_construction(tmp_path):
     path = tmp_path / "twins.csv"
     save_csv(sample, path)  # carries both y0,y1 and mu0,mu1
     cfg = _tiny_experiment(source="twins", sim=None, csv_path=str(path))
-    got, level = harness._make_data(cfg, None, 11)
+    got, level = harness._make_data(cfg, harness._load_source(cfg), None, 11)
     assert level is None
     # reference: the sample rebuilt column by column
     base = load_csv(path)
@@ -230,6 +230,33 @@ def test_twins_sample_equals_a_field_by_field_construction(tmp_path):
                  "y0", "y1", "mu0", "mu1"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+def test_a_file_source_is_parsed_once_per_run(tmp_path, monkeypatch):
+    from mbrl.data import generate_simulation, save_csv
+    sample, _ = generate_simulation(SimConfig(n_treated=30, n_control=50, dim=3,
+                                              seed=2))
+    path = tmp_path / "twins.csv"
+    save_csv(sample, path)
+    calls = []
+    load_csv = harness.load_csv
+    monkeypatch.setattr(harness, "load_csv",
+                        lambda *args: calls.append(args) or load_csv(*args))
+    report = run_experiment(_tiny_experiment(source="twins", sim=None,
+                                             csv_path=str(path), replications=3))
+    assert report.metadata["n_failures"] == 0
+    assert {r["replication"] for r in report.rows} == {0, 1, 2}
+    assert len(calls) == 1
+
+
+def test_a_file_that_fails_to_load_fails_every_replication(tmp_path):
+    cfg = _tiny_experiment(source="csv", sim=None, replications=2,
+                           csv_path=str(tmp_path / "missing.csv"))
+    report = run_experiment(cfg)
+    assert report.metadata["n_failures"] == 2 and not report.rows
+    assert [f["replication"] for f in report.failures] == [0, 1]
+    assert all(f["error"].startswith("FileNotFoundError: ")
+               for f in report.failures)
 
 
 def test_twins_source_requires_potential_outcomes(tmp_path):

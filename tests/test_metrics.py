@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.stats import rankdata
 
 from mbrl.metrics import ate_error, auc, pehe_root, rmse
 
@@ -66,6 +67,51 @@ def test_auc_matches_brute_force(seed):
         labels[0], labels[1] = 0, 1
     scores = np.round(rng.normal(size=n), 1)  # rounding forces ties
     assert auc(labels, scores) == pytest.approx(_auc_brute_force(labels, scores))
+
+
+def _auc_from_rankdata(labels, scores):
+    """The Mann-Whitney form over scipy's average ranks: the reference that
+    ``auc``'s numpy ranks must reproduce to the last bit."""
+    labels = np.asarray(labels)
+    pos = labels == 1
+    n_pos = int(pos.sum())
+    n_neg = labels.size - n_pos
+    ranks = rankdata(np.asarray(scores, dtype=float))
+    return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+
+
+def _auc_case(kind, seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(5, 400))
+    labels = rng.integers(0, 2, size=n)
+    labels[:2] = (0, 1)
+    if kind == "untied":
+        scores = rng.normal(size=n)
+    elif kind == "tied-integers":
+        scores = rng.integers(0, 4, size=n).astype(float)
+    elif kind == "all-equal":
+        scores = np.full(n, 0.25)
+    elif kind == "signed-zeros":
+        scores = rng.choice([-0.0, 0.0, -1.0, 1.0], size=n)
+    else:  # one positive among tied negatives
+        labels = np.zeros(n, dtype=int)
+        labels[int(rng.integers(n))] = 1
+        scores = rng.integers(0, 3, size=n).astype(float)
+    return labels, scores
+
+
+@pytest.mark.parametrize("kind", ["untied", "tied-integers", "all-equal",
+                                  "signed-zeros", "single-positive"])
+@pytest.mark.parametrize("seed", range(5))
+def test_auc_equals_the_rankdata_form_bitwise(kind, seed):
+    labels, scores = _auc_case(kind, seed)
+    assert auc(labels, scores) == _auc_from_rankdata(labels, scores)
+
+
+def test_auc_of_a_nan_score_is_nan():
+    labels, scores = [1, 0, 1, 0], [0.3, np.nan, 0.9, 0.1]
+    assert np.isnan(auc(labels, scores))
+    assert np.isnan(_auc_from_rankdata(labels, scores))
 
 
 def test_rmse_examples():
