@@ -26,6 +26,7 @@ from .harness import (MBRL_ESTIMATORS, ExperimentConfig, emit_report, mbrl_row,
                       nuisances_from_net, run_experiment)
 from .model import (TrainConfig, fit, history_to_csv, load_checkpoint,
                     save_checkpoint)
+from .records import nested_record
 
 logger = logging.getLogger(__name__)
 
@@ -114,7 +115,8 @@ def _cmd_train(args) -> int:
     split_doc = doc.pop("split", None)
     try:
         cfg = TrainConfig(**doc)
-        split_spec = DEFAULT_SPLIT if split_doc is None else SplitSpec(**split_doc)
+        split_spec = nested_record("split", split_doc, SplitSpec,
+                                   nullable=True) or DEFAULT_SPLIT
     except (TypeError, ValueError) as exc:
         raise _UsageError(f"bad train config: {exc}") from exc
     if args.seed is not None:

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .nn import sigmoid
-from .records import require_integer_and_finite_fields
+from .records import bounded, check_fields
 
 OUTCOME_KINDS = ("continuous", "binary")
 
@@ -144,17 +144,14 @@ def concat(parts: Sequence[Dataset]) -> Dataset:
 
 @dataclass(frozen=True)
 class SplitSpec:
-    train_frac: float
-    val_frac: float
-    test_frac: float
-    seed: int = 0
+    train_frac: float = bounded(positive=True)
+    val_frac: float = bounded(positive=True)
+    test_frac: float = bounded(positive=True)
+    seed: int = bounded(0, at_least=0)
 
     def __post_init__(self):
-        require_integer_and_finite_fields(self)
-        fracs = (self.train_frac, self.val_frac, self.test_frac)
-        if any(f <= 0 for f in fracs):
-            raise ValueError("split fractions must be positive")
-        if abs(sum(fracs) - 1.0) > 1e-12:
+        check_fields(self)
+        if abs(self.train_frac + self.val_frac + self.test_frac - 1.0) > 1e-12:
             raise ValueError("split fractions must sum to 1")
 
 
@@ -190,22 +187,16 @@ def split(data: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset, Dataset]:
 class SimConfig:
     """Two-Gaussian selection-bias simulator configuration."""
 
-    n_treated: int = 2500
-    n_control: int = 5000
-    dim: int = 10
+    n_treated: int = bounded(2500, at_least=1)
+    n_control: int = bounded(5000, at_least=1)
+    dim: int = bounded(10, at_least=1)
     mu1: np.ndarray | None = None
     mu0: np.ndarray | None = None
-    sigma_scale: float = 0.5
-    seed: int = 0
+    sigma_scale: float = bounded(0.5, positive=True)
+    seed: int = bounded(0, at_least=0)
 
     def __post_init__(self):
-        require_integer_and_finite_fields(self)
-        if self.n_treated < 1 or self.n_control < 1:
-            raise ValueError("group counts must be at least 1")
-        if self.dim < 1:
-            raise ValueError("dim must be at least 1")
-        if self.sigma_scale <= 0:
-            raise ValueError("sigma_scale must be positive")
+        check_fields(self)
         for name in ("mu1", "mu0"):
             v = getattr(self, name)
             v = np.zeros(self.dim) if v is None else np.asarray(v, dtype=float)

@@ -26,13 +26,13 @@ from .data import (DEFAULT_SPLIT, OUTCOME_KINDS, Dataset, SimConfig, SplitSpec,
                    TrueModel, concat, generate_simulation, generate_twins_assignment,
                    kl_selection_bias, load_csv, split, true_outcomes)
 from .model import TrainConfig, fit, perturbation_error, predict
-from .records import nested_record, require_integer_and_finite_fields
+from .records import bounded, check_fields, nested_record
 
 logger = logging.getLogger(__name__)
 
 SOURCES = ("simulator", "csv", "twins")
-ESTIMATOR_NAMES = ("plugin", "psi1", "psi2", "ols_lr1", "ols_lr2", "knn")
-MBRL_ESTIMATORS = ("plugin", "psi1", "psi2")
+MBRL_ESTIMATORS = ("plugin", *est.SCORE_KINDS)
+ESTIMATOR_NAMES = MBRL_ESTIMATORS + est.BASELINE_KINDS
 
 KL_MATCH_TOL = 1e-9
 
@@ -46,18 +46,18 @@ class ExperimentConfig:
     """One replication experiment; nested configs may be given as the dicts
     ``to_dict`` writes."""
 
-    source: str = "simulator"
+    source: str = bounded("simulator", among=SOURCES)
     sim: SimConfig | None = None
     csv_path: str | None = None
-    outcome_kind: str = "continuous"
+    outcome_kind: str = bounded("continuous", among=OUTCOME_KINDS)
     split: SplitSpec = DEFAULT_SPLIT
     train: TrainConfig = field(default_factory=TrainConfig)
-    estimators: tuple[str, ...] = ("plugin", "psi1", "psi2")
-    replications: int = 1
-    kl_levels: tuple[float, ...] | None = None
-    knn_k: int = 5
+    estimators: tuple[str, ...] = MBRL_ESTIMATORS
+    replications: int = bounded(1, at_least=1)
+    kl_levels: tuple[float, ...] | None = bounded(None, at_least=0)
+    knn_k: int = bounded(5, at_least=1)
     out_dir: str = "out"
-    seed: int = 0
+    seed: int = bounded(0, at_least=0)
 
     def __post_init__(self):
         # JSON may hand either list field a number, a string or null (null
@@ -68,22 +68,14 @@ class ExperimentConfig:
         if not isinstance(self.kl_levels, (list, tuple, type(None))):
             raise ValueError(f"kl_levels must be a list of numbers or null, "
                              f"not {self.kl_levels!r}")
-        require_integer_and_finite_fields(self)
+        check_fields(self)
         for name, record in (("sim", SimConfig), ("split", SplitSpec),
                              ("train", TrainConfig)):
             setattr(self, name, nested_record(name, getattr(self, name), record,
                                               nullable=name == "sim"))
-        if self.source not in SOURCES:
-            raise ValueError(f"unknown source {self.source!r}")
-        if self.outcome_kind not in OUTCOME_KINDS:
-            raise ValueError(f"unknown outcome_kind {self.outcome_kind!r}")
         if self.source == "simulator" and self.outcome_kind != "continuous":
             raise ValueError("the simulator source draws continuous outcomes only; "
                              f"outcome_kind {self.outcome_kind!r} does not apply")
-        if self.replications < 1:
-            raise ValueError("replications must be at least 1")
-        if self.knn_k < 1:
-            raise ValueError("knn_k must be at least 1")
         self.estimators = tuple(self.estimators)
         if not self.estimators:
             raise ValueError("estimator list must be nonempty")
@@ -108,8 +100,6 @@ class ExperimentConfig:
             if not self.kl_levels:
                 raise ValueError("kl_levels must be nonempty (or null for one "
                                  "draw at the sim config's own means)")
-            if any(v < 0 for v in self.kl_levels):
-                raise ValueError("KL levels must be nonnegative")
 
     def to_dict(self) -> dict:
         """``asdict`` in JSON-native values (ndarrays and tuples as lists,

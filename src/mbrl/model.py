@@ -30,7 +30,7 @@ from . import nn
 from .data import Dataset
 from .metrics import rmse
 from .ot import SinkhornConfig, wasserstein_sinkhorn
-from .records import nested_record, require_integer_and_finite_fields
+from .records import bounded, check_fields, nested_record
 
 logger = logging.getLogger(__name__)
 
@@ -164,46 +164,29 @@ class Batch(NamedTuple):
 class TrainConfig:
     """Hyperparameters of one training run."""
 
-    lambda1: float = 0.01
-    lambda2: float = 0.01
-    beta: float | None = None  # None resolves to 0.1 continuous / 100 binary
-    batch_size: int = 100
-    epochs: int = 1000
-    learning_rate: float = 1e-3
-    ablation: str = "full_mbrl"
-    seed: int = 0
-    phi_depth: int = 4
-    phi_width: int = 200
-    pi_depth: int = 4
-    pi_width: int = 200
-    head_depth: int = 3
-    head_width: int = 100
+    lambda1: float = bounded(0.01, at_least=0)
+    lambda2: float = bounded(0.01, at_least=0)
+    # None resolves to 0.1 continuous / 100 binary
+    beta: float | None = bounded(None, at_least=0)
+    batch_size: int = bounded(100, at_least=2)
+    epochs: int = bounded(1000, at_least=1)
+    learning_rate: float = bounded(1e-3, at_least=0)
+    ablation: str = bounded("full_mbrl", among=tuple(ABLATIONS))
+    seed: int = bounded(0, at_least=0)
+    phi_depth: int = bounded(4, at_least=1)
+    phi_width: int = bounded(200, at_least=1)
+    pi_depth: int = bounded(4, at_least=1)
+    pi_width: int = bounded(200, at_least=1)
+    head_depth: int = bounded(3, at_least=1)
+    head_width: int = bounded(100, at_least=1)
     sinkhorn: SinkhornConfig = field(default_factory=SinkhornConfig)
-    eps_clip: float = 100.0
+    eps_clip: float = bounded(100.0, positive=True)
 
     def __post_init__(self):
-        require_integer_and_finite_fields(self)
+        check_fields(self)
         if self.sinkhorn is None:  # JSON null: the default solver
             self.sinkhorn = SinkhornConfig()
         self.sinkhorn = nested_record("sinkhorn", self.sinkhorn, SinkhornConfig)
-        if self.lambda1 < 0 or self.lambda2 < 0:
-            raise ValueError("regularizer weights must be nonnegative")
-        if self.beta is not None and self.beta < 0:
-            raise ValueError("beta must be nonnegative")
-        if self.batch_size < 2:
-            raise ValueError("batch_size must be at least 2")
-        if self.epochs < 1:
-            raise ValueError("epochs must be at least 1")
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be nonnegative")
-        if self.ablation not in ABLATIONS:
-            raise ValueError(f"unknown ablation {self.ablation!r}")
-        for name in ("phi_depth", "phi_width", "pi_depth", "pi_width",
-                     "head_depth", "head_width"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1")
-        if self.eps_clip <= 0:
-            raise ValueError("eps_clip must be positive")
 
 
 def build_net(n_covariates: int, outcome_kind: str, cfg: TrainConfig, seed: int,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .records import require_integer_and_finite_fields
+from .records import bounded, check_fields
 
 COST_KINDS = ("euclidean", "squared_euclidean")
 
@@ -29,21 +29,13 @@ SCALING_BOUND = 1e6
 
 @dataclass(frozen=True)
 class SinkhornConfig:
-    entropic_reg: float = 0.1
-    max_iters: int = 200
-    tol: float = 1e-6
-    cost: str = "euclidean"
+    entropic_reg: float = bounded(0.1, positive=True)
+    max_iters: int = bounded(200, at_least=1)
+    tol: float = bounded(1e-6, positive=True)
+    cost: str = bounded("euclidean", among=COST_KINDS)
 
     def __post_init__(self):
-        require_integer_and_finite_fields(self)
-        if self.entropic_reg <= 0:
-            raise ValueError("entropic_reg must be positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
-        if self.cost not in COST_KINDS:
-            raise ValueError(f"unknown cost {self.cost!r}")
+        check_fields(self)
 
 
 @dataclass

@@ -1,39 +1,62 @@
 """Checks shared by the config records: ``SimConfig``, ``SplitSpec``,
 ``SinkhornConfig``, ``TrainConfig`` and ``ExperimentConfig``, and the one
-rule by which a record reads a nested record from JSON."""
+rule by which a record reads a nested record from JSON. Each field declares
+its own bound (``bounded``); ``__post_init__`` keeps the cross-field rules.
+"""
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import fields
+from dataclasses import MISSING, field, fields
 
+_INT_TYPES = (int, "int")
 _FLOAT_TYPES = (float, "float", "float | None")
 _FLOAT_TUPLE_TYPES = ("tuple[float, ...]", "tuple[float, ...] | None")
 
 
-def require_integer_and_finite_fields(record) -> None:
-    """Raise ValueError naming the first field of a dataclass record that is
-    an ``int`` field not holding an integer, or a ``float`` field (or entry
-    of a tuple of floats) holding a nan or an infinity.
+def bounded(default=MISSING, *, at_least=None, positive=False, among=None):
+    """A dataclass field whose value (each entry, for a tuple of floats)
+    ``check_fields`` holds to its bound: at least ``at_least``, above zero
+    when ``positive``, or one of ``among``."""
+    return field(default=default, metadata={"at_least": at_least,
+                                             "positive": positive, "among": among})
 
-    JSON configs can hand an int field 2.0, 8.7 or true; all are rejected
-    (bools too, though Python counts them as ints). numpy integers pass. A
-    ``seed`` field must also be nonnegative, as numpy's generators require.
-    Python's JSON reader accepts NaN and Infinity, which no float field
-    means; None (``beta: null``) passes.
+
+def check_fields(record) -> None:
+    """Raise ValueError naming the first field of a dataclass record whose
+    value breaks its type or its ``bounded`` rule.
+
+    An ``int`` field holds an integer: JSON configs can hand it 2.0, 8.7 or
+    true, and all are rejected (bools too, though Python counts them as
+    ints); numpy integers pass. A ``float`` field, and each entry of a tuple
+    of floats, holds a finite number: a bool, a string, a list or null is
+    rejected, and so are the NaN and Infinity that Python's JSON reader
+    accepts. None passes only in a field annotated ``… | None``
+    (``beta: null``).
     """
     for f in fields(record):
         value = getattr(record, f.name)
-        if f.type in (int, "int"):
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{f.name} must be an integer, not {value!r}")
-            if f.name == "seed" and value < 0:
-                raise ValueError(f"seed must be nonnegative, not {value!r}")
-        elif value is not None and f.type in _FLOAT_TYPES + _FLOAT_TUPLE_TYPES:
-            for v in (value,) if f.type in _FLOAT_TYPES else value:
-                if isinstance(v, numbers.Real) and not math.isfinite(v):
+        if value is None and str(f.type).endswith("| None"):
+            continue
+        if f.type in _INT_TYPES and (isinstance(value, bool)
+                                     or not isinstance(value, numbers.Integral)):
+            raise ValueError(f"{f.name} must be an integer, not {value!r}")
+        rule = f.metadata
+        for v in value if f.type in _FLOAT_TUPLE_TYPES else (value,):
+            if f.type in _FLOAT_TYPES + _FLOAT_TUPLE_TYPES:
+                if isinstance(v, bool) or not isinstance(v, numbers.Real):
+                    raise ValueError(f"{f.name} must be a number, not {v!r}")
+                if not math.isfinite(v):
                     raise ValueError(f"{f.name} must be finite, not {v}")
+            if rule.get("among") is not None and v not in rule["among"]:
+                raise ValueError(f"unknown {f.name} {v!r}")
+            if rule.get("positive") and not v > 0:
+                raise ValueError(f"{f.name} must be positive, not {v}")
+            least = rule.get("at_least")
+            if least is not None and not v >= least:
+                bound = "nonnegative" if least == 0 else f"at least {least}"
+                raise ValueError(f"{f.name} must be {bound}, not {v}")
 
 
 def nested_record(name: str, value, record: type, nullable: bool = False):

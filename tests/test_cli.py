@@ -258,6 +258,38 @@ def test_bench_rejects_non_finite_float_fields(tmp_path, capsys, path, value, sh
     assert not out.exists()
 
 
+# Float fields and the entries of kl_levels take numbers only, and null only
+# where the field is nullable.
+@pytest.mark.parametrize("path,value,message", [
+    ("train.learning_rate", True, "learning_rate must be a number, not True"),
+    ("kl_levels", [True], "kl_levels must be a number, not True"),
+    ("kl_levels", ["a"], "kl_levels must be a number, not 'a'"),
+    ("kl_levels", [None], "kl_levels must be a number, not None"),
+    ("train.lambda1", None, "lambda1 must be a number, not None"),
+], ids=["learning_rate-true", "kl_levels-true", "kl_levels-string",
+        "kl_levels-null", "lambda1-null"])
+def test_bench_rejects_non_numbers_in_float_fields(tmp_path, capsys, path,
+                                                   value, message):
+    cfg = _write(tmp_path / "exp.json", _bench_doc(**{path: value}))
+    out = tmp_path / "out"
+    assert main(["bench", "--config", cfg, "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_train_rejects_a_split_that_is_not_an_object(tmp_path, sim_config, capsys):
+    data_path = str(tmp_path / "data.csv")
+    assert main(["generate", "--config", sim_config, "--out", data_path]) == 0
+    cfg = _write(tmp_path / "train.json", {"epochs": 1, "split": []})
+    out = tmp_path / "ckpt.json"
+    capsys.readouterr()
+    assert main(["train", "--config", cfg, "--data", data_path,
+                 "--out", str(out)]) == 1
+    assert ("split must be a SplitSpec or its JSON object, not []"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("path,value,message", [
     ("sim.mu1", [float("nan"), 0.0, 0.0], "mu1 must be finite, not [nan, 0.0, 0.0]"),
     ("sim.mu0", [0.0, float("inf"), 0.0], "mu0 must be finite, not [0.0, inf, 0.0]"),
