@@ -16,11 +16,10 @@ weighted cross-residual term) and keeps the best epoch's parameters.
 
 from __future__ import annotations
 
-import copy
 import csv
 import json
 import logging
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -64,11 +63,20 @@ def default_beta(outcome_kind: str) -> float:
 # =========================================================================
 
 SUBNETS = ("phi", "pi", "f0", "f1")
+SCALARS = ("eps_d", "eps_y")
+# The blocks of a net's parameter vector, in order: each of TASK_GROUPS is
+# a run of adjacent blocks with its free scalar at one end.
+LAYOUT = ("eps_d", "pi", "phi", "f0", "f1", "eps_y")
 
 
 @dataclass
 class MBRLNet:
     """Encoder, discriminator, outcome heads and the two free scalars.
+
+    Every parameter lives in one float64 vector ``params`` laid out in
+    ``LAYOUT`` order, a subnet's block in ``ParamSet.tensors()`` order. The
+    ParamSets and the 0-d scalars are views of it, made with the net, so a
+    copy is ``dataclasses.replace(net)`` (a deep copy unties the views).
 
     ``input_mean``/``input_scale`` hold the per-feature standardization
     (train-split statistics) applied before the encoder; they are part of
@@ -88,6 +96,8 @@ class MBRLNet:
     outcome_kind: str = "continuous"
     input_mean: np.ndarray | None = None
     input_scale: np.ndarray | None = None
+    params: np.ndarray = field(init=False, repr=False)
+    blocks: dict[str, slice] = field(init=False, repr=False)  # of ``params``
 
     def __post_init__(self):
         rep = self.phi_spec.output_width
@@ -112,21 +122,37 @@ class MBRLNet:
                 if want.get(entry) != have.get(entry):
                     raise ValueError(f"{name}.{entry} has shape {have.get(entry)}; "
                                      f"its spec {w} wants {want.get(entry)}")
-        self.eps_y = np.asarray(self.eps_y, dtype=float).reshape(())
-        self.eps_d = np.asarray(self.eps_d, dtype=float).reshape(())
-        if not (np.isfinite(self.eps_y) and np.isfinite(self.eps_d)):
-            raise ValueError("eps scalars must be finite")
+        pieces = [np.asarray(getattr(self, name), dtype=float).reshape(1) if name in SCALARS
+                  else np.concatenate([t.ravel() for t in getattr(self, name).tensors()])
+                  for name in LAYOUT]
+        ends = np.cumsum([p.size for p in pieces])
+        self.blocks = {name: slice(int(e) - p.size, int(e))
+                       for name, p, e in zip(LAYOUT, pieces, ends)}
+        self.params = np.concatenate(pieces)
+        finite = np.isfinite(self.params)
+        bad = [name for name, b in self.blocks.items() if not finite[b].all()]
+        if bad:
+            raise ValueError(f"{bad[0]} has non-finite parameters")
+        for name, view in self.views_of(self.params).items():
+            setattr(self, name, view)
         s = self.phi_spec.input_width
         if self.input_mean is None:
             self.input_mean = np.zeros(s)
         if self.input_scale is None:
             self.input_scale = np.ones(s)
-        self.input_mean = np.asarray(self.input_mean, dtype=float)
-        self.input_scale = np.asarray(self.input_scale, dtype=float)
+        self.input_mean = np.array(self.input_mean, dtype=float)
+        self.input_scale = np.array(self.input_scale, dtype=float)
         if self.input_mean.shape != (s,) or self.input_scale.shape != (s,):
             raise ValueError("input transform must match the covariate width")
         if np.any(self.input_scale <= 0):
             raise ValueError("input_scale entries must be positive")
+
+    def views_of(self, flat: np.ndarray) -> dict[str, nn.ParamSet | np.ndarray]:
+        """Views of a vector in this net's layout (its parameters or their
+        gradient) by block: a ParamSet per subnet, a 0-d array per scalar."""
+        return {name: flat[b].reshape(()) if name in SCALARS
+                else nn.param_views(getattr(self, f"{name}_spec"), flat[b])
+                for name, b in self.blocks.items()}
 
     def transform(self, Z: np.ndarray) -> np.ndarray:
         Z = np.asarray(Z, dtype=float)
@@ -263,47 +289,47 @@ def perturbation_error(y, yhat, d, dhat, beta: float) -> float:
 @dataclass
 class TrainState:
     net: MBRLNet
+    grad: np.ndarray  # the gradient vector, in the net's layout
+    grads: dict[str, nn.ParamSet | np.ndarray]  # its views, by block
     opts: dict[int, nn.AdamState]  # task -> the optimizer of its group
     step_count: int = 0
     clip_events: int = 0
     last: dict = field(default_factory=dict)
 
 
-# Task -> (subnets it trains, free scalar it trains when the ablation keeps
-# the noise regularizers). Groups list each subnet's tensors in this order.
+# Task -> the blocks it trains, adjacent in LAYOUT. A free scalar, at one
+# end, is left out when the ablation drops the noise regularizers.
 TASK_GROUPS = {
-    1: (("pi",), "eps_d"),
-    2: (("phi",), None),
-    3: (("phi", "f0", "f1"), "eps_y"),
+    1: ("eps_d", "pi"),
+    2: ("phi",),
+    3: ("phi", "f0", "f1", "eps_y"),
 }
 
 
-def task_group(net: MBRLNet, task: int, train_eps: bool) -> list[np.ndarray]:
-    """The parameters one task updates, in its gradients' order."""
-    subnets, scalar = TASK_GROUPS[task]
-    group = [t for name in subnets for t in getattr(net, name).tensors()]
-    if train_eps and scalar is not None:
-        group.append(getattr(net, scalar))
-    return group
+def task_slice(net: MBRLNet, task: int, train_eps: bool) -> slice:
+    """The span of ``net.params`` (and of its gradient) one task updates."""
+    blocks = [b for b in TASK_GROUPS[task] if train_eps or b not in SCALARS]
+    return slice(net.blocks[blocks[0]].start, net.blocks[blocks[-1]].stop)
 
 
 def init_train_state(net: MBRLNet, cfg: TrainConfig) -> TrainState:
-    """One optimizer per task. The three share one Adam scratch sized to the
-    largest group: the tasks run in sequence, and each update consumes its
-    gradients before the next task writes its own."""
+    """One gradient vector in the net's layout, and one optimizer per task
+    over its slice of both vectors. The three share one Adam work vector:
+    the tasks run in sequence, and each update consumes its gradient before
+    the next task writes its own."""
     train_eps = ABLATIONS[cfg.ablation].train_eps
-    groups = {task: task_group(net, task, train_eps) for task in TASK_GROUPS}
-    scratch = nn.AdamScratch.sized(max(sum(t.size for t in group)
-                                       for group in groups.values()))
-    return TrainState(net=net, opts={
-        task: nn.adam_init(group, cfg.learning_rate, scratch)
-        for task, group in groups.items()})
+    grad = np.zeros_like(net.params)
+    slices = {task: task_slice(net, task, train_eps) for task in TASK_GROUPS}
+    work = np.zeros(max(s.stop - s.start for s in slices.values()))
+    return TrainState(net=net, grad=grad, grads=net.views_of(grad), opts={
+        task: nn.adam_init(net.params[s], grad[s], cfg.learning_rate, work)
+        for task, s in slices.items()})
 
 
 def multitask_step(state: TrainState, batch: Batch, cfg: TrainConfig) -> TrainState:
     """Run the three tasks on one minibatch, in order, each with its own
-    optimizer: ``task_objective`` writes a task's gradients into its
-    optimizer's slots, and Adam descends them.
+    optimizer: ``task_objective`` writes a task's gradients into the state's
+    gradient vector, and Adam descends the task's slice of it.
 
     The balancing task is skipped when the batch lacks a treatment arm (the
     imbalance loss is then defined as 0) and under the tarnet ablation.
@@ -322,7 +348,7 @@ def multitask_step(state: TrainState, batch: Batch, cfg: TrainConfig) -> TrainSt
             continue
         if task == 3:
             encoded = None
-        obj = task_objective(net, batch, cfg, task, encoded, grads_out=opt.grads)
+        obj = task_objective(net, batch, cfg, task, state.grads, encoded)
         nn.adam_update(opt)
         losses.update(obj.terms)
 
@@ -347,7 +373,6 @@ def multitask_step(state: TrainState, batch: Batch, cfg: TrainConfig) -> TrainSt
 
 class TaskObjective(NamedTuple):
     value: float
-    grads: list[np.ndarray]
     terms: dict[str, float]  # the loss terms the training log records
 
 
@@ -357,36 +382,31 @@ def encode(net: MBRLNet, batch: Batch) -> tuple[np.ndarray, nn.ForwardCache]:
 
 
 def task_objective(net: MBRLNet, batch: Batch, cfg: TrainConfig, task: int,
-                   encoded: tuple[np.ndarray, nn.ForwardCache] | None = None,
-                   grads_out: list[np.ndarray] | None = None) -> TaskObjective:
-    """Value, analytic gradients and logged loss terms of one task
-    objective.
+                   grads: dict[str, nn.ParamSet | np.ndarray],
+                   encoded: tuple[np.ndarray, nn.ForwardCache] | None = None
+                   ) -> TaskObjective:
+    """Value and logged loss terms of one task objective; its analytic
+    gradients are written into ``grads``.
 
     Every task objective is descended: -L_dis + lambda1*Omega_d (task 1),
     the entropic dual value of L_imb (task 2) and L_fo + lambda2*Omega_y
-    (task 3). Gradients are in ``task_group`` order. Ablations without the
-    noise regularizers take lambda1 = lambda2 = 0 and leave the free scalars
-    out. ``multitask_step`` descends these gradients.
+    (task 3). ``grads`` is ``net.views_of`` a gradient vector; the task
+    writes the blocks ``TASK_GROUPS`` names. Ablations without the noise
+    regularizers take lambda1 = lambda2 = 0 and leave the free scalars out
+    of ``task_slice``. ``multitask_step`` descends these gradients.
 
     ``encoded`` is ``encode(net, batch)`` at the current encoder weights;
-    when omitted it is computed here. ``grads_out`` are arrays shaped like
-    the group (the optimizer's gradient slots in training) that the
-    gradients are written into and returned as ``grads``; when omitted,
-    fresh arrays are.
+    when omitted it is computed here.
     """
     if task not in TASK_GROUPS:
         raise ValueError("task must be 1, 2 or 3")
     train_eps = ABLATIONS[cfg.ablation].train_eps
-    if grads_out is None:
-        grads_out = [np.empty_like(t) for t in task_group(net, task, train_eps)]
-    slots = _subnet_slots(net, task, grads_out)
     lambda1, lambda2 = (cfg.lambda1, cfg.lambda2) if train_eps else (0.0, 0.0)
     R, cache_phi = encode(net, batch) if encoded is None else encoded
     d = np.asarray(batch.treatment, dtype=float)
     y = np.asarray(batch.outcome, dtype=float)
     treated = d == 1
     b = R.shape[0]
-    scalar_grad = 0.0  # of the task's free scalar, when it trains one
     if task == 1:
         p_mat, cache_pi = nn.forward(net.pi, net.pi_spec, R)
         p = p_mat[:, 0]
@@ -396,8 +416,8 @@ def task_objective(net: MBRLNet, batch: Batch, cfg: TrainConfig, task: int,
         dobj = ((1.0 - d) / (1.0 - p) - d / p) / b
         dobj = dobj - lambda1 * float(net.eps_d) * np.sign(gap) / b
         nn.backward(net.pi, net.pi_spec, cache_pi, dobj[:, None],
-                    input_grad=False, out=slots["pi"])
-        scalar_grad = lambda1 * abs(gap)
+                    input_grad=False, out=grads["pi"])
+        grads["eps_d"][()] = lambda1 * abs(gap)
         terms = {"l_dis": l_dis, "omega_d": float(net.eps_d) * abs(gap)}
     elif task == 2:
         if not treated.any() or treated.all():
@@ -407,7 +427,7 @@ def task_objective(net: MBRLNet, batch: Batch, cfg: TrainConfig, task: int,
         dR[treated] = res.grad_a
         dR[~treated] = res.grad_b
         nn.backward(net.phi, net.phi_spec, cache_phi, dR, input_grad=False,
-                    out=slots["phi"])
+                    out=grads["phi"])
         # At convergence the fixed-plan gradient above is the gradient of
         # the entropic dual value; the log keeps the transport cost.
         value, terms = res.dual_value, {"l_imb": res.distance}
@@ -427,38 +447,25 @@ def task_objective(net: MBRLNet, batch: Batch, cfg: TrainConfig, task: int,
         dR = np.empty_like(R)
         for name, rows, cache in heads:
             _, dR[rows] = nn.backward(getattr(net, name), getattr(net, f"{name}_spec"),
-                                      cache, dpred[rows, None], out=slots[name])
+                                      cache, dpred[rows, None], out=grads[name])
         nn.backward(net.phi, net.phi_spec, cache_phi, dR, input_grad=False,
-                    out=slots["phi"])
-        scalar_grad = lambda2 * abs(gap)
+                    out=grads["phi"])
+        grads["eps_y"][()] = lambda2 * abs(gap)
         terms = {"l_fo": l_fo, "omega_y": float(net.eps_y) * abs(gap)}
-    if train_eps and TASK_GROUPS[task][1] is not None:
-        grads_out[-1][()] = scalar_grad
-    return TaskObjective(value, grads_out, terms)
-
-
-def _subnet_slots(net: MBRLNet, task: int, grads_out: list[np.ndarray]
-                  ) -> dict[str, nn.ParamSet]:
-    """A task's gradient slots, in ``task_group`` order, as one ParamSet per
-    subnet (the free scalar's slot, when trained, is the last entry)."""
-    slots, start = {}, 0
-    for name in TASK_GROUPS[task][0]:
-        n = getattr(net, f"{name}_spec").n_layers
-        slots[name] = nn.ParamSet(weights=grads_out[start:start + n],
-                                  biases=grads_out[start + n:start + 2 * n])
-        start += 2 * n
-    return slots
+    return TaskObjective(value, terms)
 
 
 def task_gradient_error(net: MBRLNet, batch: Batch, cfg: TrainConfig,
                         task: int, h: float = 1e-5) -> float:
     """Max relative error between analytic task gradients and central
-    finite differences over the task's parameter group."""
-    group = task_group(net, task, ABLATIONS[cfg.ablation].train_eps)
-    grads = task_objective(net, batch, cfg, task).grads
+    finite differences over the task's slice of the parameter vector."""
+    s = task_slice(net, task, ABLATIONS[cfg.ablation].train_eps)
+    grad = np.zeros_like(net.params)
+    task_objective(net, batch, cfg, task, net.views_of(grad))
+    spare = net.views_of(np.zeros_like(net.params))
     return nn.central_difference_error(
-        group, grads, lambda: task_objective(net, batch, cfg, task).value,
-        h, 2000)
+        net.params[s], grad[s],
+        lambda: task_objective(net, batch, cfg, task, spare).value, h, 2000)
 
 
 # =========================================================================
@@ -541,7 +548,7 @@ def fit(train: Dataset, val: Dataset, cfg: TrainConfig) -> Checkpoint:
 
     n = train.n_units
     history: list[EpochStats] = []
-    # Selection rule -> (best value, its epoch, the net at that epoch).
+    # Selection rule -> (best value, its epoch, net.params at that epoch).
     best = {rule: (np.inf, 0, None) for rule in ("eps_p", "rmse")}
 
     for epoch in range(1, cfg.epochs + 1):
@@ -567,7 +574,7 @@ def fit(train: Dataset, val: Dataset, cfg: TrainConfig) -> Checkpoint:
         ))
         for rule, value in (("eps_p", val_eps_p), ("rmse", val_rmse)):
             if value < best[rule][0]:
-                best[rule] = (value, epoch, copy.deepcopy(net))
+                best[rule] = (value, epoch, net.params.copy())
 
     value, epoch, selected = best[selection]
     if selected is None:
@@ -575,14 +582,14 @@ def fit(train: Dataset, val: Dataset, cfg: TrainConfig) -> Checkpoint:
                            f"{selection}; nothing to select")
     best_rmse, best_epoch_rmse, net_rmse = best["rmse"]
     return Checkpoint(
-        net=selected,
+        net=replace(net, **net.views_of(selected)),
         best_epoch=epoch,
         best_eps_p=float(value),
         history=history,
         selection=selection,
         beta=beta,
         config=cfg,
-        net_rmse=net_rmse,
+        net_rmse=replace(net, **net.views_of(net_rmse)),
         best_epoch_rmse=best_epoch_rmse,
         best_val_rmse=float(best_rmse),
         clip_events=state.clip_events,

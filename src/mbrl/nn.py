@@ -54,6 +54,11 @@ class NetSpec:
     def n_layers(self) -> int:
         return len(self.layer_widths) - 1
 
+    @property
+    def n_params(self) -> int:
+        w = self.layer_widths
+        return sum(o * i + o for i, o in zip(w, w[1:]))
+
 
 @dataclass
 class ParamSet:
@@ -65,6 +70,16 @@ class ParamSet:
     def tensors(self) -> list[np.ndarray]:
         """All trainable arrays in a fixed order (weights, then biases)."""
         return [*self.weights, *self.biases]
+
+
+def param_views(spec: NetSpec, flat: np.ndarray) -> ParamSet:
+    """A ParamSet of views of ``flat`` (``spec.n_params`` entries) laid out
+    in ``tensors()`` order: each weight matrix row-major, then each bias."""
+    w = spec.layer_widths
+    shapes = [*((o, i) for i, o in zip(w, w[1:])), *((o,) for o in w[1:])]
+    ends = np.cumsum([np.prod(shape) for shape in shapes])
+    views = [v.reshape(shape) for v, shape in zip(np.split(flat, ends[:-1]), shapes)]
+    return ParamSet(weights=views[:spec.n_layers], biases=views[spec.n_layers:])
 
 
 def init_params(spec: NetSpec, seed: int) -> ParamSet:
@@ -172,7 +187,7 @@ def backward(
     Returns (gradients shaped like params, gradient w.r.t. the input batch).
     The parameter gradients are written into ``out`` when it is given (arrays
     shaped like params, e.g. views of an optimizer's gradient vector) and
-    into a freshly allocated ParamSet otherwise; ``out`` is returned. With
+    into views of a fresh vector otherwise; ``out`` is returned. With
     ``input_grad=False`` the first layer's product for the input gradient is
     skipped and None is returned in its place; the parameter gradients are
     the same bytes either way.
@@ -185,8 +200,7 @@ def backward(
             f"output_grad shape {output_grad.shape} does not match cached output "
             f"{cache.output.shape}")
     if out is None:
-        out = ParamSet(weights=[np.empty_like(w) for w in params.weights],
-                       biases=[np.empty_like(b) for b in params.biases])
+        out = param_views(spec, np.empty(spec.n_params))
 
     g = output_grad
     last = spec.n_layers - 1
@@ -217,72 +231,49 @@ ADAM_EPS_HAT = 1e-8
 
 
 @dataclass
-class AdamScratch:
-    """The flat vectors an Adam update works in: the gradient vector, a work
-    vector and the finiteness mask. Updates that run one after another can
-    share one scratch sized to the largest of their tensor groups."""
-
-    grad: np.ndarray
-    work: np.ndarray
-    finite: np.ndarray
-
-    @classmethod
-    def sized(cls, size: int) -> "AdamScratch":
-        return cls(grad=np.zeros(size), work=np.zeros(size),
-                   finite=np.zeros(size, dtype=bool))
-
-
-@dataclass
 class AdamState:
-    """The tensor list an optimizer updates (its parameter group), their
-    first/second moment accumulators, each one flat vector holding the
-    tensors' entries in list order, and the gradient slots: views of the
-    scratch gradient vector shaped like the tensors, in the same order."""
+    """The parameter vector an optimizer updates (its parameter group, a
+    view of the net's vector), the gradient vector its producer writes in
+    the same layout, the first/second moment accumulators and a work
+    vector. Updates that run one after another can share one work vector
+    sized to the largest of their groups."""
 
-    params: list[np.ndarray]
+    params: np.ndarray
+    grad: np.ndarray
     m: np.ndarray
     v: np.ndarray
-    scratch: AdamScratch
-    grads: list[np.ndarray]
+    work: np.ndarray
     step: int = 0
     learning_rate: float = 1e-3
 
 
-def adam_init(tensors: list[np.ndarray], learning_rate: float = 1e-3,
-              scratch: AdamScratch | None = None) -> AdamState:
-    """Optimizer state of a tensor list; with ``scratch`` (at least the
-    list's size) its gradient slots share that scratch, else it gets its
-    own."""
-    size = sum(np.size(t) for t in tensors)
-    if scratch is None:
-        scratch = AdamScratch.sized(size)
-    if scratch.grad.size < size:
-        raise ValueError(f"scratch of size {scratch.grad.size} cannot hold "
-                         f"{size} gradient entries")
-    grads, start = [], 0
-    for t in tensors:
-        grads.append(scratch.grad[start:start + np.size(t)].reshape(np.shape(t)))
-        start += np.size(t)
-    return AdamState(params=list(tensors), m=np.zeros(size), v=np.zeros(size),
-                     scratch=scratch, grads=grads, learning_rate=learning_rate)
+def adam_init(params: np.ndarray, grad: np.ndarray, learning_rate: float = 1e-3,
+              work: np.ndarray | None = None) -> AdamState:
+    """Optimizer state of a flat parameter vector and its gradient vector;
+    with ``work`` (at least the vector's size) it shares that work vector,
+    else it gets its own."""
+    size = params.size
+    if work is None:
+        work = np.zeros(size)
+    if work.size < size:
+        raise ValueError(f"work vector of size {work.size} cannot hold {size} entries")
+    return AdamState(params=params, grad=grad, m=np.zeros(size), v=np.zeros(size),
+                     work=work[:size], learning_rate=learning_rate)
 
 
 def adam_update(state: AdamState) -> None:
     """One bias-corrected Adam descent step on ``state.params``, in place,
-    from the gradients their producer wrote into ``state.grads``.
+    from the gradient its producer wrote into ``state.grad``.
 
     The arithmetic is elementwise in the order
     lr * (m / c1) / (sqrt(v / c2) + eps_hat), done once over the flat
-    gradient vector in the scratch, which it overwrites; nothing is
-    allocated. Non-finite gradient entries raise before any tensor or
+    gradient vector, which it overwrites with the step; nothing is
+    allocated. Non-finite gradient entries raise before any parameter or
     moment moves.
     """
-    n = state.m.size
-    g = state.scratch.grad[:n]
-    work = state.scratch.work[:n]
-    finite = state.scratch.finite[:n]
-    np.isfinite(g, out=finite)
-    if not finite.all():
+    g, work = state.grad, state.work
+    # max and min propagate nan and reach any +-inf, without a mask.
+    if not (np.isfinite(g.max()) and np.isfinite(g.min())):
         raise ValueError("non-finite gradient entries")
     state.step += 1
     t = state.step
@@ -303,8 +294,7 @@ def adam_update(state: AdamState) -> None:
     np.divide(m, c1, out=g)
     g *= state.learning_rate
     g /= work
-    for p, step in zip(state.params, state.grads):
-        p -= step
+    state.params -= g
 
 
 # =========================================================================
@@ -312,39 +302,38 @@ def adam_update(state: AdamState) -> None:
 # =========================================================================
 
 def central_difference_error(
-    tensors: list[np.ndarray],
-    grads: list[np.ndarray],
+    params: np.ndarray,
+    grad: np.ndarray,
     value: Callable[[], float],
     h: float,
     max_coords: int,
 ) -> float:
-    """Compare analytic gradients against central finite differences.
+    """Compare an analytic gradient vector against central finite
+    differences.
 
-    ``value()`` evaluates the objective at the current contents of
-    ``tensors``, which are perturbed in place one coordinate at a time and
-    restored. Every coordinate is checked (a random subsample of
-    ``max_coords`` above that many, drawn with seed 0); the result is
+    ``value()`` evaluates the objective at the current contents of the flat
+    vector ``params``, which is perturbed in place one entry at a time and
+    restored. Every entry is checked (a random subsample of ``max_coords``
+    above that many, drawn with seed 0); the result is
     max |analytic - numeric| / max(1, |analytic| + |numeric|).
     """
     if not (1e-7 < h < 1e-3):
         raise ValueError("invalid step")
-    coords = [(ti, idx) for ti, t in enumerate(tensors) for idx in range(t.size)]
-    if len(coords) > max_coords:
-        rng = np.random.default_rng(0)
-        picked = rng.choice(len(coords), size=max_coords, replace=False)
-        coords = [coords[int(i)] for i in picked]
+    coords = range(params.size)
+    if params.size > max_coords:
+        coords = np.random.default_rng(0).choice(params.size, size=max_coords,
+                                                 replace=False)
 
     max_err = 0.0
-    for ti, idx in coords:
-        flat = tensors[ti].reshape(-1)
-        orig = flat[idx]
-        flat[idx] = orig + h
+    for i in coords:
+        orig = params[i]
+        params[i] = orig + h
         f_plus = value()
-        flat[idx] = orig - h
+        params[i] = orig - h
         f_minus = value()
-        flat[idx] = orig
+        params[i] = orig
         numeric = (f_plus - f_minus) / (2.0 * h)
-        analytic = float(grads[ti].reshape(-1)[idx])
+        analytic = float(grad[i])
         err = abs(analytic - numeric) / max(1.0, abs(analytic) + abs(numeric))
         max_err = max(max_err, err)
     return max_err
@@ -358,14 +347,17 @@ def grad_check(
 ) -> float:
     """Finite-difference check of a dense-net loss.
 
-    ``loss(params)`` must return (value, gradient ParamSet); see
-    ``central_difference_error`` for the error measure.
+    ``loss(params)`` must return (value, gradient ParamSet); it is evaluated
+    on views of a flat copy of ``params``. See ``central_difference_error``
+    for the error measure.
     """
     if len(params.weights) != spec.n_layers:
         raise ValueError("parameter count does not match spec")
-    _, grads = loss(params)
-    return central_difference_error(params.tensors(), grads.tensors(),
-                                    lambda: loss(params)[0], h, 10_000)
+    flat = np.concatenate([t.ravel() for t in params.tensors()])
+    views = param_views(spec, flat)
+    _, grads = loss(views)
+    grad = np.concatenate([g.ravel() for g in grads.tensors()])
+    return central_difference_error(flat, grad, lambda: loss(views)[0], h, 10_000)
 
 
 # =========================================================================

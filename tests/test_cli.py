@@ -175,6 +175,23 @@ def test_evaluate_malformed_checkpoint_exits_1(tmp_path, sim_config,
     assert "missing entry 'phi.b1'" in capsys.readouterr().err
 
 
+def test_evaluate_non_finite_checkpoint_exits_1(tmp_path, sim_config,
+                                                train_config, capsys):
+    data_path = str(tmp_path / "data.csv")
+    ckpt_path = tmp_path / "ckpt.json"
+    assert main(["generate", "--config", sim_config, "--out", data_path]) == 0
+    assert main(["train", "--config", train_config, "--data", data_path,
+                 "--out", str(ckpt_path)]) == 0
+    doc = json.loads(ckpt_path.read_text())
+    doc["net"]["subnets"]["f1"]["params"]["W0"][0][0] = float("nan")
+    ckpt_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["evaluate", "--checkpoint", str(ckpt_path),
+                 "--data", data_path]) == 1
+    err = capsys.readouterr().err
+    assert f"malformed checkpoint {ckpt_path}: f1 has non-finite parameters" in err
+
+
 def test_unknown_train_config_key_exits_1(tmp_path, sim_config):
     data_path = str(tmp_path / "data.csv")
     assert main(["generate", "--config", sim_config, "--out", data_path]) == 0

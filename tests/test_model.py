@@ -1,4 +1,3 @@
-import copy
 import json
 from dataclasses import asdict, replace
 
@@ -13,7 +12,7 @@ from mbrl.model import (ABLATIONS, Batch, TrainConfig, build_net,
                         default_beta, fit, init_train_state, load_checkpoint,
                         multitask_step, perturbation_error, predict,
                         save_checkpoint, task_gradient_error, task_objective,
-                        validation_scores)
+                        task_slice, validation_scores)
 from mbrl.ot import SinkhornConfig
 
 TINY = TrainConfig(batch_size=8, epochs=2, phi_depth=2, phi_width=6,
@@ -71,8 +70,14 @@ def test_predict_batch_equivariance():
 
 # ---------------------------------------------------------------- losses
 
+def _grads(net):
+    # A gradient vector in the net's layout and its views.
+    grad = np.zeros_like(net.params)
+    return grad, net.views_of(grad)
+
+
 def _term(net, batch, task, name):
-    return task_objective(net, batch, TINY, task).terms[name]
+    return task_objective(net, batch, TINY, task, _grads(net)[1]).terms[name]
 
 
 def test_factual_loss_examples():
@@ -136,14 +141,14 @@ def test_step_applies_task_objective_gradients():
     # One step equals Adam updates built from task_objective's gradients, in
     # task order, on an identical copy of the net: training runs the
     # objectives the finite-difference checks verify. The step has
-    # task_objective write into the optimizers' slots; the reference copies
-    # its freshly allocated gradients in.
+    # task_objective write into the state's gradient vector; the reference
+    # copies the task's slice of a fresh gradient vector in.
     for ablation, plan in ABLATIONS.items():
         cfg = replace(TINY, ablation=ablation)
         net = _tiny_net(seed=9)
         net.eps_y[()] = 0.3
         net.eps_d[()] = -0.2
-        ref = copy.deepcopy(net)
+        ref = replace(net)
         batch = _batch(seed=10)
         multitask_step(init_train_state(net, cfg), batch, cfg)
 
@@ -151,35 +156,105 @@ def test_step_applies_task_objective_gradients():
         for task, opt in ref_state.opts.items():
             if task == 2 and not plan.run_balance:
                 continue
-            grads = task_objective(ref, batch, cfg, task).grads
-            for slot, grad in zip(opt.grads, grads):
-                slot[...] = grad
+            grad, grads = _grads(ref)
+            task_objective(ref, batch, cfg, task, grads)
+            opt.grad[...] = grad[task_slice(ref, task, plan.train_eps)]
             nn.adam_update(opt)
 
-        for name in ("phi", "pi", "f0", "f1"):
-            for a, b in zip(getattr(net, name).tensors(), getattr(ref, name).tensors()):
-                assert a.tobytes() == b.tobytes(), (ablation, name)
-        assert float(net.eps_y) == float(ref.eps_y)
-        assert float(net.eps_d) == float(ref.eps_d)
+        assert net.params.tobytes() == ref.params.tobytes(), ablation
         assert (float(net.eps_y) != 0.3 and float(net.eps_d) != -0.2) == plan.train_eps
+
+
+def test_a_replaced_net_is_a_copy_with_its_own_vector():
+    net = _tiny_net(seed=9)
+    net.eps_d[()] = -0.2
+    copied = replace(net)
+    assert copied.params.tobytes() == net.params.tobytes()
+    views = [*(t for name in model.SUBNETS for t in getattr(copied, name).tensors()),
+             copied.eps_y, copied.eps_d]
+    assert all(np.shares_memory(t, copied.params) for t in views)
+    assert not any(np.shares_memory(t, net.params) for t in views)
+    assert not np.shares_memory(copied.input_mean, net.input_mean)
+    assert not np.shares_memory(copied.input_scale, net.input_scale)
+
+
+def _is_slice(view, base, s):
+    # view is exactly base[s]: the same first entry and length, no copy.
+    return (view.base is base and view.size == s.stop - s.start
+            and view.ctypes.data == base.ctypes.data + s.start * base.itemsize)
+
+
+def test_optimizers_own_their_task_groups():
+    # Each optimizer holds its task's slice of the parameter vector and of
+    # the one gradient vector, which task_objective writes through the
+    # state's views, and all share one work vector sized to the largest.
+    for ablation, plan in ABLATIONS.items():
+        net = _tiny_net(seed=9)
+        state = init_train_state(net, replace(TINY, ablation=ablation))
+        for task, opt in state.opts.items():
+            s = task_slice(net, task, plan.train_eps)
+            assert _is_slice(opt.params, net.params, s), (ablation, task)
+            assert _is_slice(opt.grad, state.grad, s), (ablation, task)
+            assert opt.work.base is state.opts[1].work.base
+        assert state.opts[1].work.base.size == max(o.m.size for o in state.opts.values())
+        assert all(np.shares_memory(v, state.grad) for name in model.SUBNETS
+                   for v in state.grads[name].tensors())
+        assert all(np.shares_memory(state.grads[n], state.grad) for n in model.SCALARS)
+
+
+@pytest.mark.parametrize("ablation", list(ABLATIONS))
+@pytest.mark.parametrize("task", [1, 2, 3])
+def test_layout_keeps_each_task_group_one_slice(ablation, task):
+    # Fails when a LAYOUT order splits a group: its slice would take in a
+    # block the group does not name.
+    train_eps = ABLATIONS[ablation].train_eps
+    net = _tiny_net(seed=9)
+    size = {name: getattr(net, f"{name}_spec").n_params for name in model.SUBNETS}
+    size.update(eps_d=1, eps_y=1)
+    want = sum(size[b] for b in model.TASK_GROUPS[task]
+               if train_eps or b not in model.SCALARS)
+    s = task_slice(net, task, train_eps)
+    assert s.stop - s.start == want
+    blocks = [[getattr(net, name)] if name in model.SCALARS
+              else getattr(net, name).tensors() for name in model.LAYOUT]
+    assert net.params.tobytes() == np.concatenate(
+        [np.ravel(t) for block in blocks for t in block]).tobytes()
+    assert all(np.shares_memory(t, net.params) for block in blocks for t in block)
+
+
+def test_steps_build_no_views(monkeypatch):
+    # The net's and the gradient's views, and the task slices, are built
+    # once, by the net and by init_train_state, never in a step.
+    net = _tiny_net(seed=9)
+    state = init_train_state(net, TINY)
+    calls = []
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        return wrapper
+
+    for owner, name in ((nn, "param_views"), (model.MBRLNet, "views_of"),
+                        (model, "task_slice")):
+        monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+    for seed in range(10):
+        multitask_step(state, _batch(seed=seed), TINY)
+    assert state.step_count == 10 and calls == []
+    replace(net)
+    assert "views_of" in calls   # the counting itself works
 
 
 def test_step_writes_task_gradients_into_one_shared_buffer(monkeypatch):
     seen = []
     objective = model.task_objective
     monkeypatch.setattr(model, "task_objective", lambda *a, **k: seen.append(
-        (a[3], objective(*a, **k))) or seen[-1][1])
+        (a[3], a[4])) or objective(*a, **k))
     net = _tiny_net(seed=9)
     state = init_train_state(net, TINY)
-    scratch = state.opts[1].scratch
-    assert all(opt.scratch is scratch for opt in state.opts.values())
-    assert scratch.grad.size == max(opt.m.size for opt in state.opts.values())
     multitask_step(state, _batch(seed=10), TINY)
     assert [task for task, _ in seen] == [1, 2, 3]
-    for task, obj in seen:
-        assert len(obj.grads) == len(state.opts[task].grads)
-        for got, slot in zip(obj.grads, state.opts[task].grads):
-            assert got is slot and np.shares_memory(got, scratch.grad)
+    assert all(grads is state.grads for _, grads in seen)
 
 
 def test_balanced_step_runs_the_encoder_once_for_tasks_1_and_2(monkeypatch):
@@ -236,18 +311,17 @@ def test_task3_heads_on_their_own_arm_match_the_masked_full_batch(outcome_kind, 
          "all_treated": np.ones(10), "all_control": np.zeros(10)}[arms]
     y = rng.normal(size=10) if outcome_kind == "continuous" else rng.integers(0, 2, 10) * 1.0
     batch = Batch(rng.normal(size=(10, 3)), d, y)
-    obj = task_objective(net, batch, TINY, 3)
+    _, g = _grads(net)
+    obj = task_objective(net, batch, TINY, 3, g)
     value, want = _task3_full_batch_reference(net, batch, TINY)
     assert obj.value == pytest.approx(value, rel=1e-12, abs=0)
-    assert len(obj.grads) == len(want)
-    for got, ref in zip(obj.grads, want):
-        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
-    n_phi, n_head = len(net.phi.tensors()), len(net.f0.tensors())
-    heads = {"f0": obj.grads[n_phi:n_phi + n_head],
-             "f1": obj.grads[n_phi + n_head:n_phi + 2 * n_head]}
+    got = [*g["phi"].tensors(), *g["f0"].tensors(), *g["f1"].tensors(), g["eps_y"]]
+    assert len(got) == len(want)
+    for a, ref in zip(got, want):
+        np.testing.assert_allclose(a, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
     absent = {"all_treated": "f0", "all_control": "f1"}.get(arms)
-    for name, grads in heads.items():
-        assert all(not np.any(g) for g in grads) == (name == absent)
+    for name in ("f0", "f1"):
+        assert all(not np.any(t) for t in g[name].tensors()) == (name == absent)
 
 
 def test_step_zero_learning_rate_keeps_parameters():
@@ -311,12 +385,13 @@ def test_stationarity_links_constraint_to_zero_gap():
     # constraint holds
     net = _zeroed(_tiny_net(seed=6))  # propensity identically 0.5
     cfg = TINY
+    _, grads = _grads(net)
     balanced = Batch(np.zeros((2, 3)), np.array([1.0, 0.0]), np.zeros(2))
-    grads = task_objective(net, balanced, cfg, task=1).grads
-    assert float(grads[-1]) == 0.0   # mean(d - 0.5) = 0
+    task_objective(net, balanced, cfg, 1, grads)
+    assert float(grads["eps_d"]) == 0.0   # mean(d - 0.5) = 0
     lopsided = Batch(np.zeros((2, 3)), np.array([1.0, 1.0]), np.zeros(2))
-    grads = task_objective(net, lopsided, cfg, task=1).grads
-    assert float(grads[-1]) == pytest.approx(cfg.lambda1 * 0.5)
+    task_objective(net, lopsided, cfg, 1, grads)
+    assert float(grads["eps_d"]) == pytest.approx(cfg.lambda1 * 0.5)
 
 
 def _task1_ascent_reference(net, batch, cfg):
@@ -341,21 +416,13 @@ def test_task1_gradients_are_the_negated_ascent_gradients(eps_d):
     net = _tiny_net(seed=14)
     net.eps_d[()] = eps_d
     batch = _batch(seed=15)
-    obj = task_objective(net, batch, cfg, 1)
+    _, g = _grads(net)
+    task_objective(net, batch, cfg, 1, g)
+    got = [*g["pi"].tensors(), g["eps_d"]]
     want = _task1_ascent_reference(net, batch, cfg)
-    assert len(obj.grads) == len(want)
-    for got, ref in zip(obj.grads, want):
-        assert np.any(ref) and np.array_equal(got, -ref)
-
-
-def test_optimizers_own_their_task_groups():
-    for ablation, plan in ABLATIONS.items():
-        net = _tiny_net(seed=9)
-        state = init_train_state(net, replace(TINY, ablation=ablation))
-        for task, opt in state.opts.items():
-            group = model.task_group(net, task, plan.train_eps)
-            assert len(opt.params) == len(group) == len(opt.grads), (ablation, task)
-            assert all(a is b for a, b in zip(opt.params, group)), (ablation, task)
+    assert len(got) == len(want)
+    for a, ref in zip(got, want):
+        assert np.any(ref) and np.array_equal(a, -ref)
 
 
 @pytest.mark.parametrize("task,tol", [(1, 1e-4), (2, 1e-3), (3, 1e-4)])
@@ -521,12 +588,14 @@ def test_checkpoint_round_trip(tmp_path):
     assert back.best_eps_p == ckpt.best_eps_p
     assert back.selection == ckpt.selection
     assert back.config == ckpt.config
-    assert len(back.history) == len(ckpt.history)
-    for a, b in zip(ckpt.net.phi.tensors(), back.net.phi.tensors()):
-        np.testing.assert_array_equal(a, b)
+    assert back.history == ckpt.history
     assert back.best_epoch_rmse == ckpt.best_epoch_rmse
-    # predictions agree exactly, for both selection rules
+    assert back.best_val_rmse == ckpt.best_val_rmse
+    assert back.clip_events == ckpt.clip_events
+    # every parameter, the free scalars included, and the predictions agree
+    # exactly, for both selection rules
     for net, net_back in ((ckpt.net, back.net), (ckpt.net_rmse, back.net_rmse)):
+        assert net_back.params.tobytes() == net.params.tobytes()
         a = predict(net, te.covariates)
         b = predict(net_back, te.covariates)
         for x, y in zip(a, b):
@@ -607,6 +676,29 @@ def test_load_checkpoint_rejects_misshaped_tensor(tmp_path):
 
     _corrupt(path, drop_column)
     with pytest.raises(ValueError, match=r"ckpt\.json.*phi\.W0 has shape \(6, 2\)"):
+        load_checkpoint(path)
+
+
+def _nan_in_f1_w0(doc):
+    doc["net"]["subnets"]["f1"]["params"]["W0"][0][0] = float("nan")
+
+
+def _inf_in_phi_b1(doc):
+    doc["net"]["subnets"]["phi"]["params"]["b1"][2] = float("inf")
+
+
+def _minus_inf_eps_d(doc):
+    doc["net"]["eps_d"] = float("-inf")
+
+
+@pytest.mark.parametrize("edit,block", [
+    (_nan_in_f1_w0, "f1"), (_inf_in_phi_b1, "phi"), (_minus_inf_eps_d, "eps_d"),
+])
+def test_load_checkpoint_rejects_non_finite_parameters(tmp_path, edit, block):
+    path = _saved_checkpoint(tmp_path)
+    _corrupt(path, edit)
+    with pytest.raises(ValueError, match=rf"^malformed checkpoint .*ckpt\.json: "
+                                         rf"{block} has non-finite parameters$"):
         load_checkpoint(path)
 
 

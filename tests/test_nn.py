@@ -1,3 +1,4 @@
+import contextlib
 import json
 import tracemalloc
 import warnings
@@ -201,18 +202,6 @@ def test_backward_without_input_grad_keeps_parameter_gradients(output_activation
         assert a.tobytes() == b.tobytes()
 
 
-def _flat_slots(params, fill):
-    # Gradient slots as an optimizer holds them: views of one flat vector.
-    tensors = params.tensors()
-    flat = np.full(sum(t.size for t in tensors), fill)
-    views, start = [], 0
-    for t in tensors:
-        views.append(flat[start:start + t.size].reshape(t.shape))
-        start += t.size
-    n = len(params.weights)
-    return flat, nn.ParamSet(weights=views[:n], biases=views[n:])
-
-
 @pytest.mark.parametrize("output_activation", ["identity", "sigmoid"])
 @pytest.mark.parametrize("input_grad", [True, False])
 @pytest.mark.parametrize("rows", [7, 0])
@@ -224,7 +213,9 @@ def test_backward_into_slots_matches_the_allocating_path(output_activation,
     _, cache = nn.forward(params, spec, rng.normal(size=(rows, 4)))
     out_grad = rng.normal(size=(rows, 2))
     fresh, g_fresh = nn.backward(params, spec, cache, out_grad, input_grad)
-    flat, slots = _flat_slots(params, np.nan)
+    # Gradient slots as an optimizer holds them: views of one flat vector.
+    flat = np.full(spec.n_params, np.nan)
+    slots = nn.param_views(spec, flat)
     written, g_slots = nn.backward(params, spec, cache, out_grad, input_grad,
                                    out=slots)
     assert written is slots
@@ -308,40 +299,32 @@ def test_grad_check_rejects_bad_step():
 
 # ---------------------------------------------------------------- adam
 
-def _scalar(value):
-    return np.asarray(value, dtype=float)
-
-
-def _write_grads(state, grads):
-    # What a gradient producer does: write into the optimizer's slots.
-    for slot, grad in zip(state.grads, grads):
-        slot[...] = grad
+def _vector(*values):
+    return np.array(values, dtype=float)
 
 
 def test_adam_zero_gradient_is_identity():
-    p = _scalar(1.5)
-    state = nn.adam_init([p])
-    _write_grads(state, [_scalar(0.0)])
+    p = _vector(1.5)
+    state = nn.adam_init(p, _vector(0.0))
     nn.adam_update(state)
-    assert float(p) == 1.5
+    assert p[0] == 1.5
     assert state.step == 1
 
 
 def test_adam_first_step_is_minus_lr():
-    p = _scalar(0.0)
-    state = nn.adam_init([p], learning_rate=1e-3)
-    _write_grads(state, [_scalar(1.0)])
+    p = _vector(0.0)
+    state = nn.adam_init(p, _vector(1.0), learning_rate=1e-3)
     nn.adam_update(state)
-    assert float(p) == pytest.approx(-1e-3, rel=1e-6)
+    assert p[0] == pytest.approx(-1e-3, rel=1e-6)
 
 
 def test_adam_rejects_non_finite_gradients():
-    p = _scalar(0.0)
-    state = nn.adam_init([p])
-    _write_grads(state, [_scalar(np.nan)])
-    with pytest.raises(ValueError, match="non-finite gradient"):
-        nn.adam_update(state)
-    assert float(p) == 0.0 and state.step == 0
+    for bad in (np.nan, np.inf, -np.inf):
+        p = _vector(0.0, 0.0, 0.0)
+        state = nn.adam_init(p, _vector(1.0, bad, -1.0))
+        with pytest.raises(ValueError, match="non-finite gradient"):
+            nn.adam_update(state)
+        assert not np.any(p) and state.step == 0
 
 
 def _adam_per_tensor(tensors, grads, m, v, t, lr=1e-3,
@@ -359,12 +342,24 @@ def _adam_per_tensor(tensors, grads, m, v, t, lr=1e-3,
         p -= lr * (mk / c1) / (np.sqrt(vk / c2) + eps_hat)
 
 
+def _flat_group(tensors):
+    # A parameter group as a net holds it: one vector, the tensors views
+    # of it.
+    flat = np.concatenate([t.ravel() for t in tensors])
+    views, start = [], 0
+    for t in tensors:
+        views.append(flat[start:start + t.size].reshape(t.shape))
+        start += t.size
+    return flat, views
+
+
 def _adam_case(seed):
     # Entries near the step size, so a last-bit change in a step is not
     # rounded away when it is subtracted.
     rng = np.random.default_rng(seed)
     tensors = [1e-3 * rng.normal(size=(8, 6)), 1e-3 * rng.normal(size=8),
-               _scalar(5e-4), 1e-3 * rng.normal(size=(2, 5)), _scalar(-1e-3)]
+               np.asarray(5e-4), 1e-3 * rng.normal(size=(2, 5)),
+               np.asarray(-1e-3)]
     return rng, tensors
 
 
@@ -373,85 +368,103 @@ def test_adam_matches_per_tensor_reference_bitwise():
     ref = [t.copy() for t in tensors]
     ref_m = [np.zeros_like(t) for t in ref]
     ref_v = [np.zeros_like(t) for t in ref]
-    state = nn.adam_init(tensors, learning_rate=1e-3)
-    assert all(a is b for a, b in zip(state.params, tensors))
+    flat, views = _flat_group(tensors)
+    grad = np.zeros_like(flat)
+    state = nn.adam_init(flat, grad, learning_rate=1e-3)
+    assert state.params is flat and state.grad is grad
     for t in range(1, 21):
         grads = [rng.normal(size=p.shape) * 10.0 ** rng.integers(-4, 3)
                  for p in tensors]
-        _write_grads(state, grads)
+        grad[...] = np.concatenate([g.ravel() for g in grads])
         nn.adam_update(state)
         _adam_per_tensor(ref, grads, ref_m, ref_v, t)
     assert state.step == 20
-    for a, b in zip(tensors, ref):
+    for a, b in zip(views, ref):
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
     assert state.m.tobytes() == np.concatenate([m.ravel() for m in ref_m]).tobytes()
     assert state.v.tobytes() == np.concatenate([v.ravel() for v in ref_v]).tobytes()
 
 
 def test_adam_reads_gradients_in_their_slots_in_place_and_shares_scratch():
-    # Two groups share one scratch sized to the larger, as the training
-    # tasks do, and give the same bytes as two optimizers with scratches of
-    # their own.
+    # Two groups, slices of one parameter vector and of one gradient
+    # vector, share one work vector sized to the larger, as the training
+    # tasks do, and give the same bytes as two optimizers with work vectors
+    # of their own.
     rng, group_a = _adam_case(6)
-    group_b = [1e-3 * rng.normal(size=(3, 4)), _scalar(2e-4)]
-    ref = [[t.copy() for t in g] for g in (group_a, group_b)]
-    ref_states = [nn.adam_init(g) for g in ref]
-    sizes = [sum(t.size for t in g) for g in (group_a, group_b)]
-    scratch = nn.AdamScratch.sized(max(sizes))
-    states = [nn.adam_init(g, scratch=scratch) for g in (group_a, group_b)]
-    assert all(np.shares_memory(s, scratch.grad) for st in states for s in st.grads)
+    group_b = [1e-3 * rng.normal(size=(3, 4)), np.asarray(2e-4)]
+    params, _ = _flat_group([*group_a, *group_b])
+    grad = np.zeros_like(params)
+    n_a = sum(t.size for t in group_a)
+    parts = (slice(0, n_a), slice(n_a, params.size))
+    ref = [params[s].copy() for s in parts]
+    ref_states = [nn.adam_init(p, np.zeros_like(p)) for p in ref]
+    work = np.zeros(max(n_a, params.size - n_a))
+    states = [nn.adam_init(params[s], grad[s], work=work) for s in parts]
+    assert all(np.shares_memory(st.work, work) for st in states)
     for _ in range(10):
         for state, ref_state in zip(states, ref_states):
-            grads = [rng.normal(size=p.shape) for p in state.params]
-            _write_grads(state, grads)
+            g = rng.normal(size=state.grad.size)
+            state.grad[...] = g
             nn.adam_update(state)
-            _write_grads(ref_state, grads)
+            ref_state.grad[...] = g
             nn.adam_update(ref_state)
-    for got, want in zip([*group_a, *group_b], [*ref[0], *ref[1]]):
-        assert got.tobytes() == want.tobytes()
-    grads = [np.ones(p.shape) for p in group_b]
-    grads[0][1, 2] = np.nan
-    before = [t.copy() for t in group_b]
-    _write_grads(states[1], grads)
+    assert params.tobytes() == np.concatenate(ref).tobytes()
+    before = params.copy()
+    states[1].grad[...] = 1.0
+    states[1].grad[4] = np.nan
     with pytest.raises(ValueError, match="non-finite gradient"):
         nn.adam_update(states[1])
     assert states[1].step == 10
-    for a, b in zip(group_b, before):
-        assert a.tobytes() == b.tobytes()
+    assert params.tobytes() == before.tobytes()
 
 
 def test_adam_update_allocates_no_gradient_sized_buffer():
+    # Neither the update nor the finiteness test that can stop it.
     rng = np.random.default_rng(7)
-    tensors = [rng.normal(size=(200, 250)), rng.normal(size=250), _scalar(0.1)]
-    state = nn.adam_init(tensors)
-    _write_grads(state, [rng.normal(size=p.shape) for p in tensors])
-    nn.adam_update(state)   # first call outside the trace
-    tracemalloc.start()
-    try:
-        nn.adam_update(state)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < state.m.nbytes / 100
+    for bad in (None, np.nan, np.inf):
+        params = rng.normal(size=200 * 250 + 251)
+        state = nn.adam_init(params, rng.normal(size=params.size))
+        nn.adam_update(state)   # first call outside the trace
+        state.grad[...] = rng.normal(size=params.size)
+        if bad is not None:
+            state.grad[-1] = bad
+        tracemalloc.start()
+        try:
+            with contextlib.suppress(ValueError):
+                nn.adam_update(state)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < state.m.nbytes / 100
+        assert state.step == (2 if bad is None else 1)
 
 
 def test_adam_non_finite_gradient_leaves_state_and_tensors():
     rng, tensors = _adam_case(4)
-    state = nn.adam_init(tensors)
+    params, _ = _flat_group(tensors)
+    state = nn.adam_init(params, np.zeros_like(params))
     for _ in range(3):
-        _write_grads(state, [rng.normal(size=p.shape) for p in tensors])
+        state.grad[...] = rng.normal(size=params.size)
         nn.adam_update(state)
-    before = ([t.copy() for t in tensors], state.m.copy(), state.v.copy())
-    grads = [rng.normal(size=p.shape) for p in tensors]
-    grads[1][2] = np.inf
-    _write_grads(state, grads)
+    before = (params.copy(), state.m.copy(), state.v.copy())
+    state.grad[...] = rng.normal(size=params.size)
+    state.grad[50] = np.inf
     with pytest.raises(ValueError, match="non-finite gradient"):
         nn.adam_update(state)
     assert state.step == 3
-    for a, b in zip(tensors, before[0]):
+    for a, b in zip((params, state.m, state.v), before):
         np.testing.assert_array_equal(a, b)
-    np.testing.assert_array_equal(state.m, before[1])
-    np.testing.assert_array_equal(state.v, before[2])
+
+
+def test_param_views_share_the_flat_vector_in_tensors_order():
+    spec = nn.NetSpec((4, 6, 5, 2))
+    params = nn.init_params(spec, seed=3)
+    flat = np.concatenate([t.ravel() for t in params.tensors()])
+    assert flat.size == spec.n_params == 4 * 6 + 6 * 5 + 5 * 2 + 6 + 5 + 2
+    views = nn.param_views(spec, flat)
+    for a, b in zip(views.tensors(), params.tensors()):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert np.shares_memory(a, flat)
 
 
 # ---------------------------------------------------------------- persistence
