@@ -69,7 +69,7 @@ SCALARS = ("eps_d", "eps_y")
 LAYOUT = ("eps_d", "pi", "phi", "f0", "f1", "eps_y")
 
 
-@dataclass
+@dataclass(eq=False)
 class MBRLNet:
     """Encoder, discriminator, outcome heads and the two free scalars.
 
@@ -77,6 +77,7 @@ class MBRLNet:
     ``LAYOUT`` order, a subnet's block in ``ParamSet.tensors()`` order. The
     ParamSets and the 0-d scalars are views of it, made with the net, so a
     copy is ``dataclasses.replace(net)`` (a deep copy unties the views).
+    Nets compare by identity; compare ``params`` bytes for equal weights.
 
     ``input_mean``/``input_scale`` hold the per-feature standardization
     (train-split statistics) applied before the encoder; they are part of
@@ -247,10 +248,10 @@ def predict(net: MBRLNet, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
     """Per-unit (yhat0, yhat1, propensity). These are exactly the nuisance
     estimates g_hat(0, z), g_hat(1, z) and m_hat(z)."""
     X = net.transform(Z)
-    R, _ = nn.forward(net.phi, net.phi_spec, X)
-    p, _ = nn.forward(net.pi, net.pi_spec, R)
-    o0, _ = nn.forward(net.f0, net.f0_spec, R)
-    o1, _ = nn.forward(net.f1, net.f1_spec, R)
+    R, _ = nn.forward(net.phi, net.phi_spec, X, keep_cache=False)
+    p, _ = nn.forward(net.pi, net.pi_spec, R, keep_cache=False)
+    o0, _ = nn.forward(net.f0, net.f0_spec, R, keep_cache=False)
+    o1, _ = nn.forward(net.f1, net.f1_spec, R, keep_cache=False)
     return o0[:, 0], o1[:, 0], p[:, 0]
 
 
@@ -314,13 +315,14 @@ def task_slice(net: MBRLNet, task: int, train_eps: bool) -> slice:
 
 def init_train_state(net: MBRLNet, cfg: TrainConfig) -> TrainState:
     """One gradient vector in the net's layout, and one optimizer per task
-    over its slice of both vectors. The three share one Adam work vector:
+    over its slice of both vectors. The three share one Adam work vector of
+    one block (``nn.ADAM_BLOCK`` entries, fewer if every group is smaller):
     the tasks run in sequence, and each update consumes its gradient before
     the next task writes its own."""
     train_eps = ABLATIONS[cfg.ablation].train_eps
     grad = np.zeros_like(net.params)
     slices = {task: task_slice(net, task, train_eps) for task in TASK_GROUPS}
-    work = np.zeros(max(s.stop - s.start for s in slices.values()))
+    work = np.zeros(min(nn.ADAM_BLOCK, max(s.stop - s.start for s in slices.values())))
     return TrainState(net=net, grad=grad, grads=net.views_of(grad), opts={
         task: nn.adam_init(net.params[s], grad[s], cfg.learning_rate, work)
         for task, s in slices.items()})
@@ -510,9 +512,11 @@ class Checkpoint:
 
 def validation_scores(net: MBRLNet, val: Dataset, beta: float) -> tuple[float, float]:
     """(RMSE, perturbation error) of factual predictions on a dataset: the
-    encoder and discriminator on every unit, each head on its own arm."""
-    R, _ = nn.forward(net.phi, net.phi_spec, net.transform(val.covariates))
-    p, _ = nn.forward(net.pi, net.pi_spec, R)
+    encoder and discriminator on every unit (without forward caches), each
+    head on its own arm."""
+    R, _ = nn.forward(net.phi, net.phi_spec, net.transform(val.covariates),
+                      keep_cache=False)
+    p, _ = nn.forward(net.pi, net.pi_spec, R, keep_cache=False)
     pred, _ = factual_heads(net, R, val.treatment == 1)
     val_rmse = rmse(val.outcome_factual, pred)
     eps_p = perturbation_error(val.outcome_factual, pred,
@@ -548,7 +552,8 @@ def fit(train: Dataset, val: Dataset, cfg: TrainConfig) -> Checkpoint:
 
     n = train.n_units
     history: list[EpochStats] = []
-    # Selection rule -> (best value, its epoch, net.params at that epoch).
+    # Selection rule -> (best value, its epoch, net.params at that epoch);
+    # rules that improve in the same epoch share one snapshot.
     best = {rule: (np.inf, 0, None) for rule in ("eps_p", "rmse")}
 
     for epoch in range(1, cfg.epochs + 1):
@@ -572,15 +577,22 @@ def fit(train: Dataset, val: Dataset, cfg: TrainConfig) -> Checkpoint:
             **{k: v / n_steps for k, v in sums.items()},
             val_rmse=val_rmse, val_eps_p=val_eps_p,
         ))
-        for rule, value in (("eps_p", val_eps_p), ("rmse", val_rmse)):
-            if value < best[rule][0]:
-                best[rule] = (value, epoch, net.params.copy())
+        scores = {"eps_p": val_eps_p, "rmse": val_rmse}
+        improved = [rule for rule, value in scores.items() if value < best[rule][0]]
+        if improved:
+            snapshot = net.params.copy()
+            for rule in improved:
+                best[rule] = (scores[rule], epoch, snapshot)
 
     value, epoch, selected = best[selection]
     if selected is None:
         raise RuntimeError(f"no epoch of {cfg.epochs} had a finite validation "
                            f"{selection}; nothing to select")
     best_rmse, best_epoch_rmse, net_rmse = best["rmse"]
+    # The gradient, moments and work vector go before the returned nets
+    # are built, so building them does not raise the fit's peak memory.
+    clip_events = state.clip_events
+    del state
     return Checkpoint(
         net=replace(net, **net.views_of(selected)),
         best_epoch=epoch,
@@ -592,7 +604,7 @@ def fit(train: Dataset, val: Dataset, cfg: TrainConfig) -> Checkpoint:
         net_rmse=replace(net, **net.views_of(net_rmse)),
         best_epoch_rmse=best_epoch_rmse,
         best_val_rmse=float(best_rmse),
-        clip_events=state.clip_events,
+        clip_events=clip_events,
     )
 
 

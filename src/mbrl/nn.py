@@ -143,11 +143,15 @@ class ForwardCache:
     output: np.ndarray
 
 
-def forward(params: ParamSet, spec: NetSpec, X: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
+def forward(params: ParamSet, spec: NetSpec, X: np.ndarray, keep_cache: bool = True
+            ) -> tuple[np.ndarray, ForwardCache | None]:
     """Batched forward pass.
 
     Sigmoid outputs are clamped to [1e-7, 1 - 1e-7] so downstream logarithms
-    are always finite.
+    are always finite. With ``keep_cache=False`` (inference) no cache is
+    built and None is returned in its place: each layer's arrays are
+    released as the next layer is computed, and the output is the same
+    bytes.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != spec.input_width:
@@ -161,16 +165,19 @@ def forward(params: ParamSet, spec: NetSpec, X: np.ndarray) -> tuple[np.ndarray,
     preacts: list[np.ndarray] = []
     last = spec.n_layers - 1
     for k, (W, b) in enumerate(zip(params.weights, params.biases)):
-        inputs.append(h)
         z = h @ W.T
         z += b
-        preacts.append(z)
+        if keep_cache:
+            inputs.append(h)
+            preacts.append(z)
         if k < last:
             h = elu(z)
         elif spec.output_activation == "sigmoid":
             h = np.clip(sigmoid(z), SIGMOID_CLAMP, 1.0 - SIGMOID_CLAMP)
         else:
             h = z
+    if not keep_cache:
+        return h, None
     return h, ForwardCache(inputs=inputs, preacts=preacts, output=h)
 
 
@@ -228,6 +235,9 @@ def backward(
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS_HAT = 1e-8
+# Entries per block of an Adam update (256 KiB of each vector), so the
+# update's passes over a block run in cache.
+ADAM_BLOCK = 32768
 
 
 @dataclass
@@ -235,8 +245,9 @@ class AdamState:
     """The parameter vector an optimizer updates (its parameter group, a
     view of the net's vector), the gradient vector its producer writes in
     the same layout, the first/second moment accumulators and a work
-    vector. Updates that run one after another can share one work vector
-    sized to the largest of their groups."""
+    vector of one block, ``min(ADAM_BLOCK, size)`` entries. Updates that
+    run one after another can share one work vector sized for the largest
+    of their groups."""
 
     params: np.ndarray
     grad: np.ndarray
@@ -250,15 +261,16 @@ class AdamState:
 def adam_init(params: np.ndarray, grad: np.ndarray, learning_rate: float = 1e-3,
               work: np.ndarray | None = None) -> AdamState:
     """Optimizer state of a flat parameter vector and its gradient vector;
-    with ``work`` (at least the vector's size) it shares that work vector,
-    else it gets its own."""
+    with ``work`` (at least ``min(ADAM_BLOCK, size)`` entries) it shares
+    that work vector, else it gets its own."""
     size = params.size
+    need = min(ADAM_BLOCK, size)
     if work is None:
-        work = np.zeros(size)
-    if work.size < size:
-        raise ValueError(f"work vector of size {work.size} cannot hold {size} entries")
+        work = np.zeros(need)
+    if work.size < need:
+        raise ValueError(f"work vector of size {work.size} cannot hold {need} entries")
     return AdamState(params=params, grad=grad, m=np.zeros(size), v=np.zeros(size),
-                     work=work[:size], learning_rate=learning_rate)
+                     work=work[:need], learning_rate=learning_rate)
 
 
 def adam_update(state: AdamState) -> None:
@@ -266,35 +278,40 @@ def adam_update(state: AdamState) -> None:
     from the gradient its producer wrote into ``state.grad``.
 
     The arithmetic is elementwise in the order
-    lr * (m / c1) / (sqrt(v / c2) + eps_hat), done once over the flat
-    gradient vector, which it overwrites with the step; nothing is
-    allocated. Non-finite gradient entries raise before any parameter or
-    moment moves.
+    lr * (m / c1) / (sqrt(v / c2) + eps_hat). It runs block by block
+    (``ADAM_BLOCK`` entries of each vector at a time, the same operations
+    in the same order in every block, so the bytes do not depend on the
+    block size) and overwrites the gradient with the step; nothing is
+    allocated. Non-finite gradient entries raise before any block moves.
     """
-    g, work = state.grad, state.work
+    grad = state.grad
     # max and min propagate nan and reach any +-inf, without a mask.
-    if not (np.isfinite(g.max()) and np.isfinite(g.min())):
+    if not (np.isfinite(grad.max()) and np.isfinite(grad.min())):
         raise ValueError("non-finite gradient entries")
     state.step += 1
     t = state.step
     c1 = 1.0 - ADAM_BETA1 ** t
     c2 = 1.0 - ADAM_BETA2 ** t
-    m, v = state.m, state.v
-    m *= ADAM_BETA1
-    np.multiply(g, 1.0 - ADAM_BETA1, out=work)
-    m += work
-    v *= ADAM_BETA2
-    np.multiply(g, 1.0 - ADAM_BETA2, out=work)
-    work *= g
-    v += work
-    # The gradient is spent; g now holds the step.
-    np.divide(v, c2, out=work)
-    np.sqrt(work, out=work)
-    work += ADAM_EPS_HAT
-    np.divide(m, c1, out=g)
-    g *= state.learning_rate
-    g /= work
-    state.params -= g
+    lr = state.learning_rate
+    for start in range(0, grad.size, ADAM_BLOCK):
+        s = slice(start, start + ADAM_BLOCK)
+        g, m, v, p = grad[s], state.m[s], state.v[s], state.params[s]
+        work = state.work[:g.size]
+        m *= ADAM_BETA1
+        np.multiply(g, 1.0 - ADAM_BETA1, out=work)
+        m += work
+        v *= ADAM_BETA2
+        np.multiply(g, 1.0 - ADAM_BETA2, out=work)
+        work *= g
+        v += work
+        # The block's gradient is spent; g now holds its step.
+        np.divide(v, c2, out=work)
+        np.sqrt(work, out=work)
+        work += ADAM_EPS_HAT
+        np.divide(m, c1, out=g)
+        g *= lr
+        g /= work
+        p -= g
 
 
 # =========================================================================

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -178,6 +179,18 @@ def test_a_replaced_net_is_a_copy_with_its_own_vector():
     assert not np.shares_memory(copied.input_scale, net.input_scale)
 
 
+def test_nets_and_checkpoints_compare_without_raising():
+    # Nets compare by identity (their arrays have no single truth value); a
+    # checkpoint compares field by field, its nets by identity.
+    net = _tiny_net(seed=9)
+    assert net == net
+    assert not net == replace(net)
+    tr, va, _ = _small_sim(seed=9)
+    ckpt = fit(tr, va, TINY)
+    assert ckpt == ckpt
+    assert not replace(ckpt, net=replace(ckpt.net)) == ckpt
+
+
 def _is_slice(view, base, s):
     # view is exactly base[s]: the same first entry and length, no copy.
     return (view.base is base and view.size == s.stop - s.start
@@ -187,7 +200,8 @@ def _is_slice(view, base, s):
 def test_optimizers_own_their_task_groups():
     # Each optimizer holds its task's slice of the parameter vector and of
     # the one gradient vector, which task_objective writes through the
-    # state's views, and all share one work vector sized to the largest.
+    # state's views, and all share one work vector of one Adam block, or of
+    # the largest group where every group is smaller.
     for ablation, plan in ABLATIONS.items():
         net = _tiny_net(seed=9)
         state = init_train_state(net, replace(TINY, ablation=ablation))
@@ -196,10 +210,16 @@ def test_optimizers_own_their_task_groups():
             assert _is_slice(opt.params, net.params, s), (ablation, task)
             assert _is_slice(opt.grad, state.grad, s), (ablation, task)
             assert opt.work.base is state.opts[1].work.base
-        assert state.opts[1].work.base.size == max(o.m.size for o in state.opts.values())
+        assert state.opts[1].work.base.size == min(
+            nn.ADAM_BLOCK, max(o.m.size for o in state.opts.values()))
         assert all(np.shares_memory(v, state.grad) for name in model.SUBNETS
                    for v in state.grads[name].tensors())
         assert all(np.shares_memory(state.grads[n], state.grad) for n in model.SCALARS)
+    # At the default architecture the groups span several blocks.
+    state = init_train_state(build_net(10, "continuous", TrainConfig(), seed=0),
+                             TrainConfig())
+    assert max(o.m.size for o in state.opts.values()) > 2 * nn.ADAM_BLOCK
+    assert state.opts[1].work.base.size == nn.ADAM_BLOCK
 
 
 @pytest.mark.parametrize("ablation", list(ABLATIONS))
@@ -524,6 +544,49 @@ def test_validation_scores_match_the_predict_reference(seed):
     want = (rmse(va.outcome_factual, pred),
             perturbation_error(va.outcome_factual, pred, va.treatment, p, 0.1))
     np.testing.assert_allclose(validation_scores(net, va, 0.1), want, rtol=1e-12, atol=0)
+
+
+def _traced_peak(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_validation_scores_keep_no_forward_caches():
+    # Encoder and discriminator run without caches, so a validation pass
+    # holds a few arrays of the representation's size (the representation,
+    # one layer's input, pre-activation and output, the heads' rows) at any
+    # depth; with caches it held two per layer of each.
+    val, _ = generate_simulation(SimConfig(n_treated=150, n_control=250, dim=10))
+    layer = val.n_units * 200 * 8
+    peaks = {}
+    for depth in (4, 8):
+        cfg = TrainConfig(phi_depth=depth, pi_depth=depth)
+        net = build_net(10, "continuous", cfg, seed=0)
+        peaks[depth] = _traced_peak(lambda: validation_scores(net, val, 0.1))
+    assert peaks[4] < 6 * layer
+    assert peaks[8] < peaks[4] + layer / 2
+
+
+def test_fit_peak_memory_is_its_persistent_state_plus_slack():
+    # A fit at the default architecture holds the parameter and gradient
+    # vectors, each task's Adam moments and at most two best-epoch
+    # snapshots. A training step or a validation pass adds a few
+    # layer-sized arrays (here under 1 MiB); the slack is 4 MiB. Cached
+    # validation passes, or the returned nets built while the optimizer
+    # state is alive, go about 11 MiB over.
+    sample, _ = generate_simulation(SimConfig(n_treated=500, n_control=1000, dim=10,
+                                              seed=1))
+    tr, va, _ = split(sample, SplitSpec(0.63, 0.27, 0.10, seed=1))
+    cfg = TrainConfig(epochs=2, seed=1)
+    state = init_train_state(build_net(10, "continuous", cfg, seed=0), cfg)
+    persistent = (4 * state.net.params.nbytes
+                  + sum(o.m.nbytes + o.v.nbytes for o in state.opts.values()))
+    del state
+    assert _traced_peak(lambda: fit(tr, va, cfg)) < persistent + 4 * 2**20
 
 
 # ---------------------------------------------------------------- ablation plumbing

@@ -139,6 +139,17 @@ def test_forward_hidden_outputs_are_elu_of_their_preactivations(output_activatio
         assert np.any(z < 0) and np.any(z > 0)
 
 
+@pytest.mark.parametrize("output_activation", ["identity", "sigmoid"])
+def test_forward_without_cache_gives_the_cached_output_bytes(output_activation):
+    spec = nn.NetSpec((4, 30, 20, 20, 3), output_activation=output_activation)
+    params = nn.init_params(spec, seed=3)
+    X = np.random.default_rng(4).normal(size=(50, 4))
+    out, cache = nn.forward(params, spec, X)
+    bare, none = nn.forward(params, spec, X, keep_cache=False)
+    assert none is None and isinstance(cache, nn.ForwardCache)
+    assert bare.shape == out.shape and bare.tobytes() == out.tobytes()
+
+
 def test_forward_single_sigmoid_unit():
     spec = nn.NetSpec((1, 1), output_activation="sigmoid")
     params = nn.ParamSet(weights=[np.array([[1.0]])], biases=[np.array([0.0])])
@@ -383,6 +394,65 @@ def test_adam_matches_per_tensor_reference_bitwise():
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
     assert state.m.tobytes() == np.concatenate([m.ravel() for m in ref_m]).tobytes()
     assert state.v.tobytes() == np.concatenate([v.ravel() for v in ref_v]).tobytes()
+
+
+def _blocked_case(seed):
+    # A group of three full Adam blocks and a ragged tail, in three tensors.
+    rng = np.random.default_rng(seed)
+    n = 3 * nn.ADAM_BLOCK + 2334
+    tensors = [1e-3 * rng.normal(size=(257, 300)), 1e-3 * rng.normal(size=20_000),
+               1e-3 * rng.normal(size=n - 257 * 300 - 20_000)]
+    return rng, tensors
+
+
+def test_adam_blocks_match_per_tensor_reference_bitwise():
+    rng, tensors = _blocked_case(5)
+    ref = [t.copy() for t in tensors]
+    ref_m = [np.zeros_like(t) for t in ref]
+    ref_v = [np.zeros_like(t) for t in ref]
+    flat, _ = _flat_group(tensors)
+    grad = np.zeros_like(flat)
+    state = nn.adam_init(flat, grad, learning_rate=1e-3)
+    assert flat.size > 3 * nn.ADAM_BLOCK and flat.size % nn.ADAM_BLOCK
+    assert state.work.size == nn.ADAM_BLOCK
+    for t in range(1, 6):
+        grads = [rng.normal(size=p.shape) * 10.0 ** rng.integers(-4, 3)
+                 for p in tensors]
+        grad[...] = np.concatenate([g.ravel() for g in grads])
+        nn.adam_update(state)
+        _adam_per_tensor(ref, grads, ref_m, ref_v, t)
+    assert flat.tobytes() == np.concatenate([p.ravel() for p in ref]).tobytes()
+    assert state.m.tobytes() == np.concatenate([m.ravel() for m in ref_m]).tobytes()
+    assert state.v.tobytes() == np.concatenate([v.ravel() for v in ref_v]).tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_adam_non_finite_entry_in_the_last_block_moves_no_block(bad):
+    rng, tensors = _blocked_case(6)
+    params, _ = _flat_group(tensors)
+    state = nn.adam_init(params, np.zeros_like(params))
+    for _ in range(2):
+        state.grad[...] = rng.normal(size=params.size)
+        nn.adam_update(state)
+    before = (params.copy(), state.m.copy(), state.v.copy())
+    state.grad[...] = rng.normal(size=params.size)
+    state.grad[-1] = bad
+    with pytest.raises(ValueError, match="non-finite gradient"):
+        nn.adam_update(state)
+    assert state.step == 2
+    for a, b in zip((params, state.m, state.v), before):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_adam_work_vector_holds_one_block():
+    for size in (10, nn.ADAM_BLOCK, 2 * nn.ADAM_BLOCK + 5):
+        need = min(nn.ADAM_BLOCK, size)
+        params = np.zeros(size)
+        assert nn.adam_init(params, np.zeros(size)).work.size == need
+        shared = np.zeros(nn.ADAM_BLOCK)
+        assert nn.adam_init(params, np.zeros(size), work=shared).work.base is shared
+        with pytest.raises(ValueError, match="work vector"):
+            nn.adam_init(params, np.zeros(size), work=np.zeros(need - 1))
 
 
 def test_adam_reads_gradients_in_their_slots_in_place_and_shares_scratch():
