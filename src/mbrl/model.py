@@ -123,13 +123,16 @@ class MBRLNet:
                 if want.get(entry) != have.get(entry):
                     raise ValueError(f"{name}.{entry} has shape {have.get(entry)}; "
                                      f"its spec {w} wants {want.get(entry)}")
-        pieces = [np.asarray(getattr(self, name), dtype=float).reshape(1) if name in SCALARS
-                  else np.concatenate([t.ravel() for t in getattr(self, name).tensors()])
-                  for name in LAYOUT]
-        ends = np.cumsum([p.size for p in pieces])
-        self.blocks = {name: slice(int(e) - p.size, int(e))
-                       for name, p, e in zip(LAYOUT, pieces, ends)}
-        self.params = np.concatenate(pieces)
+        sizes = [getattr(self, f"{n}_spec").n_params if n in SUBNETS else 1
+                 for n in LAYOUT]
+        ends = np.cumsum(sizes).tolist()
+        self.blocks = {n: slice(e - k, e) for n, k, e in zip(LAYOUT, sizes, ends)}
+        self.params = np.empty(ends[-1])  # each block is copied once, into its slot
+        for name, b in self.blocks.items():
+            value = getattr(self, name)
+            parts = (value.tensors() if name in SUBNETS
+                     else [np.asarray(value, dtype=float).reshape(1)])
+            np.concatenate([t.ravel() for t in parts], out=self.params[b])
         finite = np.isfinite(self.params)
         bad = [name for name, b in self.blocks.items() if not finite[b].all()]
         if bad:
@@ -298,8 +301,10 @@ class TrainState:
     last: dict = field(default_factory=dict)
 
 
-# Task -> the blocks it trains, adjacent in LAYOUT. A free scalar, at one
-# end, is left out when the ablation drops the noise regularizers.
+# Task -> the blocks it trains, adjacent in LAYOUT: the one statement of each
+# task's optimizer slice, of the gradient blocks it writes (the encoder's only
+# where "phi" is listed) and of how long a step reuses an encoder pass. A free
+# scalar stays in its group; where its lambda is 0 its gradient is exactly 0.
 TASK_GROUPS = {
     1: ("eps_d", "pi"),
     2: ("phi",),
@@ -307,9 +312,9 @@ TASK_GROUPS = {
 }
 
 
-def task_slice(net: MBRLNet, task: int, train_eps: bool) -> slice:
+def task_slice(net: MBRLNet, task: int) -> slice:
     """The span of ``net.params`` (and of its gradient) one task updates."""
-    blocks = [b for b in TASK_GROUPS[task] if train_eps or b not in SCALARS]
+    blocks = TASK_GROUPS[task]
     return slice(net.blocks[blocks[0]].start, net.blocks[blocks[-1]].stop)
 
 
@@ -319,9 +324,8 @@ def init_train_state(net: MBRLNet, cfg: TrainConfig) -> TrainState:
     one block (``nn.ADAM_BLOCK`` entries, fewer if every group is smaller):
     the tasks run in sequence, and each update consumes its gradient before
     the next task writes its own."""
-    train_eps = ABLATIONS[cfg.ablation].train_eps
     grad = np.zeros_like(net.params)
-    slices = {task: task_slice(net, task, train_eps) for task in TASK_GROUPS}
+    slices = {task: task_slice(net, task) for task in TASK_GROUPS}
     work = np.zeros(min(nn.ADAM_BLOCK, max(s.stop - s.start for s in slices.values())))
     return TrainState(net=net, grad=grad, grads=net.views_of(grad), opts={
         task: nn.adam_init(net.params[s], grad[s], cfg.learning_rate, work)
@@ -341,18 +345,16 @@ def multitask_step(state: TrainState, batch: Batch, cfg: TrainConfig) -> TrainSt
     treated = np.asarray(batch.treatment) == 1
     balance = plan.run_balance and treated.any() and not treated.all()
     losses = {"l_imb": 0.0}
-    # Task 1 leaves the encoder as it is, so tasks 1 and 2 share one
-    # encoder pass; task 3 runs after task 2 has moved it, and the shared
-    # pass is released before task 3 makes its own.
-    encoded = encode(net, batch)
+    # One encoder pass serves each task until a task training the encoder steps.
+    encoded = None
     for task, opt in state.opts.items():
         if task == 2 and not balance:
             continue
-        if task == 3:
-            encoded = None
-        obj = task_objective(net, batch, cfg, task, state.grads, encoded)
+        encoded = encode(net, batch) if encoded is None else encoded
+        losses.update(task_objective(net, batch, cfg, task, state.grads, encoded).terms)
         nn.adam_update(opt)
-        losses.update(obj.terms)
+        if "phi" in TASK_GROUPS[task]:
+            encoded = None
 
     if plan.train_eps:
         for eps in (net.eps_y, net.eps_d):
@@ -393,67 +395,65 @@ def task_objective(net: MBRLNet, batch: Batch, cfg: TrainConfig, task: int,
     Every task objective is descended: -L_dis + lambda1*Omega_d (task 1),
     the entropic dual value of L_imb (task 2) and L_fo + lambda2*Omega_y
     (task 3). ``grads`` is ``net.views_of`` a gradient vector; the task
-    writes the blocks ``TASK_GROUPS`` names. Ablations without the noise
-    regularizers take lambda1 = lambda2 = 0 and leave the free scalars out
-    of ``task_slice``. ``multitask_step`` descends these gradients.
+    writes every block ``TASK_GROUPS`` names for it, the encoder's exactly
+    when it is named. Ablations without the noise regularizers take
+    lambda1 = lambda2 = 0. ``multitask_step`` descends these gradients.
 
     ``encoded`` is ``encode(net, batch)`` at the current encoder weights;
     when omitted it is computed here.
     """
     if task not in TASK_GROUPS:
         raise ValueError("task must be 1, 2 or 3")
-    train_eps = ABLATIONS[cfg.ablation].train_eps
-    lambda1, lambda2 = (cfg.lambda1, cfg.lambda2) if train_eps else (0.0, 0.0)
     R, cache_phi = encode(net, batch) if encoded is None else encoded
     d = np.asarray(batch.treatment, dtype=float)
-    y = np.asarray(batch.outcome, dtype=float)
     treated = d == 1
     b = R.shape[0]
-    if task == 1:
-        p_mat, cache_pi = nn.forward(net.pi, net.pi_spec, R)
-        p = p_mat[:, 0]
-        l_dis = float(np.mean(d * np.log(p) + (1.0 - d) * np.log1p(-p)))
-        gap = float(np.mean(d - p))
-        value = lambda1 * float(net.eps_d) * abs(gap) - l_dis
-        dobj = ((1.0 - d) / (1.0 - p) - d / p) / b
-        dobj = dobj - lambda1 * float(net.eps_d) * np.sign(gap) / b
-        nn.backward(net.pi, net.pi_spec, cache_pi, dobj[:, None],
-                    input_grad=False, out=grads["pi"])
-        grads["eps_d"][()] = lambda1 * abs(gap)
-        terms = {"l_dis": l_dis, "omega_d": float(net.eps_d) * abs(gap)}
-    elif task == 2:
+    reach_phi = "phi" in TASK_GROUPS[task]
+    if task == 2:
         if not treated.any() or treated.all():
             raise ValueError("task 2 needs both treatment arms in the batch")
         res = wasserstein_sinkhorn(R[treated], R[~treated], cfg.sinkhorn)
         dR = np.zeros_like(R)
         dR[treated] = res.grad_a
         dR[~treated] = res.grad_b
-        nn.backward(net.phi, net.phi_spec, cache_phi, dR, input_grad=False,
-                    out=grads["phi"])
         # At convergence the fixed-plan gradient above is the gradient of
         # the entropic dual value; the log keeps the transport cost.
         value, terms = res.dual_value, {"l_imb": res.distance}
     else:
-        pred, heads = factual_heads(net, R, treated)
-        if net.outcome_kind == "binary":
-            l_fo = float(-np.mean(y * np.log(pred) + (1.0 - y) * np.log1p(-pred)))
-            dpred = (-(y / pred) + (1.0 - y) / (1.0 - pred)) / b
+        # Task 1 fits the discriminator to t = d; task 3, the outcome heads to t = y.
+        if task == 1:
+            p, cache_pi = nn.forward(net.pi, net.pi_spec, R)
+            pred, heads = p[:, 0], [("pi", slice(None), cache_pi)]
+            t, lam, scalar = d, cfg.lambda1, "eps_d"
         else:
-            l_fo = float(np.mean((y - pred) ** 2))
-            dpred = 2.0 * (pred - y) / b
-        gap = float(np.mean(y - pred))
-        value = l_fo + lambda2 * float(net.eps_y) * abs(gap)
-        dpred = dpred - lambda2 * float(net.eps_y) * np.sign(gap) / b
+            pred, heads = factual_heads(net, R, treated)
+            t, lam, scalar = np.asarray(batch.outcome, dtype=float), cfg.lambda2, "eps_y"
+        lam = lam if ABLATIONS[cfg.ablation].train_eps else 0.0
+        if task == 1 or net.outcome_kind == "binary":  # Bernoulli log-loss
+            loss = float(-np.mean(t * np.log(pred) + (1.0 - t) * np.log1p(-pred)))
+            dpred = ((1.0 - t) / (1.0 - pred) - t / pred) / b
+        else:
+            loss = float(np.mean((t - pred) ** 2))
+            dpred = 2.0 * (pred - t) / b
+        eps = float(getattr(net, scalar))
+        gap = float(np.mean(t - pred))
+        value = loss + lam * eps * abs(gap)
+        dpred = dpred - lam * eps * np.sign(gap) / b
         # The heads' rows partition the batch, so each row of dR is written
         # once, by the head that owns it.
-        dR = np.empty_like(R)
+        dR = np.empty_like(R) if reach_phi else None
         for name, rows, cache in heads:
-            _, dR[rows] = nn.backward(getattr(net, name), getattr(net, f"{name}_spec"),
-                                      cache, dpred[rows, None], out=grads[name])
+            _, dR_rows = nn.backward(getattr(net, name), getattr(net, f"{name}_spec"),
+                                     cache, dpred[rows, None], input_grad=reach_phi,
+                                     out=grads[name])
+            if reach_phi:
+                dR[rows] = dR_rows
+        grads[scalar][()] = lam * abs(gap)
+        terms = ({"l_dis": -loss, "omega_d": eps * abs(gap)} if task == 1
+                 else {"l_fo": loss, "omega_y": eps * abs(gap)})
+    if reach_phi:
         nn.backward(net.phi, net.phi_spec, cache_phi, dR, input_grad=False,
                     out=grads["phi"])
-        grads["eps_y"][()] = lambda2 * abs(gap)
-        terms = {"l_fo": l_fo, "omega_y": float(net.eps_y) * abs(gap)}
     return TaskObjective(value, terms)
 
 
@@ -461,7 +461,7 @@ def task_gradient_error(net: MBRLNet, batch: Batch, cfg: TrainConfig,
                         task: int, h: float = 1e-5) -> float:
     """Max relative error between analytic task gradients and central
     finite differences over the task's slice of the parameter vector."""
-    s = task_slice(net, task, ABLATIONS[cfg.ablation].train_eps)
+    s = task_slice(net, task)
     grad = np.zeros_like(net.params)
     task_objective(net, batch, cfg, task, net.views_of(grad))
     spare = net.views_of(np.zeros_like(net.params))

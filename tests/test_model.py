@@ -159,7 +159,7 @@ def test_step_applies_task_objective_gradients():
                 continue
             grad, grads = _grads(ref)
             task_objective(ref, batch, cfg, task, grads)
-            opt.grad[...] = grad[task_slice(ref, task, plan.train_eps)]
+            opt.grad[...] = grad[task_slice(ref, task)]
             nn.adam_update(opt)
 
         assert net.params.tobytes() == ref.params.tobytes(), ablation
@@ -177,6 +177,13 @@ def test_a_replaced_net_is_a_copy_with_its_own_vector():
     assert not any(np.shares_memory(t, net.params) for t in views)
     assert not np.shares_memory(copied.input_mean, net.input_mean)
     assert not np.shares_memory(copied.input_scale, net.input_scale)
+
+
+def test_a_net_is_built_with_one_copy_of_its_parameters():
+    # Each block is written into its slot of the new vector: no per-block
+    # pieces joined into a second copy.
+    net = build_net(10, "continuous", TrainConfig(), seed=0)
+    assert _traced_peak(lambda: replace(net)) <= net.params.nbytes + 2**20
 
 
 def test_nets_and_checkpoints_compare_without_raising():
@@ -202,11 +209,11 @@ def test_optimizers_own_their_task_groups():
     # the one gradient vector, which task_objective writes through the
     # state's views, and all share one work vector of one Adam block, or of
     # the largest group where every group is smaller.
-    for ablation, plan in ABLATIONS.items():
+    for ablation in ABLATIONS:
         net = _tiny_net(seed=9)
         state = init_train_state(net, replace(TINY, ablation=ablation))
         for task, opt in state.opts.items():
-            s = task_slice(net, task, plan.train_eps)
+            s = task_slice(net, task)
             assert _is_slice(opt.params, net.params, s), (ablation, task)
             assert _is_slice(opt.grad, state.grad, s), (ablation, task)
             assert opt.work.base is state.opts[1].work.base
@@ -226,15 +233,16 @@ def test_optimizers_own_their_task_groups():
 @pytest.mark.parametrize("task", [1, 2, 3])
 def test_layout_keeps_each_task_group_one_slice(ablation, task):
     # Fails when a LAYOUT order splits a group: its slice would take in a
-    # block the group does not name.
-    train_eps = ABLATIONS[ablation].train_eps
+    # block the group does not name. The slice, and the optimizer's, is the
+    # whole group under every ablation, its free scalar included.
     net = _tiny_net(seed=9)
     size = {name: getattr(net, f"{name}_spec").n_params for name in model.SUBNETS}
     size.update(eps_d=1, eps_y=1)
-    want = sum(size[b] for b in model.TASK_GROUPS[task]
-               if train_eps or b not in model.SCALARS)
-    s = task_slice(net, task, train_eps)
+    want = sum(size[b] for b in model.TASK_GROUPS[task])
+    s = task_slice(net, task)
     assert s.stop - s.start == want
+    opt = init_train_state(net, replace(TINY, ablation=ablation)).opts[task]
+    assert _is_slice(opt.params, net.params, s)
     blocks = [[getattr(net, name)] if name in model.SCALARS
               else getattr(net, name).tensors() for name in model.LAYOUT]
     assert net.params.tobytes() == np.concatenate(
@@ -291,6 +299,67 @@ def test_balanced_step_runs_the_encoder_once_for_tasks_1_and_2(monkeypatch):
     assert [(id(p), rows) for p, rows in calls] == [
         (id(net.phi), 8), (id(net.pi), 8), (id(net.phi), 8),
         (id(net.f0), 5), (id(net.f1), 3)]
+
+
+def _forward_passes(monkeypatch, net):
+    # The subnet and row count of every forward pass, as (name, rows).
+    calls = []
+    forward = nn.forward
+    monkeypatch.setattr(nn, "forward", lambda params, spec, X: calls.append(
+        (params, len(X))) or forward(params, spec, X))
+    names = {id(getattr(net, name)): name for name in model.SUBNETS}
+    return lambda: [(names[id(p)], rows) for p, rows in calls]
+
+
+@pytest.mark.parametrize("case", ["tarnet_mode", "all_control"])
+def test_a_step_without_balancing_runs_the_encoder_once(monkeypatch, case):
+    # With task 2 skipped no task moves the encoder before task 3, so its
+    # pass serves tasks 1 and 3: four forward passes, not five.
+    net = _tiny_net(seed=9)
+    cfg = replace(TINY, ablation="full_mbrl" if case == "all_control" else case)
+    batch = _batch(seed=10)
+    if case == "all_control":
+        batch = batch._replace(treatment=np.zeros(8))
+    passes = _forward_passes(monkeypatch, net)
+    multitask_step(init_train_state(net, cfg), batch, cfg)
+    f0_rows = 8 if case == "all_control" else 4
+    assert passes() == [("phi", 8), ("pi", 8), ("f0", f0_rows), ("f1", 8 - f0_rows)]
+
+
+def test_a_task_group_holding_phi_gets_the_encoder_gradient(monkeypatch):
+    # The table edit that has task 1 train the encoder too.
+    monkeypatch.setitem(model.TASK_GROUPS, 1, ("eps_d", "pi", "phi"))
+    cfg = replace(TINY, lambda1=0.05)
+    net = _tiny_net(seed=7)
+    net.eps_d[()] = -0.4
+    assert task_gradient_error(net, _batch(seed=8), cfg, 1, h=1e-5) <= 1e-4
+
+
+def test_a_task_that_moves_the_encoder_ends_its_shared_pass(monkeypatch):
+    # Task 1 now moves the encoder, so task 2 and task 3 each run their own
+    # encoder pass: six forward passes.
+    monkeypatch.setitem(model.TASK_GROUPS, 1, ("eps_d", "pi", "phi"))
+    net = _tiny_net(seed=9)
+    passes = _forward_passes(monkeypatch, net)
+    multitask_step(init_train_state(net, TINY), _batch(seed=10), TINY)
+    assert passes() == [("phi", 8), ("pi", 8), ("phi", 8), ("phi", 8),
+                        ("f0", 4), ("f1", 4)]
+
+
+@pytest.mark.parametrize("outcome_kind", ["continuous", "binary"])
+@pytest.mark.parametrize("ablation", list(ABLATIONS))
+@pytest.mark.parametrize("task", [1, 2, 3])
+def test_task_objective_writes_its_whole_slice(task, ablation, outcome_kind):
+    # A gradient entry in the task's slice that task_objective leaves alone
+    # keeps the nan, and Adam would descend a stale gradient there.
+    cfg = replace(TINY, ablation=ablation)
+    net = _tiny_net(outcome_kind, seed=9)
+    batch = _batch(seed=10)
+    if outcome_kind == "binary":
+        batch = batch._replace(outcome=(batch.outcome > 0).astype(float))
+    grad = np.full_like(net.params, np.nan)
+    task_objective(net, batch, cfg, task, net.views_of(grad))
+    assert np.isfinite(grad[task_slice(net, task)]).all()
 
 
 def _task3_full_batch_reference(net, batch, cfg):
