@@ -75,9 +75,10 @@ class MBRLNet:
 
     Every parameter lives in one float64 vector ``params`` laid out in
     ``LAYOUT`` order, a subnet's block in ``ParamSet.tensors()`` order. The
-    ParamSets and the 0-d scalars are views of it, made with the net, so a
-    copy is ``dataclasses.replace(net)`` (a deep copy unties the views).
-    Nets compare by identity; compare ``params`` bytes for equal weights.
+    ParamSets and the 0-d scalars are views of it, made with the net. Every
+    copy (``dataclasses.replace``, ``copy.copy``, ``copy.deepcopy``, pickle)
+    builds a new net, so its views share its own vector. Nets compare by
+    identity; compare ``params`` bytes for equal weights.
 
     ``input_mean``/``input_scale`` hold the per-feature standardization
     (train-split statistics) applied before the encoder; they are part of
@@ -150,6 +151,9 @@ class MBRLNet:
             raise ValueError("input transform must match the covariate width")
         if np.any(self.input_scale <= 0):
             raise ValueError("input_scale entries must be positive")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in fields(self) if f.init)
 
     def views_of(self, flat: np.ndarray) -> dict[str, nn.ParamSet | np.ndarray]:
         """Views of a vector in this net's layout (its parameters or their
@@ -256,25 +260,6 @@ def predict(net: MBRLNet, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
     o0, _ = nn.forward(net.f0, net.f0_spec, R, keep_cache=False)
     o1, _ = nn.forward(net.f1, net.f1_spec, R, keep_cache=False)
     return o0[:, 0], o1[:, 0], p[:, 0]
-
-
-def factual_heads(net: MBRLNet, R: np.ndarray, treated: np.ndarray
-                  ) -> tuple[np.ndarray, list[tuple[str, np.ndarray, nn.ForwardCache]]]:
-    """Each outcome head on its own arm's rows of a representation batch:
-    f0 on the control rows, f1 on the treated rows.
-
-    Returns the factual prediction of every row and, per head, (name, the
-    boolean rows it ran on, its forward cache). A head whose arm has no
-    rows runs on zero rows, and its backward pass gives exact-zero
-    parameter gradients.
-    """
-    pred = np.empty(R.shape[0])
-    heads = []
-    for name, rows in (("f0", ~treated), ("f1", treated)):
-        out, cache = nn.forward(getattr(net, name), getattr(net, f"{name}_spec"), R[rows])
-        pred[rows] = out[:, 0]
-        heads.append((name, rows, cache))
-    return pred, heads
 
 
 def perturbation_error(y, yhat, d, dhat, beta: float) -> float:
@@ -426,7 +411,14 @@ def task_objective(net: MBRLNet, batch: Batch, cfg: TrainConfig, task: int,
             pred, heads = p[:, 0], [("pi", slice(None), cache_pi)]
             t, lam, scalar = d, cfg.lambda1, "eps_d"
         else:
-            pred, heads = factual_heads(net, R, treated)
+            # Each head runs on its own arm's rows only; a head whose arm
+            # has no rows runs on zero rows and gets exact-zero gradients.
+            pred, heads = np.empty(b), []
+            for name, rows in (("f0", ~treated), ("f1", treated)):
+                out, cache = nn.forward(getattr(net, name), getattr(net, f"{name}_spec"),
+                                        R[rows])
+                pred[rows] = out[:, 0]
+                heads.append((name, rows, cache))
             t, lam, scalar = np.asarray(batch.outcome, dtype=float), cfg.lambda2, "eps_y"
         lam = lam if ABLATIONS[cfg.ablation].train_eps else 0.0
         if task == 1 or net.outcome_kind == "binary":  # Bernoulli log-loss
@@ -511,17 +503,13 @@ class Checkpoint:
 
 
 def validation_scores(net: MBRLNet, val: Dataset, beta: float) -> tuple[float, float]:
-    """(RMSE, perturbation error) of factual predictions on a dataset: the
-    encoder and discriminator on every unit (without forward caches), each
-    head on its own arm."""
-    R, _ = nn.forward(net.phi, net.phi_spec, net.transform(val.covariates),
-                      keep_cache=False)
-    p, _ = nn.forward(net.pi, net.pi_spec, R, keep_cache=False)
-    pred, _ = factual_heads(net, R, val.treatment == 1)
-    val_rmse = rmse(val.outcome_factual, pred)
-    eps_p = perturbation_error(val.outcome_factual, pred,
-                               val.treatment.astype(float), p[:, 0], beta)
-    return val_rmse, eps_p
+    """(RMSE, perturbation error) of the factual pick from ``predict`` on a
+    dataset: each unit's own arm's outcome estimate, and the propensity."""
+    yhat0, yhat1, p = predict(net, val.covariates)
+    pred = np.where(val.treatment == 1, yhat1, yhat0)
+    return (rmse(val.outcome_factual, pred),
+            perturbation_error(val.outcome_factual, pred, val.treatment.astype(float),
+                               p, beta))
 
 
 def fit(train: Dataset, val: Dataset, cfg: TrainConfig) -> Checkpoint:

@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 import tracemalloc
 from dataclasses import asdict, replace
 
@@ -177,6 +179,37 @@ def test_a_replaced_net_is_a_copy_with_its_own_vector():
     assert not any(np.shares_memory(t, net.params) for t in views)
     assert not np.shares_memory(copied.input_mean, net.input_mean)
     assert not np.shares_memory(copied.input_scale, net.input_scale)
+
+
+_COPIES = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda net: pickle.loads(pickle.dumps(net)),
+    "checkpoint-deepcopy": lambda net: copy.deepcopy(model.Checkpoint(
+        net=net, best_epoch=1, best_eps_p=0.0, history=[], selection="eps_p",
+        beta=0.1)).net,
+}
+
+
+@pytest.mark.parametrize("how", list(_COPIES))
+def test_a_copied_net_trains_through_its_own_vector(how):
+    # Copies rebuild the net, so every view is of the copy's vector: steps
+    # on the copy move its predictions and leave the original's alone.
+    net = _tiny_net(seed=9)
+    copied = _COPIES[how](net)
+    views = [*(t for name in model.SUBNETS for t in getattr(copied, name).tensors()),
+             copied.eps_y, copied.eps_d]
+    assert all(np.shares_memory(t, copied.params) for t in views)
+    assert not any(np.shares_memory(t, net.params) for t in views)
+    assert copied.params.tobytes() == net.params.tobytes()
+    Z = np.random.default_rng(1).normal(size=(5, 3))
+    before, original = predict(copied, Z), predict(net, Z)
+    state = init_train_state(copied, TINY)
+    for seed in range(5):
+        multitask_step(state, _batch(seed=seed), TINY)
+    assert not np.array_equal(predict(copied, Z)[0], before[0])
+    for a, b in zip(predict(net, Z), original):
+        np.testing.assert_array_equal(a, b)
 
 
 def test_a_net_is_built_with_one_copy_of_its_parameters():
@@ -603,16 +636,48 @@ def test_validation_scores_match_perturbation_error():
     assert val_eps_p >= val_rmse  # the cross term is nonnegative
 
 
-@pytest.mark.parametrize("seed", [5, 6])
+# The criterion-7 shapes (phi 1x128, pi and heads 2x64) on a 1500-unit draw
+# with 405 validation units. After 6 epochs from seed 5 on this draw, an
+# eps_p computed with each head on its own arm's rows only misses predict's
+# by one ulp.
+STUDY_SHAPE = TrainConfig(batch_size=128, epochs=6, phi_depth=1, phi_width=128,
+                          pi_depth=2, pi_width=64, head_depth=2, head_width=64)
+
+
+@pytest.mark.parametrize("seed", [5, 6, "study-5"])
 def test_validation_scores_match_the_predict_reference(seed):
     # Both heads on every unit, then the factual one picked per unit.
-    tr, va, te = _small_sim(seed=seed)
-    net = fit(tr, va, replace(TINY, epochs=1)).net
+    if seed == "study-5":
+        sample, _ = generate_simulation(SimConfig(n_treated=500, n_control=1000,
+                                                  dim=10, seed=5))
+        tr, va, te = split(sample, SplitSpec(0.63, 0.27, 0.10, seed=5))
+        net = fit(tr, va, replace(STUDY_SHAPE, seed=5)).net
+    else:
+        tr, va, te = _small_sim(seed=seed)
+        net = fit(tr, va, replace(TINY, epochs=1)).net
     yhat0, yhat1, p = predict(net, va.covariates)
     pred = np.where(va.treatment == 1, yhat1, yhat0)
     want = (rmse(va.outcome_factual, pred),
             perturbation_error(va.outcome_factual, pred, va.treatment, p, 0.1))
-    np.testing.assert_allclose(validation_scores(net, va, 0.1), want, rtol=1e-12, atol=0)
+    assert validation_scores(net, va, 0.1) == want
+
+
+def test_validation_scores_run_each_subnet_once_without_caches(monkeypatch):
+    # One cacheless pass of each subnet over every validation unit.
+    _, va, _ = _small_sim(seed=5)
+    net = _tiny_net(seed=9)
+    calls = []
+    forward = nn.forward
+    names = {id(getattr(net, name)): name for name in model.SUBNETS}
+
+    def spy(params, spec, X, **kwargs):
+        calls.append((names[id(params)], len(X), kwargs.get("keep_cache", True)))
+        return forward(params, spec, X, **kwargs)
+
+    monkeypatch.setattr(nn, "forward", spy)
+    validation_scores(net, va, 0.1)
+    assert sorted(calls) == [(name, va.n_units, False)
+                             for name in ("f0", "f1", "phi", "pi")]
 
 
 def _traced_peak(run):
@@ -625,10 +690,10 @@ def _traced_peak(run):
 
 
 def test_validation_scores_keep_no_forward_caches():
-    # Encoder and discriminator run without caches, so a validation pass
-    # holds a few arrays of the representation's size (the representation,
-    # one layer's input, pre-activation and output, the heads' rows) at any
-    # depth; with caches it held two per layer of each.
+    # Every subnet runs without caches, so a validation pass holds a few
+    # arrays of the representation's size (the representation, one layer's
+    # input, pre-activation and output) at any depth; with caches it held
+    # two per layer of each.
     val, _ = generate_simulation(SimConfig(n_treated=150, n_control=250, dim=10))
     layer = val.n_units * 200 * 8
     peaks = {}

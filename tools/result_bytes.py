@@ -1,0 +1,100 @@
+"""Hashes of the result bytes a no-result-change edit must leave alone.
+
+    python3 tools/result_bytes.py > bytes.txt
+
+Prints one sorted line per item, computed under OPENBLAS_NUM_THREADS=1:
+
+- ``study seed=S``: the benchmark study's report.json sha256 (seeds 1-3);
+- ``deep_fit seed=S``: the sha256 of the selected and RMSE-selected nets'
+  parameter bytes, and the unit's ATE error and root-PEHE (seeds 1-2);
+- ``tiny ablation=A outcome=K``: the checkpoint and sidecar sha256 of a
+  3-epoch fit of a tiny net, for every ablation and both outcome kinds;
+- ``check seed=S``: ``mbrl check --seed S``'s exit code and output sha256
+  (seeds 0-16).
+
+Two trees produce the same results exactly when this output is the same:
+run it in each and ``diff`` the two files.
+"""
+
+from __future__ import annotations
+
+import os
+
+os.environ["OPENBLAS_NUM_THREADS"] = "1"  # before numpy is imported
+
+import contextlib
+import hashlib
+import io
+import sys
+import tempfile
+from dataclasses import replace
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks")]
+
+from workloads import DeepFit, Study, cli, data, model  # noqa: E402
+
+TINY = model.TrainConfig(
+    batch_size=8, epochs=3, phi_depth=2, phi_width=6, pi_depth=2, pi_width=5,
+    head_depth=2, head_width=5,
+    sinkhorn=model.SinkhornConfig(entropic_reg=0.1, max_iters=50, tol=1e-6))
+
+
+def sha256(raw: bytes) -> str:
+    return hashlib.sha256(raw).hexdigest()
+
+
+def study_lines(work: Path):
+    for seed in (1, 2, 3):
+        unit = Study(seed, work / f"study-{seed}")
+        unit.verify(unit.run())
+        yield f"study seed={seed} report_sha256={unit.report_sha256}"
+
+
+def deep_fit_lines():
+    for seed in (1, 2):
+        unit = DeepFit(seed, None)
+        out = unit.run()
+        ckpt, res = out[0], unit.verify(out)
+        yield (f"deep_fit seed={seed} net={sha256(ckpt.net.params.tobytes())} "
+               f"net_rmse={sha256(ckpt.net_rmse.params.tobytes())} "
+               f"ate_err_out={res.ate_err_out!r} pehe_out={res.pehe_out!r}")
+
+
+def tiny_lines(work: Path):
+    sample, _ = data.generate_simulation(
+        data.SimConfig(n_treated=40, n_control=80, dim=3, seed=0))
+    splits = data.split(sample, data.SplitSpec(0.6, 0.2, 0.2, seed=0))[:2]
+    cut = float(sample.outcome_factual.mean())
+    binary = [data.Dataset(s.covariates, s.treatment,
+                           (s.outcome_factual > cut).astype(float),
+                           outcome_kind="binary") for s in splits]
+    for kind, (train, val) in (("continuous", splits), ("binary", binary)):
+        for ablation in model.ABLATIONS:
+            path = work / f"tiny-{ablation}-{kind}.json"
+            model.save_checkpoint(
+                model.fit(train, val, replace(TINY, ablation=ablation, seed=3)), path)
+            yield (f"tiny ablation={ablation} outcome={kind} "
+                   f"checkpoint={sha256(path.read_bytes())} "
+                   f"sidecar={sha256(model.sidecar_path(path).read_bytes())}")
+
+
+def check_lines():
+    for seed in range(17):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = cli.main(["check", "--seed", str(seed)])
+        yield f"check seed={seed} exit={code} sha256={sha256(buf.getvalue().encode())}"
+
+
+def main() -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        lines = [*study_lines(work), *deep_fit_lines(), *tiny_lines(work),
+                 *check_lines()]
+    print("\n".join(sorted(lines)))
+
+
+if __name__ == "__main__":
+    main()
