@@ -13,8 +13,7 @@ from .data import (Dataset, SimConfig, SplitSpec, TrueModel, concat,
 from .estimators import (BaselineResult, NoiseOrthogonalityResult,
                          NuisanceEstimates, ProbeResult, ThetaPair,
                          ate_orthogonal, baseline, noise_orthogonality_stat,
-                         orthogonality_probe, plug_in_ate, score_psi1,
-                         score_psi2, solve_theta)
+                         orthogonality_probe, plug_in_ate, score, solve_theta)
 from .harness import ExperimentConfig, Report, emit_report, run_experiment
 from .metrics import ate_error, auc, pehe_root, rmse
 from .model import (Batch, Checkpoint, MBRLNet, TrainConfig, build_net, fit,

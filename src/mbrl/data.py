@@ -351,7 +351,8 @@ def load_csv(path: str | Path, outcome_kind: str = "continuous") -> Dataset:
     """Read a dataset from the documented CSV schema.
 
     The header must name columns z1..zs, d, y and optionally the pairs
-    y0,y1 and mu0,mu1 (any order, each once, no extras).
+    y0,y1 and mu0,mu1 (any order, each once, no extras), and every data
+    row must have one cell per header column.
     """
     path = Path(path)
     with open(path, newline="", encoding="utf-8") as fh:
@@ -381,6 +382,10 @@ def load_csv(path: str | Path, outcome_kind: str = "continuous") -> Dataset:
         if (a in header) != (b in header):
             raise ValueError(f"{path}: columns {a} and {b} must come together")
 
+    for i, row in enumerate(rows):
+        if len(row) != len(header):
+            raise ValueError(f"{path}: row {i + 2} has {len(row)} cells; "
+                             f"the header names {len(header)}")
     col_idx = {name: header.index(name) for name in header}
 
     def column(name: str) -> np.ndarray:
@@ -389,7 +394,7 @@ def load_csv(path: str | Path, outcome_kind: str = "continuous") -> Dataset:
         for i, row in enumerate(rows):
             try:
                 out[i] = float(row[j])
-            except (ValueError, IndexError) as exc:
+            except ValueError as exc:
                 raise ValueError(
                     f"{path}: bad value in column {name!r}, row {i + 2}") from exc
         return out

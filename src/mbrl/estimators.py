@@ -88,26 +88,30 @@ def plug_in_ate(nuis: NuisanceEstimates) -> ThetaPair:
                      theta1=float(np.mean(nuis.g1_hat)))
 
 
-def score_psi1(y, d, g_i, m, theta, i):
-    """First orthogonal score: inverse-propensity-weighted residual correction."""
+def score(kind, y, d, g0, g1, m, theta, i):
+    """Score psi_i for arm ``i`` at theta, given both outcome heads.
+
+    psi1: inverse-propensity-weighted residual correction.
+    psi2: squared treatment-residual reweighting. The conditional noise
+    moments are taken as E[nu | z] = 0 and E[nu^2 | z] = m(1 - m), and the
+    unobserved potential-outcome residual is replaced by the factual
+    residual y - g_d, g_d = d g1 + (1 - d) g0.
+    plugin_naive: theta - g_i, the uncorrected plug-in score.
+    """
+    if kind not in PROBE_KINDS:
+        raise ValueError(f"unknown score kind {kind!r}")
     if i not in (0, 1):
         raise ValueError("i must be 0 or 1")
-    y, d, g_i, m = (np.asarray(v, dtype=float) for v in (y, d, g_i, m))
-    indicator = i * d + (1 - i) * (1 - d)
-    prob = i * m + (1 - i) * (1.0 - m)
-    return theta - g_i - (y - g_i) * indicator / prob
-
-
-def score_psi2(y, d, g_i, g_d, m, theta):
-    """Second orthogonal score: squared treatment-residual reweighting.
-
-    The conditional noise moments are taken as E[nu | z] = 0 and
-    E[nu^2 | z] = m(1 - m), and the unobserved potential-outcome residual is
-    replaced by the factual residual y - g_d. The arm enters only through
-    ``g_i``.
-    """
-    y, d, g_i, g_d, m = (np.asarray(v, dtype=float) for v in (y, d, g_i, g_d, m))
-    return theta - g_i - (y - g_d) * (d - m) ** 2 / (m * (1.0 - m))
+    y, d, g0, g1, m = (np.asarray(v, dtype=float) for v in (y, d, g0, g1, m))
+    g_i = g1 if i == 1 else g0
+    if kind == "psi1":
+        indicator = i * d + (1 - i) * (1 - d)
+        prob = i * m + (1 - i) * (1.0 - m)
+        return theta - g_i - (y - g_i) * indicator / prob
+    if kind == "psi2":
+        g_d = d * g1 + (1.0 - d) * g0
+        return theta - g_i - (y - g_d) * (d - m) ** 2 / (m * (1.0 - m))
+    return theta - g_i
 
 
 def solve_theta(kind: str, data: Dataset, nuis: NuisanceEstimates, i: int) -> float:
@@ -118,19 +122,10 @@ def solve_theta(kind: str, data: Dataset, nuis: NuisanceEstimates, i: int) -> fl
     """
     if kind not in SCORE_KINDS:
         raise ValueError(f"unknown score kind {kind!r}")
-    if i not in (0, 1):
-        raise ValueError("i must be 0 or 1")
     if data.n_units != nuis.n_units:
         raise ValueError("dataset and nuisances have different lengths")
-    y = data.outcome_factual
-    d = data.treatment.astype(float)
-    g_i = nuis.g1_hat if i == 1 else nuis.g0_hat
-    if kind == "psi1":
-        psi = score_psi1(y, d, g_i, nuis.m_hat, 0.0, i)
-    else:
-        g_d = d * nuis.g1_hat + (1.0 - d) * nuis.g0_hat
-        psi = score_psi2(y, d, g_i, g_d, nuis.m_hat, 0.0)
-    return -float(np.mean(psi))
+    return -float(np.mean(score(kind, data.outcome_factual, data.treatment,
+                                nuis.g0_hat, nuis.g1_hat, nuis.m_hat, 0.0, i)))
 
 
 def ate_orthogonal(kind: str, data: Dataset, nuis: NuisanceEstimates) -> ThetaPair:
@@ -180,26 +175,20 @@ def orthogonality_probe(
         raise ValueError("truth missing")
 
     Z = data.covariates
-    y = data.outcome_factual
-    d = data.treatment.astype(float)
     n = data.n_units
-    g_i0 = truth.g0(np.full(n, i), Z)
-    g_d0 = truth.g0(d, Z)
+    g0 = truth.g0(np.zeros(n), Z)
+    g1 = truth.g0(np.ones(n), Z)
     m0 = truth.m0(Z)
     delta = PROBE_DELTA_SCALE * np.tanh(Z[:, 0])
     scale = float(np.mean(delta))
     if abs(scale) < 1e-12:
         raise ValueError("perturbation direction has zero sample mean")
-    theta = float(np.mean(g_i0))
+    theta = float(np.mean(g1 if i == 1 else g0))
 
     def scores(g_shift, m_shift):
-        g_i = g_i0 + g_shift
         m = np.clip(m0 + m_shift, 1e-6, 1.0 - 1e-6)
-        if kind == "psi1":
-            return score_psi1(y, d, g_i, m, theta, i)
-        if kind == "psi2":
-            return score_psi2(y, d, g_i, g_d0 + g_shift, m, theta)
-        return theta - g_i
+        return score(kind, data.outcome_factual, data.treatment,
+                     g0 + g_shift, g1 + g_shift, m, theta, i)
 
     if direction == "perturb_g":
         up, down = scores(t * delta, 0.0), scores(-t * delta, 0.0)

@@ -149,6 +149,9 @@ class MBRLNet:
         self.input_scale = np.array(self.input_scale, dtype=float)
         if self.input_mean.shape != (s,) or self.input_scale.shape != (s,):
             raise ValueError("input transform must match the covariate width")
+        for name in ("input_mean", "input_scale"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} has a non-finite entry")
         if np.any(self.input_scale <= 0):
             raise ValueError("input_scale entries must be positive")
 
@@ -521,8 +524,6 @@ def fit(train: Dataset, val: Dataset, cfg: TrainConfig) -> Checkpoint:
     ablations that drop it). Ties keep the earlier epoch. Raises
     RuntimeError when no epoch has a finite selection criterion.
     """
-    if train.n_units == 0 or val.n_units == 0:
-        raise ValueError("empty split")
     if train.n_covariates != val.n_covariates:
         raise ValueError("train and validation covariate dimensions differ")
     if train.outcome_kind != val.outcome_kind:

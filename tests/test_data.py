@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -88,6 +89,16 @@ def test_load_csv_missing_column(tmp_path):
     p = tmp_path / "bad.csv"
     p.write_text("z1,z2,y\n0.1,0.2,1.5\n0.3,0.4,2.5\n")
     with pytest.raises(ValueError, match="missing mandatory column"):
+        load_csv(p)
+
+
+@pytest.mark.parametrize("row,cells", [("0.5,1,2.0,99", 4), ("0.5,1", 2)],
+                         ids=["extra", "short"])
+def test_load_csv_rejects_a_row_whose_cell_count_differs(tmp_path, row, cells):
+    p = tmp_path / "bad.csv"
+    p.write_text(f"z1,d,y\n0.1,0,1.5\n0.3,1,2.5\n{row}\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(p))}: row 4 has {cells} cells; "
+                                         r"the header names 3$"):
         load_csv(p)
 
 

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
+from mbrl import estimators
 from mbrl.data import Dataset, SimConfig, generate_simulation
-from mbrl.estimators import (NuisanceEstimates, ThetaPair, ate_orthogonal,
-                             baseline, noise_orthogonality_stat,
-                             orthogonality_probe, plug_in_ate, score_psi1,
-                             score_psi2, solve_theta)
+from mbrl.estimators import (PROBE_DELTA_SCALE, NuisanceEstimates, ThetaPair,
+                             ate_orthogonal, baseline, noise_orthogonality_stat,
+                             orthogonality_probe, plug_in_ate, score,
+                             solve_theta)
 
 
 def _worked_example():
@@ -59,18 +60,22 @@ def test_plug_in_shift_invariance():
 
 def test_score_psi1_arithmetic():
     # zero-residual case vanishes for any m, d
-    assert score_psi1(y=1.0, d=1, g_i=1.0, m=0.3, theta=1.0, i=1) == 0.0
+    assert score("psi1", y=1.0, d=1, g0=0.0, g1=1.0, m=0.3, theta=1.0, i=1) == 0.0
     # direct evaluation
-    assert score_psi1(y=2.0, d=1, g_i=1.0, m=0.5, theta=0.0, i=1) == pytest.approx(-3.0)
+    assert score("psi1", y=2.0, d=1, g0=0.0, g1=1.0, m=0.5, theta=0.0,
+                 i=1) == pytest.approx(-3.0)
     # indicator kills the residual term
-    assert score_psi1(y=123.0, d=0, g_i=1.0, m=0.5, theta=1.0, i=1) == 0.0
+    assert score("psi1", y=123.0, d=0, g0=0.0, g1=1.0, m=0.5, theta=1.0, i=1) == 0.0
 
 
 def test_score_psi2_arithmetic():
-    assert score_psi2(y=1.0, d=1, g_i=1.0, g_d=1.0, m=0.3, theta=1.0) == 0.0
+    # g_i = g1 (i = 1) and g_d = g1 at d = 1, g0 at d = 0
+    assert score("psi2", y=1.0, d=1, g0=5.0, g1=1.0, m=0.3, theta=1.0, i=1) == 0.0
     # (d-m)^2/(m(1-m)) = 1 at d=1, m=0.5
-    assert score_psi2(y=2.0, d=1, g_i=1.0, g_d=1.0, m=0.5, theta=0.0) == pytest.approx(-2.0)
-    assert score_psi2(y=0.0, d=0, g_i=1.0, g_d=0.0, m=0.5, theta=1.0) == pytest.approx(0.0)
+    assert score("psi2", y=2.0, d=1, g0=5.0, g1=1.0, m=0.5, theta=0.0,
+                 i=1) == pytest.approx(-2.0)
+    assert score("psi2", y=0.0, d=0, g0=0.0, g1=1.0, m=0.5, theta=1.0,
+                 i=1) == pytest.approx(0.0)
 
 
 def test_solve_theta_worked_examples():
@@ -113,13 +118,14 @@ def test_mean_score_vanishes_at_solution():
     nuis = NuisanceEstimates(rng.normal(size=n), rng.normal(size=n),
                              rng.uniform(0.1, 0.9, size=n))
     y, d, m = data.outcome_factual, data.treatment.astype(float), nuis.m_hat
+    g0, g1 = nuis.g0_hat, nuis.g1_hat
     for i in (0, 1):
-        g_i = nuis.g1_hat if i == 1 else nuis.g0_hat
-        g_d = d * nuis.g1_hat + (1 - d) * nuis.g0_hat
         theta1 = solve_theta("psi1", data, nuis, i)
-        assert np.mean(score_psi1(y, d, g_i, m, theta1, i)) == pytest.approx(0.0, abs=1e-12)
+        assert np.mean(score("psi1", y, d, g0, g1, m, theta1, i)) == \
+            pytest.approx(0.0, abs=1e-12)
         theta2 = solve_theta("psi2", data, nuis, i)
-        assert np.mean(score_psi2(y, d, g_i, g_d, m, theta2)) == pytest.approx(0.0, abs=1e-12)
+        assert np.mean(score("psi2", y, d, g0, g1, m, theta2, i)) == \
+            pytest.approx(0.0, abs=1e-12)
 
 
 def test_psi2_reweighting_factor_is_unbiased(kl_draw):
@@ -161,6 +167,47 @@ def test_probe_orthogonal_scores_centered_at_zero(kl_draw):
         for direction in ("perturb_g", "perturb_m"):
             res = orthogonality_probe(kind, data, truth, direction, t=0.05)
             assert abs(res.derivative) <= 3.0 * res.std_error, (kind, direction)
+
+
+@pytest.mark.parametrize("i", [0, 1])
+@pytest.mark.parametrize("direction", ["perturb_g", "perturb_m"])
+@pytest.mark.parametrize("kind", ["psi1", "psi2"])
+def test_probe_derivative_is_the_solvers_central_difference(kl_draw, kind,
+                                                            direction, i):
+    # The probe differentiates the score solve_theta solves: its derivative
+    # is -(theta_hat(+t) - theta_hat(-t)) / (2 t mean(delta)), with theta_hat
+    # solved at the true nuisances moved along the probe's direction.
+    data, truth = kl_draw(seed=4, n_treated=1000, n_control=2000, kl=0.5)
+    t = 0.05
+    Z, n = data.covariates, data.n_units
+    g0, g1 = truth.g0(np.zeros(n), Z), truth.g0(np.ones(n), Z)
+    m0 = truth.m0(Z)
+    delta = PROBE_DELTA_SCALE * np.tanh(Z[:, 0])
+
+    def theta_hat(step):
+        g_shift, m_shift = (step * delta, 0.0) if direction == "perturb_g" \
+            else (0.0, step * delta)
+        nuis = NuisanceEstimates(g0 + g_shift, g1 + g_shift, m0 + m_shift)
+        assert nuis.n_clamped == 0
+        return solve_theta(kind, data, nuis, i)
+
+    expected = -(theta_hat(t) - theta_hat(-t)) / (2.0 * t * np.mean(delta))
+    res = orthogonality_probe(kind, data, truth, direction, t=t, i=i)
+    assert res.derivative == pytest.approx(expected, rel=1e-9)
+
+
+def test_solver_and_probe_evaluate_the_one_score(monkeypatch):
+    data, truth = generate_simulation(SimConfig(n_treated=10, n_control=20,
+                                                dim=2, seed=0))
+    calls = []
+    real = estimators.score
+    monkeypatch.setattr(estimators, "score",
+                        lambda kind, *args: calls.append(kind) or real(kind, *args))
+    nuis = NuisanceEstimates(np.zeros(30), np.ones(30), np.full(30, 0.5))
+    solve_theta("psi2", data, nuis, 1)
+    assert calls == ["psi2"]
+    orthogonality_probe("plugin_naive", data, truth, "perturb_g", t=0.05)
+    assert calls == ["psi2", "plugin_naive", "plugin_naive"]
 
 
 def test_noise_orthogonality_zero_for_noiseless_outcomes():

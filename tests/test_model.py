@@ -899,6 +899,21 @@ def test_load_checkpoint_rejects_non_finite_parameters(tmp_path, edit, block):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("input_mean", float("nan")), ("input_scale", float("inf")),
+], ids=["input_mean-nan", "input_scale-inf"])
+def test_load_checkpoint_rejects_non_finite_input_transform(tmp_path, field, value):
+    path = _saved_checkpoint(tmp_path)
+
+    def edit(doc):
+        doc["net"][field][0] = value
+
+    _corrupt(path, edit)
+    with pytest.raises(ValueError, match=rf"^malformed checkpoint .*ckpt\.json: "
+                                         rf"{field} has a non-finite entry$"):
+        load_checkpoint(path)
+
+
 def test_load_checkpoint_rejects_missing_tensor(tmp_path):
     path = _saved_checkpoint(tmp_path)
     _corrupt(path, lambda doc: doc["net"]["subnets"]["f0"]["params"].pop("b1"))

@@ -8,7 +8,9 @@ Prints one sorted line per item, computed under OPENBLAS_NUM_THREADS=1:
 - ``deep_fit seed=S``: the sha256 of the selected and RMSE-selected nets'
   parameter bytes, and the unit's ATE error and root-PEHE (seeds 1-2);
 - ``tiny ablation=A outcome=K``: the checkpoint and sidecar sha256 of a
-  3-epoch fit of a tiny net, for every ablation and both outcome kinds;
+  3-epoch fit of a tiny net, for every ablation and both outcome kinds,
+  and the exit code and output sha256 of ``mbrl evaluate`` on that
+  checkpoint and a CSV of the fit's validation split;
 - ``check seed=S``: ``mbrl check --seed S``'s exit code and output sha256
   (seeds 0-16).
 
@@ -45,6 +47,13 @@ def sha256(raw: bytes) -> str:
     return hashlib.sha256(raw).hexdigest()
 
 
+def run_cli(argv: list[str]) -> str:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(argv)
+    return f"exit={code} sha256={sha256(buf.getvalue().encode())}"
+
+
 def study_lines(work: Path):
     for seed in (1, 2, 3):
         unit = Study(seed, work / f"study-{seed}")
@@ -71,21 +80,23 @@ def tiny_lines(work: Path):
                            (s.outcome_factual > cut).astype(float),
                            outcome_kind="binary") for s in splits]
     for kind, (train, val) in (("continuous", splits), ("binary", binary)):
+        val_csv = work / f"val-{kind}.csv"
+        data.save_csv(val, val_csv)
         for ablation in model.ABLATIONS:
             path = work / f"tiny-{ablation}-{kind}.json"
             model.save_checkpoint(
                 model.fit(train, val, replace(TINY, ablation=ablation, seed=3)), path)
+            evaluate = run_cli(["evaluate", "--checkpoint", str(path),
+                                "--data", str(val_csv)])
             yield (f"tiny ablation={ablation} outcome={kind} "
                    f"checkpoint={sha256(path.read_bytes())} "
-                   f"sidecar={sha256(model.sidecar_path(path).read_bytes())}")
+                   f"sidecar={sha256(model.sidecar_path(path).read_bytes())} "
+                   f"evaluate {evaluate}")
 
 
 def check_lines():
     for seed in range(17):
-        buf = io.StringIO()
-        with contextlib.redirect_stdout(buf):
-            code = cli.main(["check", "--seed", str(seed)])
-        yield f"check seed={seed} exit={code} sha256={sha256(buf.getvalue().encode())}"
+        yield f"check seed={seed} {run_cli(['check', '--seed', str(seed)])}"
 
 
 def main() -> None:
