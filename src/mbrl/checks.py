@@ -11,9 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .data import SimConfig
+from .data import SimConfig, simulate_at_kl
 from .estimators import noise_orthogonality_stat, orthogonality_probe
-from .harness import simulate_at_kl
 from .model import Batch, TrainConfig, build_net, task_gradient_error
 from .ot import SinkhornConfig, exact_ot_small, wasserstein_sinkhorn
 

@@ -23,9 +23,9 @@ from .checks import run_checks
 from .data import (DEFAULT_SPLIT, SimConfig, SplitSpec, generate_simulation,
                    load_csv, save_csv, split)
 from .harness import (MBRL_ESTIMATORS, ExperimentConfig, emit_report, mbrl_row,
-                      nuisances_from_net, run_experiment)
+                      run_experiment)
 from .model import (TrainConfig, fit, history_to_csv, load_checkpoint,
-                    save_checkpoint)
+                    nuisances_from_net, save_checkpoint)
 from .records import nested_record
 
 logger = logging.getLogger(__name__)

@@ -30,6 +30,8 @@ OUTCOME_NOISE_SD = 0.1
 ASSIGNMENT_NOISE_SD = 0.01
 ASSIGNMENT_WEIGHT_RANGE = 0.01
 
+KL_MATCH_TOL = 1e-9  # largest accepted miss of simulate_at_kl's KL
+
 
 # =========================================================================
 # Dataset
@@ -302,6 +304,41 @@ def generate_twins_assignment(covariates: np.ndarray,
     return d, truth
 
 
+def kl_target_mu1(mu1: np.ndarray, mu0: np.ndarray, cov: np.ndarray,
+                  target: float) -> np.ndarray:
+    """Scale mu1 along (mu1 - mu0) so the Gaussian KL hits ``target`` exactly.
+
+    A zero base direction falls back to the ones vector.
+    """
+    direction = np.asarray(mu1, dtype=float) - np.asarray(mu0, dtype=float)
+    if not np.any(direction):
+        direction = np.ones_like(direction)
+    quad = 2.0 * kl_selection_bias(mu0 + direction, mu0, cov)
+    scale = np.sqrt(2.0 * target / quad)
+    return np.asarray(mu0, dtype=float) + scale * direction
+
+
+def simulate_at_kl(sim: SimConfig, level: float,
+                   seed: int) -> tuple[Dataset, TrueModel, float]:
+    """Simulator draw whose between-group KL is pinned to ``level``.
+
+    The mixing matrix is drawn from ``seed`` first; mu1 is then rescaled
+    along mu1 - mu0 to hit the level and the sample drawn with the same
+    seed. Returns (data, truth, realized KL).
+    """
+    rng = np.random.default_rng(seed)
+    mixing = rng.uniform(-1.0, 1.0, size=(sim.dim, sim.dim))
+    cov = sim.sigma_scale * (mixing @ mixing.T)
+    mu1 = kl_target_mu1(sim.mu1, sim.mu0, cov, level)
+    realized = kl_selection_bias(mu1, sim.mu0, cov)
+    if abs(realized - level) > KL_MATCH_TOL:
+        raise RuntimeError(
+            f"KL inversion off target: requested {level}, got {realized}")
+    data, truth = generate_simulation(replace(sim, mu1=mu1), seed=seed,
+                                      mixing=mixing)
+    return data, truth, realized
+
+
 # =========================================================================
 # Diagnostics
 # =========================================================================
@@ -361,7 +398,8 @@ def load_csv(path: str | Path, outcome_kind: str = "continuous") -> Dataset:
             header = [c.strip() for c in next(reader)]
         except StopIteration:
             raise ValueError(f"{path}: empty file") from None
-        rows = [r for r in reader if r]
+        # (file line number, cells) per data row; blank lines count too.
+        rows = [(reader.line_num, r) for r in reader if r]
 
     duplicated = sorted({c for c in header if header.count(c) > 1})
     if duplicated:
@@ -382,21 +420,21 @@ def load_csv(path: str | Path, outcome_kind: str = "continuous") -> Dataset:
         if (a in header) != (b in header):
             raise ValueError(f"{path}: columns {a} and {b} must come together")
 
-    for i, row in enumerate(rows):
+    for line, row in rows:
         if len(row) != len(header):
-            raise ValueError(f"{path}: row {i + 2} has {len(row)} cells; "
+            raise ValueError(f"{path}: row {line} has {len(row)} cells; "
                              f"the header names {len(header)}")
     col_idx = {name: header.index(name) for name in header}
 
     def column(name: str) -> np.ndarray:
         out = np.empty(len(rows))
         j = col_idx[name]
-        for i, row in enumerate(rows):
+        for i, (line, row) in enumerate(rows):
             try:
                 out[i] = float(row[j])
             except ValueError as exc:
                 raise ValueError(
-                    f"{path}: bad value in column {name!r}, row {i + 2}") from exc
+                    f"{path}: bad value in column {name!r}, row {line}") from exc
         return out
 
     Z = np.column_stack([column(f"z{i}") for i in range(1, s + 1)])

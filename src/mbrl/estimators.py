@@ -37,7 +37,9 @@ PROBE_DELTA_SCALE = 0.1
 class NuisanceEstimates:
     """Per-unit outcome-head and propensity predictions.
 
-    Propensities are clamped into [1e-4, 1 - 1e-4] before any division;
+    Propensities are clamped into [PROPENSITY_CLAMP, 1 - PROPENSITY_CLAMP]
+    here and nowhere else, so the scores, the probe and eps_p (which
+    selects the epoch and is reported) read one clamped propensity.
     ``n_clamped`` counts how many entries the clamp actually moved.
     """
 
@@ -186,9 +188,9 @@ def orthogonality_probe(
     theta = float(np.mean(g1 if i == 1 else g0))
 
     def scores(g_shift, m_shift):
-        m = np.clip(m0 + m_shift, 1e-6, 1.0 - 1e-6)
+        nuis = NuisanceEstimates(g0 + g_shift, g1 + g_shift, m0 + m_shift)
         return score(kind, data.outcome_factual, data.treatment,
-                     g0 + g_shift, g1 + g_shift, m, theta, i)
+                     nuis.g0_hat, nuis.g1_hat, nuis.m_hat, theta, i)
 
     if direction == "perturb_g":
         up, down = scores(t * delta, 0.0), scores(-t * delta, 0.0)

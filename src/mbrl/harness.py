@@ -23,9 +23,9 @@ import numpy as np
 from . import estimators as est
 from . import metrics
 from .data import (DEFAULT_SPLIT, OUTCOME_KINDS, Dataset, SimConfig, SplitSpec,
-                   TrueModel, concat, generate_simulation, generate_twins_assignment,
-                   kl_selection_bias, load_csv, split, true_outcomes)
-from .model import TrainConfig, fit, perturbation_error, predict
+                   concat, generate_simulation, generate_twins_assignment,
+                   load_csv, simulate_at_kl, split, true_outcomes)
+from .model import TrainConfig, fit, heldout_scores, nuisances_from_net
 from .records import bounded, check_fields, nested_record
 
 logger = logging.getLogger(__name__)
@@ -33,8 +33,6 @@ logger = logging.getLogger(__name__)
 SOURCES = ("simulator", "csv", "twins")
 MBRL_ESTIMATORS = ("plugin", *est.SCORE_KINDS)
 ESTIMATOR_NAMES = MBRL_ESTIMATORS + est.BASELINE_KINDS
-
-KL_MATCH_TOL = 1e-9
 
 
 # =========================================================================
@@ -158,45 +156,10 @@ def aggregate_rows(rows: list[dict]) -> list[dict]:
 # Data preparation
 # =========================================================================
 
-def kl_target_mu1(mu1: np.ndarray, mu0: np.ndarray, cov: np.ndarray,
-                  target: float) -> np.ndarray:
-    """Scale mu1 along (mu1 - mu0) so the Gaussian KL hits ``target`` exactly.
-
-    A zero base direction falls back to the ones vector.
-    """
-    direction = np.asarray(mu1, dtype=float) - np.asarray(mu0, dtype=float)
-    if not np.any(direction):
-        direction = np.ones_like(direction)
-    quad = 2.0 * kl_selection_bias(mu0 + direction, mu0, cov)
-    scale = np.sqrt(2.0 * target / quad)
-    return np.asarray(mu0, dtype=float) + scale * direction
-
-
 def _seeds_for(base_seed: int, level_index: int, replication: int,
                count: int) -> list[int]:
     ss = np.random.SeedSequence([base_seed, level_index, replication])
     return [int(s) for s in ss.generate_state(count, dtype=np.uint32)]
-
-
-def simulate_at_kl(sim: SimConfig, level: float,
-                   seed: int) -> tuple[Dataset, TrueModel, float]:
-    """Simulator draw whose between-group KL is pinned to ``level``.
-
-    The mixing matrix is drawn from ``seed`` first; mu1 is then rescaled
-    along mu1 - mu0 to hit the level and the sample drawn with the same
-    seed. Returns (data, truth, realized KL).
-    """
-    rng = np.random.default_rng(seed)
-    mixing = rng.uniform(-1.0, 1.0, size=(sim.dim, sim.dim))
-    cov = sim.sigma_scale * (mixing @ mixing.T)
-    mu1 = kl_target_mu1(sim.mu1, sim.mu0, cov, level)
-    realized = kl_selection_bias(mu1, sim.mu0, cov)
-    if abs(realized - level) > KL_MATCH_TOL:
-        raise RuntimeError(
-            f"KL inversion off target: requested {level}, got {realized}")
-    data, truth = generate_simulation(replace(sim, mu1=mu1), seed=seed,
-                                      mixing=mixing)
-    return data, truth, realized
 
 
 def _load_source(cfg: ExperimentConfig) -> Dataset | None:
@@ -231,33 +194,21 @@ def _make_data(cfg: ExperimentConfig, base: Dataset | None, level: float | None,
 # Estimator evaluation
 # =========================================================================
 
-def nuisances_from_net(net, data: Dataset) -> est.NuisanceEstimates:
-    yhat0, yhat1, p = predict(net, data.covariates)
-    return est.NuisanceEstimates(g0_hat=yhat0, g1_hat=yhat1, m_hat=p)
-
-
-def _metric_row(data: Dataset, tau_hat: float, y0_hat, y1_hat, yhat_factual,
+def _metric_row(data: Dataset, tau_hat: float, y0_hat, y1_hat, rmse: float,
                 eps_p: float | None) -> dict:
-    row: dict = {"tau_hat": tau_hat}
+    row: dict = {"tau_hat": tau_hat, "rmse": rmse, "eps_p": eps_p, "tau_true": None,
+                 "eps_ate": None, "pehe_root": None, "auc": None}
     gt = true_outcomes(data)
-    if gt is not None:
-        g1, g0 = gt
-        tau = float(np.mean(g1 - g0))
-        row["tau_true"] = tau
-        row["eps_ate"] = metrics.ate_error(tau, tau_hat)
-        if data.outcome_kind == "binary" and data.y0 is not None:
-            labels = np.concatenate([data.y0, data.y1]).astype(int)
-            scores = np.concatenate([y0_hat, y1_hat])
-            row["auc"] = metrics.auc(labels, scores)
-            row["pehe_root"] = None
-        else:
-            row["pehe_root"] = metrics.pehe_root(g1, g0, y1_hat, y0_hat)
-            row["auc"] = None
+    if gt is None:
+        return row
+    g1, g0 = gt
+    row["tau_true"] = tau = float(np.mean(g1 - g0))
+    row["eps_ate"] = metrics.ate_error(tau, tau_hat)
+    if data.outcome_kind == "binary" and data.y0 is not None:
+        labels = np.concatenate([data.y0, data.y1]).astype(int)
+        row["auc"] = metrics.auc(labels, np.concatenate([y0_hat, y1_hat]))
     else:
-        row.update({"tau_true": None, "eps_ate": None,
-                    "pehe_root": None, "auc": None})
-    row["rmse"] = metrics.rmse(data.outcome_factual, yhat_factual)
-    row["eps_p"] = eps_p
+        row["pehe_root"] = metrics.pehe_root(g1, g0, y1_hat, y0_hat)
     return row
 
 
@@ -265,15 +216,11 @@ def mbrl_row(name: str, nuis: est.NuisanceEstimates, data: Dataset,
              beta: float) -> dict:
     """Metrics of one network-based estimator on one unit set. ``nuis`` is
     ``nuisances_from_net(net, data)``, computed once per unit set by the
-    caller."""
-    if name == "plugin":
-        tau_hat = est.plug_in_ate(nuis).ate
-    else:
-        tau_hat = est.ate_orthogonal(name, data, nuis).ate
-    yhat_factual = np.where(data.treatment == 1, nuis.g1_hat, nuis.g0_hat)
-    eps_p = perturbation_error(data.outcome_factual, yhat_factual, data.treatment,
-                               nuis.m_hat, beta)
-    return _metric_row(data, tau_hat, nuis.g0_hat, nuis.g1_hat, yhat_factual, eps_p)
+    caller; ``rmse`` and ``eps_p`` are ``heldout_scores``, as in ``fit``."""
+    theta = (est.plug_in_ate(nuis) if name == "plugin"
+             else est.ate_orthogonal(name, data, nuis))
+    return _metric_row(data, theta.ate, nuis.g0_hat, nuis.g1_hat,
+                       *heldout_scores(nuis, data, beta))
 
 
 def baseline_row(fitted: Callable[[Dataset], est.BaselineResult],
@@ -282,7 +229,7 @@ def baseline_row(fitted: Callable[[Dataset], est.BaselineResult],
     ``data``; a baseline has no propensity, so its ``eps_p`` is None."""
     res = fitted(data)
     return _metric_row(data, res.theta.ate, res.y0_hat, res.y1_hat,
-                       res.yhat_factual, None)
+                       metrics.rmse(data.outcome_factual, res.yhat_factual), None)
 
 
 # =========================================================================

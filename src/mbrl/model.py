@@ -27,6 +27,7 @@ import numpy as np
 
 from . import nn
 from .data import Dataset
+from .estimators import NuisanceEstimates
 from .metrics import rmse
 from .ot import SinkhornConfig, wasserstein_sinkhorn
 from .records import bounded, check_fields, nested_record
@@ -265,6 +266,12 @@ def predict(net: MBRLNet, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
     return o0[:, 0], o1[:, 0], p[:, 0]
 
 
+def nuisances_from_net(net: MBRLNet, data: Dataset) -> NuisanceEstimates:
+    """``predict`` on a unit set, as the nuisance estimates scores read."""
+    yhat0, yhat1, p = predict(net, data.covariates)
+    return NuisanceEstimates(g0_hat=yhat0, g1_hat=yhat1, m_hat=p)
+
+
 def perturbation_error(y, yhat, d, dhat, beta: float) -> float:
     """RMSE plus beta times the absolute mean cross-residual product."""
     y, yhat, d, dhat = (np.asarray(v, dtype=float) for v in (y, yhat, d, dhat))
@@ -272,6 +279,16 @@ def perturbation_error(y, yhat, d, dhat, beta: float) -> float:
         raise ValueError("length mismatch")
     cross = float(np.mean((y - yhat) * (d - dhat)))
     return rmse(y, yhat) + beta * abs(cross)
+
+
+def heldout_scores(nuis: NuisanceEstimates, data: Dataset,
+                   beta: float) -> tuple[float, float]:
+    """(RMSE, eps_p) of a unit set's factual pick (each unit's own arm's
+    estimate) and clamped propensity: the one held-out score of a net."""
+    pred = np.where(data.treatment == 1, nuis.g1_hat, nuis.g0_hat)
+    return (rmse(data.outcome_factual, pred),
+            perturbation_error(data.outcome_factual, pred, data.treatment,
+                               nuis.m_hat, beta))
 
 
 # =========================================================================
@@ -506,13 +523,9 @@ class Checkpoint:
 
 
 def validation_scores(net: MBRLNet, val: Dataset, beta: float) -> tuple[float, float]:
-    """(RMSE, perturbation error) of the factual pick from ``predict`` on a
-    dataset: each unit's own arm's outcome estimate, and the propensity."""
-    yhat0, yhat1, p = predict(net, val.covariates)
-    pred = np.where(val.treatment == 1, yhat1, yhat0)
-    return (rmse(val.outcome_factual, pred),
-            perturbation_error(val.outcome_factual, pred, val.treatment.astype(float),
-                               p, beta))
+    """``heldout_scores`` on ``val``: the eps_p that selects the epoch and a
+    report row's eps_p are one function of one clamped propensity."""
+    return heldout_scores(nuisances_from_net(net, val), val, beta)
 
 
 def fit(train: Dataset, val: Dataset, cfg: TrainConfig) -> Checkpoint:

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from mbrl.data import SimConfig
-from mbrl.harness import simulate_at_kl
+from mbrl.data import SimConfig, simulate_at_kl
 
 
 def pinned_kl_draw(seed, n_treated, n_control, kl=0.5, dim=10):

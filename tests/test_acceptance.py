@@ -16,11 +16,12 @@ import pytest
 from conftest import pinned_kl_draw
 from mbrl import nn
 from mbrl.data import (Dataset, SimConfig, SplitSpec, concat,
-                       generate_simulation, load_csv, split, true_ate)
+                       generate_simulation, kl_target_mu1, load_csv, split,
+                       true_ate)
 from mbrl.estimators import (NuisanceEstimates, ate_orthogonal, baseline,
                              noise_orthogonality_stat, orthogonality_probe,
                              plug_in_ate, solve_theta)
-from mbrl.harness import kl_target_mu1, run_experiment, emit_report
+from mbrl.harness import run_experiment, emit_report
 from mbrl.model import (Batch, TrainConfig, build_net, fit,
                         perturbation_error, predict, task_gradient_error)
 from mbrl.ot import SinkhornConfig, exact_ot_small, wasserstein_sinkhorn

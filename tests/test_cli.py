@@ -9,8 +9,12 @@ import pytest
 
 from mbrl import harness
 from mbrl.cli import main
-from mbrl.data import load_csv
-from mbrl.harness import ExperimentConfig
+from mbrl.data import SimConfig, SplitSpec, generate_simulation, load_csv, save_csv, split
+from mbrl.estimators import PROPENSITY_CLAMP
+from mbrl.harness import MBRL_ESTIMATORS, ExperimentConfig
+from mbrl.model import (TrainConfig, fit, predict, save_checkpoint,
+                        validation_scores)
+from mbrl.ot import SinkhornConfig
 
 
 def _write(path, doc):
@@ -125,6 +129,35 @@ def test_generate_then_train_then_evaluate(tmp_path, sim_config, train_config):
         assert set(result[name]) == {"tau_hat", "eps_ate", "pehe_root", "auc",
                                      "rmse", "eps_p"}
     assert result["plugin"]["eps_ate"] >= 0.0
+
+
+def test_selection_report_rows_and_evaluate_score_one_eps_p(tmp_path):
+    # pi's output bias is moved so that about half the validation
+    # propensities fall below the clamp: the eps_p that selects the epoch,
+    # a report row's and evaluate's must all read the clamped propensity.
+    sample, _ = generate_simulation(SimConfig(n_treated=40, n_control=80, dim=3,
+                                              seed=5))
+    tr, va, _ = split(sample, SplitSpec(0.6, 0.2, 0.2, seed=5))
+    cfg = TrainConfig(batch_size=8, epochs=1, phi_depth=2, phi_width=6,
+                      pi_depth=2, pi_width=5, head_depth=2, head_width=5,
+                      sinkhorn=SinkhornConfig(entropic_reg=0.1, max_iters=50))
+    ckpt = fit(tr, va, cfg)
+    p = predict(ckpt.net, va.covariates)[2]
+    logit = np.log(p) - np.log1p(-p)
+    ckpt.net.pi.biases[-1] += np.log(PROPENSITY_CLAMP) - np.median(logit)
+    p = predict(ckpt.net, va.covariates)[2]
+    assert 0 < np.sum(p < PROPENSITY_CLAMP) < va.n_units
+
+    eps_p = validation_scores(ckpt.net, va, ckpt.beta)[1]
+    nuis = harness.nuisances_from_net(ckpt.net, va)
+    assert harness.mbrl_row("plugin", nuis, va, ckpt.beta)["eps_p"] == eps_p
+    save_checkpoint(ckpt, tmp_path / "ckpt.json")
+    save_csv(va, tmp_path / "val.csv")
+    out = tmp_path / "metrics.json"
+    assert main(["evaluate", "--checkpoint", str(tmp_path / "ckpt.json"),
+                 "--data", str(tmp_path / "val.csv"), "--out", str(out)]) == 0
+    result = json.loads(out.read_text())
+    assert [result[name]["eps_p"] for name in MBRL_ESTIMATORS] == [eps_p] * 3
 
 
 def test_bench_writes_report(tmp_path):

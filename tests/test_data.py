@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mbrl import harness
+from mbrl import data as data_module
 from mbrl.data import (Dataset, SimConfig, SplitSpec, concat,
                        generate_simulation, generate_twins_assignment,
                        kl_selection_bias, load_csv, save_csv, sigmoid, split,
@@ -99,6 +99,17 @@ def test_load_csv_rejects_a_row_whose_cell_count_differs(tmp_path, row, cells):
     p.write_text(f"z1,d,y\n0.1,0,1.5\n0.3,1,2.5\n{row}\n")
     with pytest.raises(ValueError, match=rf"^{re.escape(str(p))}: row 4 has {cells} cells; "
                                          r"the header names 3$"):
+        load_csv(p)
+
+
+@pytest.mark.parametrize("row,message", [
+    ("0.5,1,oops", "bad value in column 'y', row 5"),
+    ("0.5,1", "row 5 has 2 cells; the header names 3"),
+], ids=["bad-value", "cell-count"])
+def test_load_csv_errors_name_the_file_line_past_a_blank_line(tmp_path, row, message):
+    p = tmp_path / "bad.csv"
+    p.write_text(f"z1,d,y\n0.1,0,1.5\n\n0.3,1,2.5\n{row}\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(f'{p}: {message}')}$"):
         load_csv(p)
 
 
@@ -219,7 +230,7 @@ def test_simulation_affine_propensity_matches_the_quadratic_form(kl, kl_draw,
         drawn.append((cfg, mixing))
         return generate_simulation(cfg, seed, mixing)
 
-    monkeypatch.setattr(harness, "generate_simulation", recording)
+    monkeypatch.setattr(data_module, "generate_simulation", recording)
     data, truth = kl_draw(seed=7001, n_treated=2000, n_control=4000, kl=kl)
     (cfg, mixing), = drawn
     cov = cfg.sigma_scale * (mixing @ mixing.T)

@@ -1,14 +1,18 @@
+import ast
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mbrl.checks as checks
 import mbrl.estimators as est
 import mbrl.harness as harness
-from mbrl.data import SimConfig, SplitSpec, kl_selection_bias
+from mbrl.data import SimConfig, SplitSpec, kl_selection_bias, kl_target_mu1
 from mbrl.harness import (ExperimentConfig, Report, aggregate_rows,
-                          emit_report, kl_target_mu1, run_experiment)
+                          emit_report, run_experiment)
+from mbrl.metrics import rmse
 from mbrl.model import TrainConfig
 from mbrl.ot import SinkhornConfig
 
@@ -64,6 +68,19 @@ def test_config_round_trips_through_dict():
 
 
 # ---------------------------------------------------------------- KL targeting
+
+def test_checks_import_nothing_from_harness():
+    # mbrl check verifies the numerics under the harness; its KL-pinned draw
+    # comes from data.
+    names = []
+    for node in ast.walk(ast.parse(Path(checks.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom):
+            names += [node.module or "", *(alias.name for alias in node.names)]
+        elif isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+    assert "data" in names
+    assert not [name for name in names if "harness" in name.split(".")]
+
 
 def test_kl_target_inversion_is_exact():
     rng = np.random.default_rng(0)
@@ -138,15 +155,16 @@ def test_baseline_rows_equal_a_fit_per_sample():
         dataset = insample if row["sample"] == "in" else te
         res = est.baseline(row["estimator"], insample, dataset, k=cfg.knn_k)
         want = harness._metric_row(dataset, res.theta.ate, res.y0_hat, res.y1_hat,
-                                   res.yhat_factual, None)
+                                   rmse(dataset.outcome_factual, res.yhat_factual),
+                                   None)
         assert json.dumps({k: row[k] for k in want}) == json.dumps(want)
 
 
 def test_each_sample_runs_predict_once_for_the_mbrl_estimators(monkeypatch):
     calls = []
-    predict = harness.predict
-    monkeypatch.setattr(harness, "predict",
-                        lambda net, Z: calls.append(len(Z)) or predict(net, Z))
+    nuisances = harness.nuisances_from_net
+    monkeypatch.setattr(harness, "nuisances_from_net", lambda net, data:
+                        calls.append(data.n_units) or nuisances(net, data))
     report = run_experiment(_tiny_experiment(
         replications=2, estimators=("plugin", "psi1", "psi2", "ols_lr1")))
     assert report.metadata["n_failures"] == 0

@@ -10,6 +10,7 @@ import pytest
 from mbrl import model, nn
 from mbrl.checks import check_task_gradients
 from mbrl.data import Dataset, SimConfig, SplitSpec, generate_simulation, split
+from mbrl.estimators import PROPENSITY_CLAMP
 from mbrl.metrics import rmse
 from mbrl.model import (ABLATIONS, Batch, TrainConfig, build_net,
                         default_beta, fit, init_train_state, load_checkpoint,
@@ -617,6 +618,15 @@ def test_fit_raises_when_no_epoch_is_finite(monkeypatch):
         fit(tr, va, replace(TINY, epochs=2))
 
 
+def test_fit_raises_on_a_non_finite_validation_prediction(monkeypatch):
+    # NuisanceEstimates rejects it, as a training step rejects a non-finite
+    # gradient.
+    tr, va, te = _small_sim(seed=4)
+    monkeypatch.setattr(model, "predict", lambda net, Z: (np.full(len(Z), np.nan),) * 3)
+    with pytest.raises(ValueError, match="non-finite nuisance values"):
+        fit(tr, va, replace(TINY, epochs=2))
+
+
 def test_fit_accepts_the_stock_configs():
     TrainConfig(batch_size=100, epochs=1000)
     TrainConfig(batch_size=1000, epochs=250)
@@ -656,6 +666,7 @@ def test_validation_scores_match_the_predict_reference(seed):
         tr, va, te = _small_sim(seed=seed)
         net = fit(tr, va, replace(TINY, epochs=1)).net
     yhat0, yhat1, p = predict(net, va.covariates)
+    p = np.clip(p, PROPENSITY_CLAMP, 1.0 - PROPENSITY_CLAMP)
     pred = np.where(va.treatment == 1, yhat1, yhat0)
     want = (rmse(va.outcome_factual, pred),
             perturbation_error(va.outcome_factual, pred, va.treatment, p, 0.1))
