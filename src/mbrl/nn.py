@@ -7,6 +7,7 @@ so a batch X of shape (B, in) maps to X @ W.T + b.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -100,23 +101,14 @@ def init_params(spec: NetSpec, seed: int) -> ParamSet:
 # Activations
 # =========================================================================
 
-# Both are branch-free: exp of the nonpositive part, so large positive
-# inputs cannot overflow, combined without a select. elu(nan) is nan and
-# elu_grad(nan) is 1 (fmin drops the nan).
-
 def elu(x: np.ndarray) -> np.ndarray:
-    # expm1(min(x, 0)) >= x for x < 0 and is 0 < x for x > 0, so the maximum
-    # picks the right branch. This argument order keeps elu(-0.0) = -0.0;
-    # the other order returns +0.0.
+    # Branch-free: expm1 of the nonpositive part, so large positive inputs
+    # cannot overflow, and expm1(min(x, 0)) >= x for x < 0 and is 0 < x for
+    # x > 0, so the maximum picks the right branch. elu(nan) is nan. This
+    # argument order keeps elu(-0.0) = -0.0; the other order returns +0.0.
     out = np.minimum(x, 0.0)
     np.expm1(out, out=out)
     return np.maximum(out, x, out=out)
-
-
-def elu_grad(x: np.ndarray) -> np.ndarray:
-    # exp(0) is exactly 1 for x >= 0: the subderivative at 0 is taken as 1.
-    out = np.fmin(x, 0.0)
-    return np.exp(out, out=out)
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
@@ -132,14 +124,14 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
 
 @dataclass
 class ForwardCache:
-    """Intermediates of one forward pass, consumed by backward().
-
-    backward() reads ``output`` (the clamped sigmoid of a sigmoid-output
-    net), so callers must not write into it.
+    """What one forward pass keeps for backward(): each layer's input (the
+    batch, then each hidden layer's ELU output) and the net's output. No
+    pre-activation is kept; backward() reads each hidden layer's ELU′ from
+    the next layer's input and a sigmoid output's derivative from
+    ``output`` (the clamped sigmoid), so callers must not write into them.
     """
 
     inputs: list[np.ndarray]
-    preacts: list[np.ndarray]
     output: np.ndarray
 
 
@@ -162,14 +154,12 @@ def forward(params: ParamSet, spec: NetSpec, X: np.ndarray, keep_cache: bool = T
 
     h = X
     inputs: list[np.ndarray] = []
-    preacts: list[np.ndarray] = []
     last = spec.n_layers - 1
     for k, (W, b) in enumerate(zip(params.weights, params.biases)):
         z = h @ W.T
         z += b
         if keep_cache:
             inputs.append(h)
-            preacts.append(z)
         if k < last:
             h = elu(z)
         elif spec.output_activation == "sigmoid":
@@ -178,7 +168,7 @@ def forward(params: ParamSet, spec: NetSpec, X: np.ndarray, keep_cache: bool = T
             h = z
     if not keep_cache:
         return h, None
-    return h, ForwardCache(inputs=inputs, preacts=preacts, output=h)
+    return h, ForwardCache(inputs=inputs, output=h)
 
 
 def backward(
@@ -200,7 +190,7 @@ def backward(
     the same bytes either way.
     """
     output_grad = np.asarray(output_grad, dtype=float)
-    if len(cache.preacts) != spec.n_layers:
+    if len(cache.inputs) != spec.n_layers:
         raise ValueError("cache does not match spec")
     if output_grad.shape != cache.output.shape:
         raise ValueError(
@@ -220,7 +210,14 @@ def backward(
             else:
                 dz = g
         else:
-            dz = elu_grad(cache.preacts[k])
+            # ELU′ from the stored output h = elu(z): min(h, 0) + 1 is
+            # expm1(z) + 1 for z <= 0, within 2^-52 of exp(z), and exactly 1
+            # for z > 0 (the subderivative at 0 is 1). The trade: where
+            # exp(z) is tiny its relative error grows, and it is exactly 0
+            # once expm1(z) rounds to -1 (z below about -37.4). A nan
+            # pre-activation gives a nan gradient.
+            dz = np.minimum(cache.inputs[k + 1], 0.0)
+            dz += 1.0
             dz *= g
         np.matmul(dz.T, cache.inputs[k], out=out.weights[k])
         np.sum(dz, axis=0, out=out.biases[k])
@@ -277,8 +274,11 @@ def adam_update(state: AdamState) -> None:
     """One bias-corrected Adam descent step on ``state.params``, in place,
     from the gradient its producer wrote into ``state.grad``.
 
-    The arithmetic is elementwise in the order
-    lr * (m / c1) / (sqrt(v / c2) + eps_hat). It runs block by block
+    The step is lr * (m / c1) / (sqrt(v / c2) + eps_hat) with both bias
+    corrections folded into two per-call scalars (Kingma & Ba 2015, §2):
+    m * lr_t / (sqrt(v) + eps_t) with lr_t = lr * sqrt(c2) / c1 and
+    eps_t = eps_hat * sqrt(c2), one division and one square root per
+    entry, computed elementwise in that order. It runs block by block
     (``ADAM_BLOCK`` entries of each vector at a time, the same operations
     in the same order in every block, so the bytes do not depend on the
     block size) and overwrites the gradient with the step; nothing is
@@ -291,8 +291,9 @@ def adam_update(state: AdamState) -> None:
     state.step += 1
     t = state.step
     c1 = 1.0 - ADAM_BETA1 ** t
-    c2 = 1.0 - ADAM_BETA2 ** t
-    lr = state.learning_rate
+    sqrt_c2 = math.sqrt(1.0 - ADAM_BETA2 ** t)
+    lr_t = state.learning_rate * sqrt_c2 / c1
+    eps_t = ADAM_EPS_HAT * sqrt_c2
     for start in range(0, grad.size, ADAM_BLOCK):
         s = slice(start, start + ADAM_BLOCK)
         g, m, v, p = grad[s], state.m[s], state.v[s], state.params[s]
@@ -305,11 +306,9 @@ def adam_update(state: AdamState) -> None:
         work *= g
         v += work
         # The block's gradient is spent; g now holds its step.
-        np.divide(v, c2, out=work)
-        np.sqrt(work, out=work)
-        work += ADAM_EPS_HAT
-        np.divide(m, c1, out=g)
-        g *= lr
+        np.sqrt(v, out=work)
+        work += eps_t
+        np.multiply(m, lr_t, out=g)
         g /= work
         p -= g
 

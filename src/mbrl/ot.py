@@ -102,13 +102,14 @@ def wasserstein_sinkhorn(
     Sinkhorn scalings run in the kernel domain, u = a / (K v) and
     v = b / (K^T u), on a kernel K = exp((f + g - C)/eps) that absorbs the
     dual potentials f, g. The first iteration is a log-domain f- then
-    g-half-step from g = 0, which anchors K. Whenever a scaling would leave
-    [1/SCALING_BOUND, SCALING_BOUND], the iteration folds eps * log u into
-    f, redoes the g-half-step in the log domain and re-anchors K, so small
-    eps neither overflows nor underflows the kernel. Iterations stop when
-    the L1 violation of the row marginals after a g-update drops below
-    cfg.tol or cfg.max_iters is hit; non-convergence is reported through
-    the ``converged`` flag rather than an exception.
+    g-half-step from g = 0, which anchors K. Whenever u would leave
+    [1/SCALING_BOUND, SCALING_BOUND] (v then cannot, since K's columns sum
+    to b), the iteration folds eps * log u into f, redoes the g-half-step in
+    the log domain and re-anchors K, so small eps neither overflows nor
+    underflows the kernel. Iterations stop when the L1 violation of the row
+    marginals after a g-update drops below cfg.tol or cfg.max_iters is hit;
+    non-convergence is reported through the ``converged`` flag rather than
+    an exception.
 
     Returns the transport cost of the plan, its exact gradients with
     respect to both clouds under a fixed plan, and the entropic dual value,
@@ -128,11 +129,11 @@ def wasserstein_sinkhorn(
     eps = cfg.entropic_reg
     a, b = 1.0 / n1, 1.0 / n0
     log_b = np.full(n0, -np.log(n0))
-    # u = a / Kv and v = b / K^T u stay inside the bound exactly when their
-    # denominators stay inside these ranges; a K^T u entry that underflows
-    # to 0 fails the check before any division by it.
+    # u = a / Kv stays inside the bound exactly when Kv stays inside this
+    # range. The anchored kernel's columns sum to b, so K^T u then lies in
+    # b * [min u, max u] and v = b / K^T u stays inside the bound too (to
+    # rounding): K^T u needs no check of its own and cannot underflow to 0.
     Kv_lo, Kv_hi = a / SCALING_BOUND, a * SCALING_BOUND
-    KTu_lo, KTu_hi = b / SCALING_BOUND, b * SCALING_BOUND
 
     neg_C = -C / eps
     work = np.empty_like(C)
@@ -158,10 +159,8 @@ def wasserstein_sinkhorn(
             break
         iterations += 1
         u = a / Kv
-        KTu = u @ K
-        if (Kv_lo <= lo(Kv) and hi(Kv) <= Kv_hi
-                and KTu_lo <= lo(KTu) and hi(KTu) <= KTu_hi):
-            v = b / KTu
+        if Kv_lo <= lo(Kv) and hi(Kv) <= Kv_hi:
+            v = b / (u @ K)
         else:
             f = f + eps * np.log(u)
             g, K = _anchor(neg_C, f, log_b, eps, work)

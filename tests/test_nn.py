@@ -1,5 +1,6 @@
 import contextlib
 import json
+import math
 import tracemalloc
 import warnings
 from dataclasses import asdict
@@ -64,13 +65,42 @@ def test_forward_zero_params_identity_output():
     np.testing.assert_array_equal(out, 0.0)
 
 
+def _elu_grad_by_backward(z):
+    # ELU′ as backward applies it, read through a one-hidden-layer net on
+    # one zero row: the hidden biases are z (plus one padding unit, so an
+    # empty z still makes a net), so the pre-activations are 0 + z, which
+    # is z except that -0.0 becomes 0.0. The output weights are 1, so under
+    # a unit output gradient the hidden biases' gradient is ELU′(z).
+    z = np.asarray(z, dtype=float)
+    width = z.size + 1
+    spec = nn.NetSpec((1, width, 1))
+    params = nn.ParamSet(weights=[np.zeros((width, 1)), np.ones((1, width))],
+                         biases=[np.append(z.ravel(), 0.0), np.zeros(1)])
+    _, cache = nn.forward(params, spec, np.zeros((1, 1)))
+    grads, _ = nn.backward(params, spec, cache, np.ones((1, 1)), input_grad=False)
+    return grads.biases[0][:-1].reshape(z.shape)
+
+
 def test_elu_definition():
     np.testing.assert_allclose(nn.elu(np.array([2.0])), [2.0])
     np.testing.assert_allclose(nn.elu(np.array([-50.0])), [-1.0], atol=1e-12)
     np.testing.assert_allclose(nn.elu(np.array([0.0])), [0.0])
-    assert nn.elu_grad(np.array([1.0]))[0] == 1.0
-    assert nn.elu_grad(np.array([-1.0]))[0] == pytest.approx(np.exp(-1.0))
-    assert nn.elu_grad(np.array([0.0]))[0] == 1.0
+    grad = _elu_grad_by_backward(np.array([1.0, -1.0, 0.0]))
+    assert grad[0] == 1.0
+    assert grad[1] == pytest.approx(np.exp(-1.0))
+    assert grad[2] == 1.0
+
+
+def test_backward_elu_grad_is_exp_to_rounding():
+    z = np.concatenate([np.linspace(-50.0, 50.0, 10_001), [0.0, -0.0]])
+    got = _elu_grad_by_backward(z)
+    assert np.max(np.abs(got - np.exp(np.minimum(z, 0.0)))) <= 2.0 ** -52
+    assert np.all(got[z >= 0] == 1.0)
+    # The trade of reading ELU′ from the stored expm1(z): exactly 0, not
+    # exp(z), once expm1(z) rounds to -1.
+    gone = np.expm1(z) == -1.0
+    assert gone.any() and np.all(got[gone] == 0.0)
+    assert np.all(z[gone] < -37.0) and np.all(got[(z < 0) & ~gone] > 0.0)
 
 
 def _elu_masked(x):
@@ -82,47 +112,37 @@ def _elu_masked(x):
     return out
 
 
-def _elu_grad_masked(x):
-    g = np.ones_like(x, dtype=float)
-    neg = x <= 0
-    g[neg] = np.exp(x[neg])
-    return g
-
-
 def _elu_where(x):
     # The np.where forms the branch-free versions replaced; kept as the
     # bitwise reference.
     return np.where(x < 0, np.expm1(np.minimum(x, 0.0)), x)
 
 
-def _elu_grad_where(x):
-    return np.where(x <= 0, np.exp(np.minimum(x, 0.0)), 1.0)
-
-
-def _assert_elu_matches(elu_ref, elu_grad_ref):
+def _assert_elu_matches(elu_ref):
+    # ELU and the ELU′ backward reads from its output, min(elu(z), 0) + 1.
     special = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 1e3, -1e3,
                         1e-320, -1e-320, 5e-324, -5e-324, 1e-300, -1e-300])
     rng = np.random.default_rng(0)
     for x in (special, 5.0 * rng.normal(size=(37, 23)), rng.normal(size=0)):
         with np.errstate(all="ignore"):
-            want = (elu_ref(x), elu_grad_ref(x))
-        # exp(-1e3) underflows to 0 in both forms (the right derivative), so
-        # only underflow is allowed; overflow, invalid and divide raise.
+            want = (elu_ref(x), np.minimum(elu_ref(x), 0.0) + 1.0)
+        # Only underflow is allowed; overflow, invalid and divide raise.
         with np.errstate(all="raise", under="ignore"), warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = (nn.elu(x), nn.elu_grad(x))
+            got = (nn.elu(x), _elu_grad_by_backward(x))
         for a, b in zip(got, want):
             assert a.dtype == b.dtype and a.shape == b.shape
             assert a.tobytes() == b.tobytes()   # also the sign of -0.0
-    assert nn.elu_grad(np.array([np.nan]))[0] == 1.0
+    # elu(nan) is nan, and so is its ELU′ (the old exp form gave 1).
+    assert np.isnan(_elu_grad_by_backward(np.array([np.nan]))[0])
 
 
 def test_elu_matches_masked_reference_bitwise():
-    _assert_elu_matches(_elu_masked, _elu_grad_masked)
+    _assert_elu_matches(_elu_masked)
 
 
 def test_elu_matches_where_reference_bitwise():
-    _assert_elu_matches(_elu_where, _elu_grad_where)
+    _assert_elu_matches(_elu_where)
 
 
 @pytest.mark.parametrize("output_activation", ["identity", "sigmoid"])
@@ -132,11 +152,15 @@ def test_forward_hidden_outputs_are_elu_of_their_preactivations(output_activatio
     params.biases[0][:] = np.linspace(-1.0, 1.0, 6)
     X = np.random.default_rng(4).normal(size=(7, 4))
     _, cache = nn.forward(params, spec, X)
-    for k, (W, b) in enumerate(zip(params.weights, params.biases)):
-        assert cache.preacts[k].tobytes() == (cache.inputs[k] @ W.T + b).tobytes()
-    for z, h in zip(cache.preacts[:-1], cache.inputs[1:]):
+    # The cache keeps no pre-activations: recompute them from the inputs.
+    zs = [h @ W.T + b for h, W, b in zip(cache.inputs, params.weights, params.biases)]
+    for z, h in zip(zs[:-1], cache.inputs[1:]):
         assert h.tobytes() == nn.elu(z).tobytes()
         assert np.any(z < 0) and np.any(z > 0)
+    out = zs[-1]
+    if output_activation == "sigmoid":
+        out = np.clip(nn.sigmoid(out), nn.SIGMOID_CLAMP, 1.0 - nn.SIGMOID_CLAMP)
+    assert cache.output.tobytes() == out.tobytes()
 
 
 @pytest.mark.parametrize("output_activation", ["identity", "sigmoid"])
@@ -253,7 +277,8 @@ def test_backward_sigmoid_output_matches_recompute_from_preactivations():
     spec = nn.NetSpec((2, 2), output_activation="sigmoid")
     params = nn.ParamSet(weights=[np.eye(2)], biases=[np.zeros(2)])
     _, cache = nn.forward(params, spec, X)
-    assert cache.preacts[0].tobytes() == X.tobytes()
+    z = cache.inputs[0] @ params.weights[0].T + params.biases[0]
+    assert z.tobytes() == X.tobytes()
     g = np.random.default_rng(8).normal(size=X.shape) * 1e3
     g[::7] = -0.0
 
@@ -340,17 +365,19 @@ def test_adam_rejects_non_finite_gradients():
 
 def _adam_per_tensor(tensors, grads, m, v, t, lr=1e-3,
                      beta1=0.9, beta2=0.999, eps_hat=1e-8):
-    # One moment pair per tensor, as the flat state replaced; kept as the
-    # bitwise reference.
+    # One moment pair per tensor, as the flat state replaced, and the bias
+    # corrections folded into lr_t and eps_t; kept as the bitwise reference.
     c1 = 1.0 - beta1 ** t
-    c2 = 1.0 - beta2 ** t
+    sqrt_c2 = math.sqrt(1.0 - beta2 ** t)
+    lr_t = lr * sqrt_c2 / c1
+    eps_t = eps_hat * sqrt_c2
     for p, g, mk, vk in zip(tensors, grads, m, v):
         g = np.asarray(g, dtype=float)
         mk *= beta1
         mk += (1.0 - beta1) * g
         vk *= beta2
         vk += (1.0 - beta2) * g * g
-        p -= lr * (mk / c1) / (np.sqrt(vk / c2) + eps_hat)
+        p -= mk * lr_t / (np.sqrt(vk) + eps_t)
 
 
 def _flat_group(tensors):
@@ -394,6 +421,23 @@ def test_adam_matches_per_tensor_reference_bitwise():
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
     assert state.m.tobytes() == np.concatenate([m.ravel() for m in ref_m]).tobytes()
     assert state.v.tobytes() == np.concatenate([v.ravel() for v in ref_v]).tobytes()
+
+
+def test_adam_step_is_the_textbook_step_to_rounding():
+    # Kingma & Ba's step lr * (m / c1) / (sqrt(v / c2) + eps_hat), from the
+    # same moments; adam_update leaves its step in the gradient vector.
+    rng = np.random.default_rng(9)
+    n = 5000
+    state = nn.adam_init(np.zeros(n), np.zeros(n), learning_rate=1e-3)
+    worst = 0.0
+    for t in range(1, 21):
+        grad = rng.choice([-1.0, 1.0], size=n) * 10.0 ** rng.uniform(-4.0, 2.0, size=n)
+        state.grad[...] = grad
+        nn.adam_update(state)
+        c1, c2 = 1.0 - 0.9 ** t, 1.0 - 0.999 ** t
+        want = 1e-3 * (state.m / c1) / (np.sqrt(state.v / c2) + 1e-8)
+        worst = max(worst, np.max(np.abs(state.grad - want) / np.abs(want)))
+    assert worst <= 1e-14
 
 
 def _blocked_case(seed):
