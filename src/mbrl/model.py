@@ -74,12 +74,14 @@ LAYOUT = ("eps_d", "pi", "phi", "f0", "f1", "eps_y")
 class MBRLNet:
     """Encoder, discriminator, outcome heads and the two free scalars.
 
-    Every parameter lives in one float64 vector ``params`` laid out in
+    A net is its four specs and one float64 vector ``params``, laid out in
     ``LAYOUT`` order, a subnet's block in ``ParamSet.tensors()`` order. The
-    ParamSets and the 0-d scalars are views of it, made with the net. Every
+    net keeps its own copy of the vector it is given; the ParamSets
+    ``phi``, ``pi``, ``f0``, ``f1``, the 0-d scalars ``eps_y``/``eps_d`` and
+    the ``blocks`` slices are views of that copy, made with the net. So every
     copy (``dataclasses.replace``, ``copy.copy``, ``copy.deepcopy``, pickle)
-    builds a new net, so its views share its own vector. Nets compare by
-    identity; compare ``params`` bytes for equal weights.
+    trains through its own vector. Nets compare by identity; compare
+    ``params`` bytes for equal weights.
 
     ``input_mean``/``input_scale`` hold the per-feature standardization
     (train-split statistics) applied before the encoder; they are part of
@@ -87,54 +89,41 @@ class MBRLNet:
     """
 
     phi_spec: nn.NetSpec
-    phi: nn.ParamSet
     pi_spec: nn.NetSpec
-    pi: nn.ParamSet
     f0_spec: nn.NetSpec
-    f0: nn.ParamSet
     f1_spec: nn.NetSpec
-    f1: nn.ParamSet
-    eps_y: np.ndarray
-    eps_d: np.ndarray
+    params: np.ndarray = field(repr=False)
     outcome_kind: str = "continuous"
     input_mean: np.ndarray | None = None
     input_scale: np.ndarray | None = None
-    params: np.ndarray = field(init=False, repr=False)
+    phi: nn.ParamSet = field(init=False, repr=False)
+    pi: nn.ParamSet = field(init=False, repr=False)
+    f0: nn.ParamSet = field(init=False, repr=False)
+    f1: nn.ParamSet = field(init=False, repr=False)
+    eps_y: np.ndarray = field(init=False, repr=False)
+    eps_d: np.ndarray = field(init=False, repr=False)
     blocks: dict[str, slice] = field(init=False, repr=False)  # of ``params``
 
     def __post_init__(self):
         rep = self.phi_spec.output_width
-        for name in SUBNETS:
-            spec, params = getattr(self, f"{name}_spec"), getattr(self, name)
-            if name != "phi":  # a consumer of the representation
-                if spec.input_width != rep:
-                    raise ValueError(f"{name} input width must equal the "
-                                     f"representation width {rep}")
-                if spec.output_width != 1:
-                    raise ValueError(f"{name} must have 1 output, not "
-                                     f"{spec.output_width}")
-            if name == "pi" and spec.output_activation != "sigmoid":
-                raise ValueError(f"pi must have a sigmoid output, not "
-                                 f"{spec.output_activation!r}")
-            w = spec.layer_widths
-            want = {**{f"W{k}": (o, i) for k, (i, o) in enumerate(zip(w, w[1:]))},
-                    **{f"b{k}": (o,) for k, o in enumerate(w[1:])}}
-            have = {**{f"W{k}": t.shape for k, t in enumerate(params.weights)},
-                    **{f"b{k}": t.shape for k, t in enumerate(params.biases)}}
-            for entry in sorted(want.keys() | have.keys()):
-                if want.get(entry) != have.get(entry):
-                    raise ValueError(f"{name}.{entry} has shape {have.get(entry)}; "
-                                     f"its spec {w} wants {want.get(entry)}")
+        for name in SUBNETS[1:]:  # the consumers of the representation
+            spec = getattr(self, f"{name}_spec")
+            if spec.input_width != rep:
+                raise ValueError(f"{name} input width must equal the "
+                                 f"representation width {rep}")
+            if spec.output_width != 1:
+                raise ValueError(f"{name} must have 1 output, not {spec.output_width}")
+        if self.pi_spec.output_activation != "sigmoid":
+            raise ValueError(f"pi must have a sigmoid output, not "
+                             f"{self.pi_spec.output_activation!r}")
         sizes = [getattr(self, f"{n}_spec").n_params if n in SUBNETS else 1
                  for n in LAYOUT]
         ends = np.cumsum(sizes).tolist()
         self.blocks = {n: slice(e - k, e) for n, k, e in zip(LAYOUT, sizes, ends)}
-        self.params = np.empty(ends[-1])  # each block is copied once, into its slot
-        for name, b in self.blocks.items():
-            value = getattr(self, name)
-            parts = (value.tensors() if name in SUBNETS
-                     else [np.asarray(value, dtype=float).reshape(1)])
-            np.concatenate([t.ravel() for t in parts], out=self.params[b])
+        self.params = np.array(self.params, dtype=float)
+        if self.params.shape != (ends[-1],):
+            raise ValueError(f"params has shape {self.params.shape}; "
+                             f"the specs lay out ({ends[-1]},)")
         finite = np.isfinite(self.params)
         bad = [name for name, b in self.blocks.items() if not finite[b].all()]
         if bad:
@@ -240,15 +229,20 @@ def build_net(n_covariates: int, outcome_kind: str, cfg: TrainConfig, seed: int,
     head_out = "sigmoid" if outcome_kind == "binary" else "identity"
     head_spec = nn.NetSpec((rep, *([cfg.head_width] * cfg.head_depth), 1),
                            output_activation=head_out)
-    return MBRLNet(
-        phi_spec=phi_spec, phi=nn.init_params(phi_spec, seeds[0]),
-        pi_spec=pi_spec, pi=nn.init_params(pi_spec, seeds[1]),
-        f0_spec=head_spec, f0=nn.init_params(head_spec, seeds[2]),
-        f1_spec=head_spec, f1=nn.init_params(head_spec, seeds[3]),
-        eps_y=np.zeros(()), eps_d=np.zeros(()),
-        outcome_kind=outcome_kind,
-        input_mean=input_mean, input_scale=input_scale,
-    )
+    specs = {"phi_spec": phi_spec, "pi_spec": pi_spec,
+             "f0_spec": head_spec, "f1_spec": head_spec}
+    # The net copies this read-only zero vector into its own; each subnet's
+    # draws are written into their views of it and dropped before the next
+    # subnet is drawn.
+    n_params = sum(spec.n_params for spec in specs.values()) + len(SCALARS)
+    net = MBRLNet(**specs, params=np.broadcast_to(0.0, n_params),
+                  outcome_kind=outcome_kind,
+                  input_mean=input_mean, input_scale=input_scale)
+    for name, seed in zip(SUBNETS, seeds):
+        for view, draw in zip(getattr(net, name).tensors(),
+                              nn.init_params(specs[f"{name}_spec"], seed).tensors()):
+            view[...] = draw
+    return net
 
 
 # =========================================================================
@@ -506,20 +500,24 @@ class Checkpoint:
     perturbation error under ``full_mbrl``, the RMSE under the ablations
     that select by RMSE. ``net_rmse`` is the best snapshot under plain
     validation RMSE, tracked on every run so selection rules can be compared
-    on one trajectory.
+    on one trajectory. ``check_fields`` holds the scalars to their types
+    and bounds, so a loaded checkpoint with a bad one is rejected.
     """
 
     net: MBRLNet
-    best_epoch: int
+    best_epoch: int = bounded(at_least=1)
     best_eps_p: float
     history: list[EpochStats]
-    selection: str
-    beta: float
+    selection: str = bounded(among=("eps_p", "rmse"))
+    beta: float = bounded(at_least=0)
     config: TrainConfig | None = None
     net_rmse: MBRLNet | None = None
     best_epoch_rmse: int | None = None
     best_val_rmse: float | None = None
     clip_events: int = 0
+
+    def __post_init__(self):
+        check_fields(self)
 
 
 def validation_scores(net: MBRLNet, val: Dataset, beta: float) -> tuple[float, float]:
@@ -596,14 +594,14 @@ def fit(train: Dataset, val: Dataset, cfg: TrainConfig) -> Checkpoint:
     clip_events = state.clip_events
     del state
     return Checkpoint(
-        net=replace(net, **net.views_of(selected)),
+        net=replace(net, params=selected),
         best_epoch=epoch,
         best_eps_p=float(value),
         history=history,
         selection=selection,
         beta=beta,
         config=cfg,
-        net_rmse=replace(net, **net.views_of(net_rmse)),
+        net_rmse=replace(net, params=net_rmse),
         best_epoch_rmse=best_epoch_rmse,
         best_val_rmse=float(best_rmse),
         clip_events=clip_events,
@@ -615,37 +613,23 @@ def fit(train: Dataset, val: Dataset, cfg: TrainConfig) -> Checkpoint:
 # =========================================================================
 
 CHECKPOINT_FORMAT = "mbrl-checkpoint"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 def _net_to_dict(net: MBRLNet) -> dict:
     return {
         "outcome_kind": net.outcome_kind,
-        "eps_y": float(net.eps_y),
-        "eps_d": float(net.eps_d),
         "input_mean": net.input_mean.tolist(),
         "input_scale": net.input_scale.tolist(),
-        "subnets": {
-            name: {"spec": asdict(getattr(net, f"{name}_spec")),
-                   "params": nn.params_to_dict(getattr(net, name))}
-            for name in SUBNETS
-        },
+        "specs": {name: asdict(getattr(net, f"{name}_spec")) for name in SUBNETS},
+        "params": net.params.tolist(),
     }
 
 
 def _net_from_dict(d: dict) -> MBRLNet:
-    parts = {}
-    for name in SUBNETS:
-        sub = d["subnets"][name]
-        try:
-            parts[f"{name}_spec"] = nn.NetSpec(**sub["spec"])
-            parts[name] = nn.params_from_dict(sub["params"])
-        except KeyError as exc:
-            raise KeyError(f"{name}.{exc.args[0]}") from exc
-    return MBRLNet(**parts, eps_y=d["eps_y"], eps_d=d["eps_d"],
-                   outcome_kind=d["outcome_kind"],
-                   input_mean=d.get("input_mean"),
-                   input_scale=d.get("input_scale"))
+    return MBRLNet(**{f"{name}_spec": nn.NetSpec(**d["specs"][name]) for name in SUBNETS},
+                   params=d["params"], outcome_kind=d["outcome_kind"],
+                   input_mean=d.get("input_mean"), input_scale=d.get("input_scale"))
 
 
 def sidecar_path(path: str | Path) -> Path:
@@ -688,15 +672,22 @@ def _read_json(path: Path) -> dict:
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
-    """Read a checkpoint and its sidecar (optional). A file that is not a
-    JSON object, or a missing or mis-shaped entry, raises ValueError naming
-    the file (and the entry)."""
+    """Read a checkpoint and its sidecar (optional).
+
+    A version-2 file stores each net as its outcome kind, input transform,
+    four specs and one ``params`` list in ``LAYOUT`` order; version-1 files
+    are not read. Any failure raises ValueError naming the file: not a JSON
+    object, another format or version, a missing entry, a ``params`` list
+    the specs do not lay out, a non-finite parameter, or a scalar of the
+    wrong type or out of its bound; the message names the entry, block or
+    field."""
     path = Path(path)
     doc = _read_json(path)
     if doc.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"not a {CHECKPOINT_FORMAT} file: {path}")
     if doc.get("version") != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {doc.get('version')}")
+        raise ValueError(f"unsupported checkpoint version {doc.get('version')!r} "
+                         f"in {path}: this code reads version {CHECKPOINT_VERSION}")
     side = sidecar_path(path)
     meta = _read_json(side) if side.exists() else {}
     try:

@@ -8,6 +8,7 @@ so a batch X of shape (B, in) maps to X @ W.T + b.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -32,7 +33,11 @@ class NetSpec:
     output_activation: str = "identity"
 
     def __post_init__(self):
-        widths = tuple(int(w) for w in self.layer_widths)
+        widths = tuple(self.layer_widths)
+        for w in widths:  # int() would quietly take 6.7, True or "6"
+            if isinstance(w, bool) or not isinstance(w, numbers.Integral):
+                raise ValueError(f"layer widths must be integers, not {w!r}")
+        widths = tuple(map(int, widths))  # numpy integers as Python ints
         object.__setattr__(self, "layer_widths", widths)
         if len(widths) < 2:
             raise ValueError("layer_widths needs at least input and output entries")
@@ -375,24 +380,3 @@ def grad_check(
     grad = np.concatenate([g.ravel() for g in grads.tensors()])
     return central_difference_error(flat, grad, lambda: loss(views)[0], h, 10_000)
 
-
-# =========================================================================
-# Serialization helpers (JSON-ready dicts, row-major arrays)
-# =========================================================================
-
-def params_to_dict(params: ParamSet) -> dict:
-    out: dict = {}
-    for k, w in enumerate(params.weights):
-        out[f"W{k}"] = w.tolist()
-    for k, b in enumerate(params.biases):
-        out[f"b{k}"] = b.tolist()
-    return out
-
-
-def params_from_dict(d: dict) -> ParamSet:
-    """Inverse of ``params_to_dict``; other keys (the empty ``scalars`` map
-    of older files) are ignored."""
-    n_layers = sum(1 for k in d if k.startswith("W"))
-    weights = [np.asarray(d[f"W{k}"], dtype=float) for k in range(n_layers)]
-    biases = [np.asarray(d[f"b{k}"], dtype=float) for k in range(n_layers)]
-    return ParamSet(weights=weights, biases=biases)

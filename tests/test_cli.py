@@ -12,8 +12,8 @@ from mbrl.cli import main
 from mbrl.data import SimConfig, SplitSpec, generate_simulation, load_csv, save_csv, split
 from mbrl.estimators import PROPENSITY_CLAMP
 from mbrl.harness import MBRL_ESTIMATORS, ExperimentConfig
-from mbrl.model import (TrainConfig, fit, predict, save_checkpoint,
-                        validation_scores)
+from mbrl.model import (TrainConfig, fit, load_checkpoint, predict,
+                        save_checkpoint, validation_scores)
 from mbrl.ot import SinkhornConfig
 
 
@@ -192,37 +192,77 @@ def test_check_passes_on_healthy_build(capsys):
     assert "FAIL" not in out
 
 
-def test_evaluate_malformed_checkpoint_exits_1(tmp_path, sim_config,
-                                               train_config, capsys):
+def _trained(tmp_path, sim_config, train_config):
+    """Paths of a generated CSV and of a checkpoint trained on it."""
     data_path = str(tmp_path / "data.csv")
     ckpt_path = tmp_path / "ckpt.json"
     assert main(["generate", "--config", sim_config, "--out", data_path]) == 0
     assert main(["train", "--config", train_config, "--data", data_path,
                  "--out", str(ckpt_path)]) == 0
+    return data_path, ckpt_path
+
+
+def _evaluate_edited(data_path, ckpt_path, edit, capsys):
+    """``mbrl evaluate``'s exit code and stderr on the checkpoint after
+    ``edit`` changes its JSON document."""
     doc = json.loads(ckpt_path.read_text())
-    del doc["net"]["subnets"]["phi"]["params"]["b1"]
+    edit(doc)
     ckpt_path.write_text(json.dumps(doc))
     capsys.readouterr()
-    assert main(["evaluate", "--checkpoint", str(ckpt_path),
-                 "--data", data_path]) == 1
-    assert "missing entry 'phi.b1'" in capsys.readouterr().err
+    code = main(["evaluate", "--checkpoint", str(ckpt_path), "--data", data_path])
+    return code, capsys.readouterr().err
+
+
+def test_evaluate_malformed_checkpoint_exits_1(tmp_path, sim_config,
+                                               train_config, capsys):
+    data_path, ckpt_path = _trained(tmp_path, sim_config, train_config)
+    code, err = _evaluate_edited(data_path, ckpt_path,
+                                 lambda doc: doc["net"]["specs"].pop("phi"), capsys)
+    assert code == 1
+    assert f"malformed checkpoint {ckpt_path}: missing entry 'phi'" in err
 
 
 def test_evaluate_non_finite_checkpoint_exits_1(tmp_path, sim_config,
                                                 train_config, capsys):
-    data_path = str(tmp_path / "data.csv")
-    ckpt_path = tmp_path / "ckpt.json"
-    assert main(["generate", "--config", sim_config, "--out", data_path]) == 0
-    assert main(["train", "--config", train_config, "--data", data_path,
-                 "--out", str(ckpt_path)]) == 0
-    doc = json.loads(ckpt_path.read_text())
-    doc["net"]["subnets"]["f1"]["params"]["W0"][0][0] = float("nan")
-    ckpt_path.write_text(json.dumps(doc))
-    capsys.readouterr()
-    assert main(["evaluate", "--checkpoint", str(ckpt_path),
-                 "--data", data_path]) == 1
-    err = capsys.readouterr().err
+    data_path, ckpt_path = _trained(tmp_path, sim_config, train_config)
+    f1_w0 = load_checkpoint(ckpt_path).net.blocks["f1"].start  # f1.W0[0, 0]
+
+    def edit(doc):
+        doc["net"]["params"][f1_w0] = float("nan")
+
+    code, err = _evaluate_edited(data_path, ckpt_path, edit, capsys)
+    assert code == 1
     assert f"malformed checkpoint {ckpt_path}: f1 has non-finite parameters" in err
+
+
+def test_evaluate_version_1_checkpoint_exits_1(tmp_path, sim_config,
+                                               train_config, capsys):
+    # Version-1 files (per-tensor nested lists) are rejected, not read.
+    data_path, ckpt_path = _trained(tmp_path, sim_config, train_config)
+    code, err = _evaluate_edited(data_path, ckpt_path,
+                                 lambda doc: doc.update(version=1), capsys)
+    assert code == 1
+    assert (f"unsupported checkpoint version 1 in {ckpt_path}: "
+            f"this code reads version 2") in err
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("beta", "abc", "beta must be a number, not 'abc'"),
+    ("beta", None, "beta must be a number, not None"),
+    ("beta", float("nan"), "beta must be finite, not nan"),
+    ("beta", -0.5, "beta must be nonnegative, not -0.5"),
+    ("best_eps_p", float("inf"), "best_eps_p must be finite, not inf"),
+    ("selection", "foo", "unknown selection 'foo'"),
+    ("best_epoch", "x", "best_epoch must be an integer, not 'x'"),
+    ("best_epoch", 0, "best_epoch must be at least 1, not 0"),
+])
+def test_evaluate_checkpoint_with_a_bad_scalar_exits_1(
+        tmp_path, sim_config, train_config, capsys, key, value, message):
+    data_path, ckpt_path = _trained(tmp_path, sim_config, train_config)
+    code, err = _evaluate_edited(data_path, ckpt_path,
+                                 lambda doc: doc.update({key: value}), capsys)
+    assert code == 1
+    assert f"malformed checkpoint {ckpt_path}: {message}" in err
 
 
 def test_unknown_train_config_key_exits_1(tmp_path, sim_config):
@@ -254,11 +294,7 @@ def test_bench_null_nested_config_exits_1(tmp_path, key, capsys):
 
 def test_evaluate_truncated_checkpoint_exits_1(tmp_path, sim_config,
                                                train_config, capsys):
-    data_path = str(tmp_path / "data.csv")
-    ckpt_path = tmp_path / "ckpt.json"
-    assert main(["generate", "--config", sim_config, "--out", data_path]) == 0
-    assert main(["train", "--config", train_config, "--data", data_path,
-                 "--out", str(ckpt_path)]) == 0
+    data_path, ckpt_path = _trained(tmp_path, sim_config, train_config)
     ckpt_path.write_bytes(ckpt_path.read_bytes()[:500])
     capsys.readouterr()
     assert main(["evaluate", "--checkpoint", str(ckpt_path),

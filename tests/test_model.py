@@ -214,10 +214,20 @@ def test_a_copied_net_trains_through_its_own_vector(how):
 
 
 def test_a_net_is_built_with_one_copy_of_its_parameters():
-    # Each block is written into its slot of the new vector: no per-block
-    # pieces joined into a second copy.
+    # A copy copies the vector once: no per-block pieces joined into a
+    # second copy.
     net = build_net(10, "continuous", TrainConfig(), seed=0)
     assert _traced_peak(lambda: replace(net)) <= net.params.nbytes + 2**20
+
+
+def test_build_net_draws_into_the_nets_own_vector():
+    # The init draws go into the net's own vector one subnet at a time, so
+    # a build holds less than two copies of the parameters; joining fresh
+    # draws into a vector the net then copies would hold three.
+    def build():
+        return build_net(10, "continuous", TrainConfig(), seed=0)
+
+    assert _traced_peak(build) < 2 * build().params.nbytes
 
 
 def test_nets_and_checkpoints_compare_without_raising():
@@ -810,26 +820,6 @@ def test_checkpoint_round_trip(tmp_path):
             np.testing.assert_array_equal(x, y)
 
 
-def test_checkpoint_in_the_earlier_layout_still_loads(tmp_path):
-    # Earlier files stored an empty "scalars" map in every subnet and no
-    # net_rmse; such a file loads and predicts exactly as before.
-    tr, va, te = _small_sim(seed=9)
-    ckpt = fit(tr, va, replace(TINY, epochs=2))
-    path = tmp_path / "ckpt.json"
-    save_checkpoint(ckpt, path)
-    doc = json.loads(path.read_text())
-    del doc["net_rmse"]
-    for sub in doc["net"]["subnets"].values():
-        sub["params"]["scalars"] = {}
-    path.write_text(json.dumps(doc, sort_keys=True))
-    back = load_checkpoint(path)
-    assert back.net_rmse is None
-    a = predict(ckpt.net, te.covariates)
-    b = predict(back.net, te.covariates)
-    for x, y in zip(a, b):
-        np.testing.assert_array_equal(x, y)
-
-
 def test_history_csv(tmp_path):
     tr, va, te = _small_sim(seed=10)
     ckpt = fit(tr, va, replace(TINY, epochs=3))
@@ -875,28 +865,39 @@ def _corrupt(path, edit):
     path.write_text(json.dumps(doc, sort_keys=True))
 
 
+def _layout(doc):
+    # The index in the saved net's params list of each of its parameters,
+    # by block: a ParamSet per subnet, a 0-d array per scalar.
+    net = model.MBRLNet(**{f"{name}_spec": nn.NetSpec(**spec)
+                           for name, spec in doc["net"]["specs"].items()},
+                        params=doc["net"]["params"])
+    return net.views_of(np.arange(net.params.size))
+
+
 def test_load_checkpoint_rejects_misshaped_tensor(tmp_path):
+    # A params list one entry short or one too long for its specs.
     path = _saved_checkpoint(tmp_path)
-
-    def drop_column(doc):
-        w0 = doc["net"]["subnets"]["phi"]["params"]["W0"]
-        doc["net"]["subnets"]["phi"]["params"]["W0"] = [row[:-1] for row in w0]
-
-    _corrupt(path, drop_column)
-    with pytest.raises(ValueError, match=r"ckpt\.json.*phi\.W0 has shape \(6, 2\)"):
-        load_checkpoint(path)
+    good = path.read_text()
+    n = len(json.loads(good)["net"]["params"])
+    for edit, size in ((list.pop, n - 1), (lambda p: p.append(0.0), n + 1)):
+        path.write_text(good)
+        _corrupt(path, lambda doc: edit(doc["net"]["params"]))
+        with pytest.raises(ValueError, match=rf"ckpt\.json: params has shape "
+                                             rf"\({size},\); the specs lay out "
+                                             rf"\({n},\)$"):
+            load_checkpoint(path)
 
 
 def _nan_in_f1_w0(doc):
-    doc["net"]["subnets"]["f1"]["params"]["W0"][0][0] = float("nan")
+    doc["net"]["params"][_layout(doc)["f1"].weights[0][0, 0]] = float("nan")
 
 
 def _inf_in_phi_b1(doc):
-    doc["net"]["subnets"]["phi"]["params"]["b1"][2] = float("inf")
+    doc["net"]["params"][_layout(doc)["phi"].biases[1][2]] = float("inf")
 
 
 def _minus_inf_eps_d(doc):
-    doc["net"]["eps_d"] = float("-inf")
+    doc["net"]["params"][_layout(doc)["eps_d"]] = float("-inf")
 
 
 @pytest.mark.parametrize("edit,block", [
@@ -927,22 +928,23 @@ def test_load_checkpoint_rejects_non_finite_input_transform(tmp_path, field, val
 
 def test_load_checkpoint_rejects_missing_tensor(tmp_path):
     path = _saved_checkpoint(tmp_path)
-    _corrupt(path, lambda doc: doc["net"]["subnets"]["f0"]["params"].pop("b1"))
-    with pytest.raises(ValueError, match=r"ckpt\.json.*missing entry 'f0\.b1'"):
+    _corrupt(path, lambda doc: doc["net"]["specs"].pop("f0"))
+    with pytest.raises(ValueError, match=r"ckpt\.json.*missing entry 'f0'"):
         load_checkpoint(path)
 
 
 def _widen_f0_output(doc):
-    # A consistent f0 of 3 outputs: spec and last layer agree.
-    f0 = doc["net"]["subnets"]["f0"]
-    last = len(f0["spec"]["layer_widths"]) - 2
-    f0["spec"]["layer_widths"][-1] = 3
-    f0["params"][f"W{last}"] *= 3
-    f0["params"][f"b{last}"] *= 3
+    # A consistent f0 of 3 outputs: spec and params agree, the last layer's
+    # one row of weights and its bias each entered three times.
+    f0 = _layout(doc)["f0"]
+    params = doc["net"]["params"]
+    for last in (f0.biases[-1], f0.weights[-1][0]):  # the later block first
+        params[last[-1] + 1:last[-1] + 1] = 2 * params[last[0]:last[-1] + 1]
+    doc["net"]["specs"]["f0"]["layer_widths"][-1] = 3
 
 
 def _identity_pi_output(doc):
-    doc["net"]["subnets"]["pi"]["spec"]["output_activation"] = "identity"
+    doc["net"]["specs"]["pi"]["output_activation"] = "identity"
 
 
 @pytest.mark.parametrize("edit,message", [

@@ -8,7 +8,9 @@ Prints one sorted line per item, computed under OPENBLAS_NUM_THREADS=1:
 - ``deep_fit seed=S``: the sha256 of the selected and RMSE-selected nets'
   parameter bytes, and the unit's ATE error and root-PEHE (seeds 1-2);
 - ``tiny ablation=A outcome=K``: the checkpoint and sidecar sha256 of a
-  3-epoch fit of a tiny net, for every ablation and both outcome kinds,
+  3-epoch fit of a tiny net, for every ablation and both outcome kinds;
+  the sha256 of the loaded checkpoint's selected and RMSE-selected nets'
+  parameter bytes, which a change of the file format alone leaves alone;
   and the exit code and output sha256 of ``mbrl evaluate`` on that
   checkpoint and a CSV of the fit's validation split;
 - ``check seed=S``: ``mbrl check --seed S``'s exit code and output sha256
@@ -86,12 +88,14 @@ def tiny_lines(work: Path):
             path = work / f"tiny-{ablation}-{kind}.json"
             model.save_checkpoint(
                 model.fit(train, val, replace(TINY, ablation=ablation, seed=3)), path)
+            back = model.load_checkpoint(path)
+            loaded = back.net.params.tobytes() + back.net_rmse.params.tobytes()
             evaluate = run_cli(["evaluate", "--checkpoint", str(path),
                                 "--data", str(val_csv)])
             yield (f"tiny ablation={ablation} outcome={kind} "
                    f"checkpoint={sha256(path.read_bytes())} "
                    f"sidecar={sha256(model.sidecar_path(path).read_bytes())} "
-                   f"evaluate {evaluate}")
+                   f"loaded={sha256(loaded)} evaluate {evaluate}")
 
 
 def check_lines():
