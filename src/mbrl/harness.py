@@ -241,10 +241,10 @@ def _run_replication(cfg: ExperimentConfig, base: Dataset | None,
     gen_seed, split_seed, train_seed = _seeds_for(cfg.seed, level_index, rep, 3)
     data, realized = _make_data(cfg, base, level, gen_seed)
     tr, va, te = split(data, replace(cfg.split, seed=split_seed))
-    ckpt = fit(tr, va, replace(cfg.train, seed=train_seed))
+    uses_net = any(name in MBRL_ESTIMATORS for name in cfg.estimators)
+    ckpt = fit(tr, va, replace(cfg.train, seed=train_seed)) if uses_net else None
     insample = concat([tr, va])
     rows = []
-    uses_net = any(name in MBRL_ESTIMATORS for name in cfg.estimators)
     # Each baseline is fitted once, on the in-sample units, and scored on
     # both samples.
     baselines = {name: est.fit_baseline(name, insample, cfg.knn_k)

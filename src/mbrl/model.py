@@ -26,7 +26,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import nn
-from .data import Dataset
+from .data import OUTCOME_KINDS, Dataset
 from .estimators import NuisanceEstimates
 from .metrics import rmse
 from .ot import SinkhornConfig, wasserstein_sinkhorn
@@ -57,6 +57,12 @@ BETA_DEFAULT_BINARY = 100.0
 
 def default_beta(outcome_kind: str) -> float:
     return BETA_DEFAULT_BINARY if outcome_kind == "binary" else BETA_DEFAULT_CONTINUOUS
+
+
+def head_activation(outcome_kind: str) -> str:
+    """The output activation of an outcome head: a probability for binary
+    outcomes, the real line for continuous ones."""
+    return "sigmoid" if outcome_kind == "binary" else "identity"
 
 
 # =========================================================================
@@ -116,6 +122,14 @@ class MBRLNet:
         if self.pi_spec.output_activation != "sigmoid":
             raise ValueError(f"pi must have a sigmoid output, not "
                              f"{self.pi_spec.output_activation!r}")
+        if self.outcome_kind not in OUTCOME_KINDS:
+            raise ValueError(f"unknown outcome_kind {self.outcome_kind!r}")
+        head_out = head_activation(self.outcome_kind)
+        for name in ("f0", "f1"):
+            out = getattr(self, f"{name}_spec").output_activation
+            if out != head_out:
+                raise ValueError(f"{name} of a {self.outcome_kind} net must have "
+                                 f"output {head_out!r}, not {out!r}")
         sizes = [getattr(self, f"{n}_spec").n_params if n in SUBNETS else 1
                  for n in LAYOUT]
         ends = np.cumsum(sizes).tolist()
@@ -226,9 +240,8 @@ def build_net(n_covariates: int, outcome_kind: str, cfg: TrainConfig, seed: int,
     phi_spec = nn.NetSpec((n_covariates, *([cfg.phi_width] * cfg.phi_depth)))
     pi_spec = nn.NetSpec((rep, *([cfg.pi_width] * cfg.pi_depth), 1),
                          output_activation="sigmoid")
-    head_out = "sigmoid" if outcome_kind == "binary" else "identity"
     head_spec = nn.NetSpec((rep, *([cfg.head_width] * cfg.head_depth), 1),
-                           output_activation=head_out)
+                           output_activation=head_activation(outcome_kind))
     specs = {"phi_spec": phi_spec, "pi_spec": pi_spec,
              "f0_spec": head_spec, "f1_spec": head_spec}
     # The net copies this read-only zero vector into its own; each subnet's
@@ -510,11 +523,11 @@ class Checkpoint:
     history: list[EpochStats]
     selection: str = bounded(among=("eps_p", "rmse"))
     beta: float = bounded(at_least=0)
-    config: TrainConfig | None = None
-    net_rmse: MBRLNet | None = None
-    best_epoch_rmse: int | None = None
-    best_val_rmse: float | None = None
-    clip_events: int = 0
+    config: TrainConfig
+    net_rmse: MBRLNet
+    best_epoch_rmse: int = bounded(at_least=1)
+    best_val_rmse: float
+    clip_events: int = bounded(at_least=0)
 
     def __post_init__(self):
         check_fields(self)
@@ -609,11 +622,11 @@ def fit(train: Dataset, val: Dataset, cfg: TrainConfig) -> Checkpoint:
 
 
 # =========================================================================
-# Persistence: versioned params file plus a JSON sidecar (config, history)
+# Persistence: one versioned JSON document per checkpoint
 # =========================================================================
 
 CHECKPOINT_FORMAT = "mbrl-checkpoint"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 def _net_to_dict(net: MBRLNet) -> dict:
@@ -629,81 +642,49 @@ def _net_to_dict(net: MBRLNet) -> dict:
 def _net_from_dict(d: dict) -> MBRLNet:
     return MBRLNet(**{f"{name}_spec": nn.NetSpec(**d["specs"][name]) for name in SUBNETS},
                    params=d["params"], outcome_kind=d["outcome_kind"],
-                   input_mean=d.get("input_mean"), input_scale=d.get("input_scale"))
-
-
-def sidecar_path(path: str | Path) -> Path:
-    path = Path(path)
-    return path.with_name(path.stem + ".meta.json")
+                   input_mean=d["input_mean"], input_scale=d["input_scale"])
 
 
 def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
+    """Write every ``Checkpoint`` field to one JSON document at ``path``,
+    beside the format and version: each net as ``_net_to_dict``, the config
+    and each epoch's stats as their dicts."""
+    doc = {f.name: getattr(ckpt, f.name) for f in fields(Checkpoint)}
+    doc.update(format=CHECKPOINT_FORMAT, version=CHECKPOINT_VERSION,
+               net=_net_to_dict(ckpt.net), net_rmse=_net_to_dict(ckpt.net_rmse))
+    Path(path).write_text(json.dumps(doc, sort_keys=True, default=asdict))
+
+
+def load_checkpoint(path: str | Path) -> Checkpoint:
+    """Read the checkpoint ``save_checkpoint`` wrote.
+
+    A version-3 file is one JSON document holding every ``Checkpoint``
+    field; each net is its outcome kind, input transform, four specs and
+    one ``params`` list in ``LAYOUT`` order. Older versions are not read.
+    Any failure raises ValueError naming the file: not a JSON object,
+    another format or version, a missing entry, a ``params`` list the specs
+    do not lay out, a non-finite parameter, a net whose heads do not fit
+    its outcome kind, or a scalar of the wrong type or out of its bound;
+    the message names the entry, block or field."""
     path = Path(path)
-    doc = {
-        "format": CHECKPOINT_FORMAT,
-        "version": CHECKPOINT_VERSION,
-        "net": _net_to_dict(ckpt.net),
-        "net_rmse": None if ckpt.net_rmse is None else _net_to_dict(ckpt.net_rmse),
-        "best_epoch": ckpt.best_epoch,
-        "best_eps_p": ckpt.best_eps_p,
-        "selection": ckpt.selection,
-        "beta": ckpt.beta,
-    }
-    path.write_text(json.dumps(doc, sort_keys=True))
-    meta = {
-        "config": None if ckpt.config is None else asdict(ckpt.config),
-        "history": [asdict(h) for h in ckpt.history],
-        "selection": ckpt.selection,
-        "clip_events": ckpt.clip_events,
-        "best_epoch_rmse": ckpt.best_epoch_rmse,
-        "best_val_rmse": ckpt.best_val_rmse,
-    }
-    sidecar_path(path).write_text(json.dumps(meta, sort_keys=True, indent=2))
-
-
-def _read_json(path: Path) -> dict:
     try:
         doc = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ValueError(f"malformed checkpoint {path}: not valid JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise ValueError(f"malformed checkpoint {path}: not a JSON object")
-    return doc
-
-
-def load_checkpoint(path: str | Path) -> Checkpoint:
-    """Read a checkpoint and its sidecar (optional).
-
-    A version-2 file stores each net as its outcome kind, input transform,
-    four specs and one ``params`` list in ``LAYOUT`` order; version-1 files
-    are not read. Any failure raises ValueError naming the file: not a JSON
-    object, another format or version, a missing entry, a ``params`` list
-    the specs do not lay out, a non-finite parameter, or a scalar of the
-    wrong type or out of its bound; the message names the entry, block or
-    field."""
-    path = Path(path)
-    doc = _read_json(path)
     if doc.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"not a {CHECKPOINT_FORMAT} file: {path}")
     if doc.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {doc.get('version')!r} "
                          f"in {path}: this code reads version {CHECKPOINT_VERSION}")
-    side = sidecar_path(path)
-    meta = _read_json(side) if side.exists() else {}
     try:
-        return Checkpoint(
-            net=_net_from_dict(doc["net"]),
-            best_epoch=doc["best_epoch"],
-            best_eps_p=doc["best_eps_p"],
-            history=[EpochStats(**h) for h in meta.get("history", [])],
-            selection=doc["selection"],
-            beta=doc["beta"],
-            config=None if meta.get("config") is None else TrainConfig(**meta["config"]),
-            net_rmse=None if doc.get("net_rmse") is None else _net_from_dict(doc["net_rmse"]),
-            best_epoch_rmse=meta.get("best_epoch_rmse"),
-            best_val_rmse=meta.get("best_val_rmse"),
-            clip_events=meta.get("clip_events", 0),
-        )
+        record = {f.name: doc[f.name] for f in fields(Checkpoint)}
+        record.update(net=_net_from_dict(record["net"]),
+                      net_rmse=_net_from_dict(record["net_rmse"]),
+                      history=[EpochStats(**h) for h in record["history"]],
+                      config=nested_record("config", record["config"], TrainConfig))
+        return Checkpoint(**record)
     except KeyError as exc:
         raise ValueError(f"malformed checkpoint {path}: missing entry {exc}") from exc
     except (TypeError, ValueError) as exc:

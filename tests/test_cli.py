@@ -112,12 +112,12 @@ def test_generate_then_train_then_evaluate(tmp_path, sim_config, train_config):
     data = load_csv(data_path)
     assert data.n_units == 90
 
-    ckpt_path = tmp_path / "ckpt.json"
+    ckpt_path = tmp_path / "run" / "ckpt.json"
+    ckpt_path.parent.mkdir()
     assert main(["train", "--config", train_config, "--data", str(data_path),
                  "--seed", "7", "--out", str(ckpt_path)]) == 0
-    assert ckpt_path.exists()
-    assert (tmp_path / "ckpt.meta.json").exists()
-    assert (tmp_path / "ckpt.training_log.csv").exists()
+    assert sorted(p.name for p in ckpt_path.parent.iterdir()) == [
+        "ckpt.json", "ckpt.training_log.csv"]
 
     metrics_path = tmp_path / "metrics.json"
     assert main(["evaluate", "--checkpoint", str(ckpt_path),
@@ -237,13 +237,42 @@ def test_evaluate_non_finite_checkpoint_exits_1(tmp_path, sim_config,
 
 def test_evaluate_version_1_checkpoint_exits_1(tmp_path, sim_config,
                                                train_config, capsys):
-    # Version-1 files (per-tensor nested lists) are rejected, not read.
+    # Files of older versions (1: per-tensor nested lists; 2: a sidecar
+    # beside the nets) are rejected, not read.
     data_path, ckpt_path = _trained(tmp_path, sim_config, train_config)
-    code, err = _evaluate_edited(data_path, ckpt_path,
-                                 lambda doc: doc.update(version=1), capsys)
+    for version in (1, 2):
+        code, err = _evaluate_edited(data_path, ckpt_path,
+                                     lambda doc: doc.update(version=version), capsys)
+        assert code == 1
+        assert (f"unsupported checkpoint version {version} in {ckpt_path}: "
+                f"this code reads version 3") in err
+
+
+def _outcome_kind_foo(doc):
+    doc["net"]["outcome_kind"] = "foo"
+
+
+def _sigmoid_f1_on_continuous(doc):
+    doc["net_rmse"]["specs"]["f1"]["output_activation"] = "sigmoid"
+
+
+def _identity_heads_on_binary(doc):
+    doc["net"]["outcome_kind"] = "binary"
+
+
+@pytest.mark.parametrize("edit,message", [
+    (_outcome_kind_foo, "unknown outcome_kind 'foo'"),
+    (_sigmoid_f1_on_continuous,
+     "f1 of a continuous net must have output 'identity', not 'sigmoid'"),
+    (_identity_heads_on_binary,
+     "f0 of a binary net must have output 'sigmoid', not 'identity'"),
+])
+def test_evaluate_checkpoint_whose_heads_do_not_fit_its_outcome_kind_exits_1(
+        tmp_path, sim_config, train_config, capsys, edit, message):
+    data_path, ckpt_path = _trained(tmp_path, sim_config, train_config)
+    code, err = _evaluate_edited(data_path, ckpt_path, edit, capsys)
     assert code == 1
-    assert (f"unsupported checkpoint version 1 in {ckpt_path}: "
-            f"this code reads version 2") in err
+    assert f"malformed checkpoint {ckpt_path}: {message}" in err
 
 
 @pytest.mark.parametrize("key,value,message", [
@@ -255,6 +284,13 @@ def test_evaluate_version_1_checkpoint_exits_1(tmp_path, sim_config,
     ("selection", "foo", "unknown selection 'foo'"),
     ("best_epoch", "x", "best_epoch must be an integer, not 'x'"),
     ("best_epoch", 0, "best_epoch must be at least 1, not 0"),
+    ("best_epoch_rmse", "x", "best_epoch_rmse must be an integer, not 'x'"),
+    ("best_epoch_rmse", 2.5, "best_epoch_rmse must be an integer, not 2.5"),
+    ("best_epoch_rmse", True, "best_epoch_rmse must be an integer, not True"),
+    ("best_epoch_rmse", 0, "best_epoch_rmse must be at least 1, not 0"),
+    ("best_val_rmse", None, "best_val_rmse must be a number, not None"),
+    ("clip_events", -1, "clip_events must be nonnegative, not -1"),
+    ("config", None, "config must be a TrainConfig or its JSON object, not None"),
 ])
 def test_evaluate_checkpoint_with_a_bad_scalar_exits_1(
         tmp_path, sim_config, train_config, capsys, key, value, message):

@@ -160,6 +160,18 @@ def test_baseline_rows_equal_a_fit_per_sample():
         assert json.dumps({k: row[k] for k in want}) == json.dumps(want)
 
 
+def test_a_baseline_only_run_fits_no_net(monkeypatch):
+    # Its rows are the baseline rows of a run that also fits the net: the
+    # skipped fit shifts no seed.
+    with_net = run_experiment(_tiny_experiment(estimators=("plugin", "ols_lr1")))
+    fits = []
+    monkeypatch.setattr(harness, "fit", lambda *args: fits.append(args))
+    report = run_experiment(_tiny_experiment(estimators=("ols_lr1",)))
+    assert fits == [] and report.metadata["n_failures"] == 0
+    assert all(row["best_epoch"] is None for row in report.rows)
+    assert report.rows == [r for r in with_net.rows if r["estimator"] == "ols_lr1"]
+
+
 def test_each_sample_runs_predict_once_for_the_mbrl_estimators(monkeypatch):
     calls = []
     nuisances = harness.nuisances_from_net

@@ -2,7 +2,7 @@ import copy
 import json
 import pickle
 import tracemalloc
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -188,7 +188,8 @@ _COPIES = {
     "pickle": lambda net: pickle.loads(pickle.dumps(net)),
     "checkpoint-deepcopy": lambda net: copy.deepcopy(model.Checkpoint(
         net=net, best_epoch=1, best_eps_p=0.0, history=[], selection="eps_p",
-        beta=0.1)).net,
+        beta=0.1, config=TINY, net_rmse=net, best_epoch_rmse=1,
+        best_val_rmse=0.0, clip_events=0)).net,
 }
 
 
@@ -771,19 +772,19 @@ def test_no_eps_p_trains_like_full_mbrl_and_selects_its_rmse_net():
 
 
 def test_cfr_mode_checkpoint_is_byte_identical_to_no_orthogonality(tmp_path):
+    # The two checkpoints differ only in the recorded ablation name.
     tr, va, _ = _small_sim(seed=7)
-    paths = {}
+    docs, nets = [], []
     for ablation in ("no_orthogonality", "cfr_mode"):
-        paths[ablation] = tmp_path / f"{ablation}.json"
-        save_checkpoint(fit(tr, va, replace(TINY, epochs=3, ablation=ablation)),
-                        paths[ablation])
-    assert (paths["cfr_mode"].read_bytes()
-            == paths["no_orthogonality"].read_bytes())
-    # the sidecars differ only in the recorded ablation name
-    metas = [json.loads(model.sidecar_path(p).read_text()) for p in paths.values()]
-    for meta in metas:
-        del meta["config"]["ablation"]
-    assert metas[0] == metas[1]
+        path = tmp_path / f"{ablation}.json"
+        save_checkpoint(fit(tr, va, replace(TINY, epochs=3, ablation=ablation)), path)
+        doc = json.loads(path.read_text())
+        assert doc["config"].pop("ablation") == ablation
+        docs.append(doc)
+        back = load_checkpoint(path)
+        nets.append(back.net.params.tobytes() + back.net_rmse.params.tobytes())
+    assert docs[0] == docs[1]
+    assert nets[0] == nets[1]
 
 
 @pytest.mark.parametrize("ablation", list(ABLATIONS))
@@ -855,8 +856,17 @@ def test_checkpoint_save_load_save_is_byte_identical(tmp_path):
     second = tmp_path / "again.json"
     save_checkpoint(load_checkpoint(first), second)
     assert second.read_bytes() == first.read_bytes()
-    assert (tmp_path / "again.meta.json").read_bytes() == \
-        (tmp_path / "ckpt.meta.json").read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["again.json", "ckpt.json"]
+
+
+def test_load_checkpoint_ignores_a_leftover_sidecar(tmp_path):
+    # Nothing but the checkpoint file is read: an older run's sidecar next
+    # to it, valid or not, changes nothing.
+    path = _saved_checkpoint(tmp_path)
+    (tmp_path / "ckpt.meta.json").write_text("{not json")
+    back = load_checkpoint(path)
+    save_checkpoint(back, tmp_path / "again.json")
+    assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
 
 def _corrupt(path, edit):
@@ -961,12 +971,22 @@ def test_load_checkpoint_rejects_subnets_that_cannot_feed_their_consumers(
 
 def test_load_checkpoint_rejects_missing_top_level_key(tmp_path):
     path = _saved_checkpoint(tmp_path)
-    _corrupt(path, lambda doc: doc.pop("best_epoch"))
-    with pytest.raises(ValueError, match=r"ckpt\.json.*missing entry 'best_epoch'"):
-        load_checkpoint(path)
+    good = path.read_text()
+    keys = set(json.loads(good)) - {"format", "version"}
+    assert keys == {f.name for f in fields(model.Checkpoint)}
+    for key in sorted(keys):
+        path.write_text(good)
+        _corrupt(path, lambda doc: doc.pop(key))
+        with pytest.raises(ValueError, match=rf"ckpt\.json.*missing entry '{key}'"):
+            load_checkpoint(path)
+    for key in ("input_mean", "input_scale", "outcome_kind"):
+        path.write_text(good)
+        _corrupt(path, lambda doc: doc["net_rmse"].pop(key))
+        with pytest.raises(ValueError, match=rf"ckpt\.json.*missing entry '{key}'"):
+            load_checkpoint(path)
 
 
-@pytest.mark.parametrize("target", ["ckpt.json", "ckpt.meta.json"])
+@pytest.mark.parametrize("target", ["ckpt.json"])
 def test_load_checkpoint_rejects_truncated_json(tmp_path, target):
     path = _saved_checkpoint(tmp_path)
     bad = tmp_path / target

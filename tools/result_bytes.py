@@ -7,17 +7,21 @@ Prints one sorted line per item, computed under OPENBLAS_NUM_THREADS=1:
 - ``study seed=S``: the benchmark study's report.json sha256 (seeds 1-3);
 - ``deep_fit seed=S``: the sha256 of the selected and RMSE-selected nets'
   parameter bytes, and the unit's ATE error and root-PEHE (seeds 1-2);
-- ``tiny ablation=A outcome=K``: the checkpoint and sidecar sha256 of a
+- ``tiny ablation=A outcome=K``: the checkpoint file's sha256 for a
   3-epoch fit of a tiny net, for every ablation and both outcome kinds;
-  the sha256 of the loaded checkpoint's selected and RMSE-selected nets'
-  parameter bytes, which a change of the file format alone leaves alone;
-  and the exit code and output sha256 of ``mbrl evaluate`` on that
-  checkpoint and a CSV of the fit's validation split;
+  two hashes of what ``load_checkpoint`` returns for it, which a change of
+  the file format alone leaves alone: ``loaded=``, of the selected and
+  RMSE-selected nets' parameter bytes, and ``record=``, of canonical JSON
+  (sorted keys, dataclasses as dicts) of every other field; and the exit
+  code and output sha256 of ``mbrl evaluate`` on that checkpoint and a CSV
+  of the fit's validation split;
 - ``check seed=S``: ``mbrl check --seed S``'s exit code and output sha256
   (seeds 0-16).
 
 Two trees produce the same results exactly when this output is the same:
-run it in each and ``diff`` the two files.
+run it in each and ``diff`` the two files. It reads checkpoints only
+through ``load_checkpoint`` and the dataclass fields it returns, so a copy
+of it also runs in a tree whose checkpoint file format differs.
 """
 
 from __future__ import annotations
@@ -29,9 +33,10 @@ os.environ["OPENBLAS_NUM_THREADS"] = "1"  # before numpy is imported
 import contextlib
 import hashlib
 import io
+import json
 import sys
 import tempfile
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -90,12 +95,15 @@ def tiny_lines(work: Path):
                 model.fit(train, val, replace(TINY, ablation=ablation, seed=3)), path)
             back = model.load_checkpoint(path)
             loaded = back.net.params.tobytes() + back.net_rmse.params.tobytes()
+            record = json.dumps({f.name: getattr(back, f.name) for f in fields(back)
+                                 if f.name not in ("net", "net_rmse")},
+                                sort_keys=True, default=asdict)
             evaluate = run_cli(["evaluate", "--checkpoint", str(path),
                                 "--data", str(val_csv)])
             yield (f"tiny ablation={ablation} outcome={kind} "
                    f"checkpoint={sha256(path.read_bytes())} "
-                   f"sidecar={sha256(model.sidecar_path(path).read_bytes())} "
-                   f"loaded={sha256(loaded)} evaluate {evaluate}")
+                   f"loaded={sha256(loaded)} record={sha256(record.encode())} "
+                   f"evaluate {evaluate}")
 
 
 def check_lines():
