@@ -3,8 +3,9 @@
 An encoder maps covariates to a representation read by three consumers: a
 sigmoid discriminator producing propensity scores, and two outcome heads for
 the control and treated arms. Two trainable free scalars turn the mean
-outcome and treatment residuals into noise regularizers. Training alternates
-three tasks per minibatch:
+outcome and treatment residuals into noise regularizers. Each minibatch
+runs three tasks on one encoder pass, and tasks 2 and 3 take one optimizer
+step on the sum of their gradients (CFR's unweighted L_fo + IPM):
 
   Task 1  descend  -L_dis + lambda1 * Omega_d  over (discriminator, eps_d)
   Task 2  descend  L_imb                       over the encoder
@@ -307,16 +308,16 @@ class TrainState:
     net: MBRLNet
     grad: np.ndarray  # the gradient vector, in the net's layout
     grads: dict[str, nn.ParamSet | np.ndarray]  # its views, by block
-    opts: dict[int, nn.AdamState]  # task -> the optimizer of its group
+    opts: dict[int, nn.AdamState]  # task -> the optimizer of its group (1 and 3)
     step_count: int = 0
     clip_events: int = 0
     last: dict = field(default_factory=dict)
 
 
 # Task -> the blocks it trains, adjacent in LAYOUT: the one statement of each
-# task's optimizer slice, of the gradient blocks it writes (the encoder's only
-# where "phi" is listed) and of how long a step reuses an encoder pass. A free
-# scalar stays in its group; where its lambda is 0 its gradient is exactly 0.
+# task's slice and of the gradient blocks it writes (the encoder's only where
+# "phi" is listed). A group inside another is stepped by that one's optimizer.
+# A free scalar stays in its group; where its lambda is 0 its gradient is 0.
 TASK_GROUPS = {
     1: ("eps_d", "pi"),
     2: ("phi",),
@@ -331,13 +332,14 @@ def task_slice(net: MBRLNet, task: int) -> slice:
 
 
 def init_train_state(net: MBRLNet, cfg: TrainConfig) -> TrainState:
-    """One gradient vector in the net's layout, and one optimizer per task
-    over its slice of both vectors. The three share one Adam work vector of
-    one block (``nn.ADAM_BLOCK`` entries, fewer if every group is smaller):
-    the tasks run in sequence, and each update consumes its gradient before
-    the next task writes its own."""
+    """One gradient vector in the net's layout, and one optimizer over its
+    slice of both vectors per task group inside no other (tasks 1 and 3), so
+    each parameter has one. They share one Adam work vector of one block
+    (``nn.ADAM_BLOCK`` entries, fewer if both groups are smaller): each
+    update consumes its gradient before the other's is written."""
     grad = np.zeros_like(net.params)
-    slices = {task: task_slice(net, task) for task in TASK_GROUPS}
+    slices = {task: task_slice(net, task) for task, blocks in TASK_GROUPS.items()
+              if not any(set(blocks) < set(other) for other in TASK_GROUPS.values())}
     work = np.zeros(min(nn.ADAM_BLOCK, max(s.stop - s.start for s in slices.values())))
     return TrainState(net=net, grad=grad, grads=net.views_of(grad), opts={
         task: nn.adam_init(net.params[s], grad[s], cfg.learning_rate, work)
@@ -345,28 +347,28 @@ def init_train_state(net: MBRLNet, cfg: TrainConfig) -> TrainState:
 
 
 def multitask_step(state: TrainState, batch: Batch, cfg: TrainConfig) -> TrainState:
-    """Run the three tasks on one minibatch, in order, each with its own
-    optimizer: ``task_objective`` writes a task's gradients into the state's
-    gradient vector, and Adam descends the task's slice of it.
+    """Run the three tasks on one minibatch and one encoder pass, writing
+    their gradients (``task_objective``'s) into the state's gradient vector:
+    task 1's, then its Adam step; task 3's, its representation gradient plus
+    task 2's backed through the encoder once, then one Adam step.
 
-    The balancing task is skipped when the batch lacks a treatment arm (the
+    The balancing term is left out when the batch lacks a treatment arm (the
     imbalance loss is then defined as 0) and under the tarnet ablation.
     """
     plan = ABLATIONS[cfg.ablation]
-    net = state.net
+    net, grads = state.net, state.grads
     treated = np.asarray(batch.treatment) == 1
-    balance = plan.run_balance and treated.any() and not treated.all()
-    losses = {"l_imb": 0.0}
-    # One encoder pass serves each task until a task training the encoder steps.
-    encoded = None
-    for task, opt in state.opts.items():
-        if task == 2 and not balance:
-            continue
-        encoded = encode(net, batch) if encoded is None else encoded
-        losses.update(task_objective(net, batch, cfg, task, state.grads, encoded).terms)
-        nn.adam_update(opt)
-        if "phi" in TASK_GROUPS[task]:
-            encoded = None
+    R, cache_phi = encode(net, batch)
+    dis, _ = _objective_at(net, batch, cfg, 1, grads, R)
+    nn.adam_update(state.opts[1])
+    fo, dR = _objective_at(net, batch, cfg, 3, grads, R)
+    losses = {**dis.terms, **fo.terms, "l_imb": 0.0}
+    if plan.run_balance and treated.any() and not treated.all():
+        imb, dR_imb = _objective_at(net, batch, cfg, 2, grads, R)
+        dR += dR_imb
+        losses.update(imb.terms)
+    nn.backward(net.phi, net.phi_spec, cache_phi, dR, input_grad=False, out=grads["phi"])
+    nn.adam_update(state.opts[3])
 
     if plan.train_eps:
         for eps in (net.eps_y, net.eps_d):
@@ -401,22 +403,33 @@ def task_objective(net: MBRLNet, batch: Batch, cfg: TrainConfig, task: int,
                    grads: dict[str, nn.ParamSet | np.ndarray],
                    encoded: tuple[np.ndarray, nn.ForwardCache] | None = None
                    ) -> TaskObjective:
-    """Value and logged loss terms of one task objective; its analytic
-    gradients are written into ``grads``.
+    """Value and logged loss terms of one task objective, whose analytic
+    gradients are written into ``grads`` (``net.views_of`` a gradient
+    vector): every block ``TASK_GROUPS`` names for the task, the encoder's
+    exactly when it is named. ``encoded`` is ``encode(net, batch)`` at the
+    current encoder weights, computed here when omitted.
 
     Every task objective is descended: -L_dis + lambda1*Omega_d (task 1),
     the entropic dual value of L_imb (task 2) and L_fo + lambda2*Omega_y
-    (task 3). ``grads`` is ``net.views_of`` a gradient vector; the task
-    writes every block ``TASK_GROUPS`` names for it, the encoder's exactly
-    when it is named. Ablations without the noise regularizers take
-    lambda1 = lambda2 = 0. ``multitask_step`` descends these gradients.
-
-    ``encoded`` is ``encode(net, batch)`` at the current encoder weights;
-    when omitted it is computed here.
+    (task 3). Ablations without the noise regularizers take lambda1 =
+    lambda2 = 0. ``multitask_step`` descends these gradients.
     """
     if task not in TASK_GROUPS:
         raise ValueError("task must be 1, 2 or 3")
     R, cache_phi = encode(net, batch) if encoded is None else encoded
+    objective, dR = _objective_at(net, batch, cfg, task, grads, R)
+    if dR is not None:
+        nn.backward(net.phi, net.phi_spec, cache_phi, dR, input_grad=False,
+                    out=grads["phi"])
+    return objective
+
+
+def _objective_at(net: MBRLNet, batch: Batch, cfg: TrainConfig, task: int,
+                  grads: dict[str, nn.ParamSet | np.ndarray], R: np.ndarray
+                  ) -> tuple[TaskObjective, np.ndarray | None]:
+    """``task_objective`` at the representation ``R`` but for the encoder's
+    backward pass: the objective, and in place of the encoder's gradient the
+    value's gradient at ``R`` (None where the task's group lacks "phi")."""
     d = np.asarray(batch.treatment, dtype=float)
     treated = d == 1
     b = R.shape[0]
@@ -470,10 +483,7 @@ def task_objective(net: MBRLNet, batch: Batch, cfg: TrainConfig, task: int,
         grads[scalar][()] = lam * abs(gap)
         terms = ({"l_dis": -loss, "omega_d": eps * abs(gap)} if task == 1
                  else {"l_fo": loss, "omega_y": eps * abs(gap)})
-    if reach_phi:
-        nn.backward(net.phi, net.phi_spec, cache_phi, dR, input_grad=False,
-                    out=grads["phi"])
-    return TaskObjective(value, terms)
+    return TaskObjective(value, terms), dR
 
 
 def task_gradient_error(net: MBRLNet, batch: Batch, cfg: TrainConfig,
@@ -495,14 +505,20 @@ def task_gradient_error(net: MBRLNet, batch: Batch, cfg: TrainConfig,
 
 @dataclass
 class EpochStats:
-    epoch: int
+    """One epoch's mean training losses and validation scores. ``fit``
+    records an epoch whose validation score is not finite, never selects it."""
+
+    epoch: int = bounded(at_least=1)
     l_fo: float
     l_dis: float
     l_imb: float
     omega_y: float
     omega_d: float
-    val_rmse: float
-    val_eps_p: float
+    val_rmse: float = bounded(finite=False)
+    val_eps_p: float = bounded(finite=False)
+
+    def __post_init__(self):
+        check_fields(self)
 
 
 @dataclass
@@ -656,16 +672,14 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
-    """Read the checkpoint ``save_checkpoint`` wrote.
-
-    A version-3 file is one JSON document holding every ``Checkpoint``
-    field; each net is its outcome kind, input transform, four specs and
-    one ``params`` list in ``LAYOUT`` order. Older versions are not read.
-    Any failure raises ValueError naming the file: not a JSON object,
-    another format or version, a missing entry, a ``params`` list the specs
-    do not lay out, a non-finite parameter, a net whose heads do not fit
-    its outcome kind, or a scalar of the wrong type or out of its bound;
-    the message names the entry, block or field."""
+    """Read the checkpoint ``save_checkpoint`` wrote: one version-3 JSON
+    document of every ``Checkpoint`` field, each net its outcome kind, input
+    transform, four specs and one ``params`` list in ``LAYOUT`` order.
+    Any failure raises ValueError naming the file and the entry, block or
+    field: not a JSON object, another format or version, a missing entry, a
+    ``params`` list the specs do not lay out, a non-finite parameter, heads
+    that do not fit the outcome kind, or a scalar (a history entry's too)
+    of the wrong type or out of its bound."""
     path = Path(path)
     try:
         doc = json.loads(path.read_text())
@@ -680,9 +694,18 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
                          f"in {path}: this code reads version {CHECKPOINT_VERSION}")
     try:
         record = {f.name: doc[f.name] for f in fields(Checkpoint)}
+        history = record["history"]
+        if not isinstance(history, list):
+            raise ValueError(f"history must be a list, not {history!r}")
+        for i, entry in enumerate(history):
+            if not isinstance(entry, dict):
+                raise ValueError(f"history[{i}] must be a JSON object, not {entry!r}")
+            try:
+                history[i] = EpochStats(**entry)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"history[{i}]: {exc}") from exc
         record.update(net=_net_from_dict(record["net"]),
                       net_rmse=_net_from_dict(record["net_rmse"]),
-                      history=[EpochStats(**h) for h in record["history"]],
                       config=nested_record("config", record["config"], TrainConfig))
         return Checkpoint(**record)
     except KeyError as exc:

@@ -15,11 +15,13 @@ _FLOAT_TYPES = (float, "float", "float | None")
 _FLOAT_TUPLE_TYPES = ("tuple[float, ...]", "tuple[float, ...] | None")
 
 
-def bounded(default=MISSING, *, at_least=None, positive=False, among=None):
+def bounded(default=MISSING, *, at_least=None, positive=False, among=None,
+            finite=True):
     """A dataclass field whose value (each entry, for a tuple of floats)
     ``check_fields`` holds to its bound: at least ``at_least``, above zero
-    when ``positive``, or one of ``among``."""
-    return field(default=default, metadata={"at_least": at_least,
+    when ``positive``, or one of ``among``; a float field with ``finite``
+    False may also hold nan or ±inf."""
+    return field(default=default, metadata={"at_least": at_least, "finite": finite,
                                              "positive": positive, "among": among})
 
 
@@ -32,8 +34,8 @@ def check_fields(record) -> None:
     ints); numpy integers pass. A ``float`` field, and each entry of a tuple
     of floats, holds a finite number: a bool, a string, a list or null is
     rejected, and so are the NaN and Infinity that Python's JSON reader
-    accepts. None passes only in a field annotated ``… | None``
-    (``beta: null``).
+    accepts, unless the field is ``bounded(finite=False)``. None passes only
+    in a field annotated ``… | None`` (``beta: null``).
     """
     for f in fields(record):
         value = getattr(record, f.name)
@@ -47,7 +49,7 @@ def check_fields(record) -> None:
             if f.type in _FLOAT_TYPES + _FLOAT_TUPLE_TYPES:
                 if isinstance(v, bool) or not isinstance(v, numbers.Real):
                     raise ValueError(f"{f.name} must be a number, not {v!r}")
-                if not math.isfinite(v):
+                if rule.get("finite", True) and not math.isfinite(v):
                     raise ValueError(f"{f.name} must be finite, not {v}")
             if rule.get("among") is not None and v not in rule["among"]:
                 raise ValueError(f"unknown {f.name} {v!r}")

@@ -291,6 +291,8 @@ def test_evaluate_checkpoint_whose_heads_do_not_fit_its_outcome_kind_exits_1(
     ("best_val_rmse", None, "best_val_rmse must be a number, not None"),
     ("clip_events", -1, "clip_events must be nonnegative, not -1"),
     ("config", None, "config must be a TrainConfig or its JSON object, not None"),
+    ("history", None, "history must be a list, not None"),
+    ("history", [3], "history[0] must be a JSON object, not 3"),
 ])
 def test_evaluate_checkpoint_with_a_bad_scalar_exits_1(
         tmp_path, sim_config, train_config, capsys, key, value, message):
@@ -299,6 +301,38 @@ def test_evaluate_checkpoint_with_a_bad_scalar_exits_1(
                                  lambda doc: doc.update({key: value}), capsys)
     assert code == 1
     assert f"malformed checkpoint {ckpt_path}: {message}" in err
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("val_rmse", "abc", "val_rmse must be a number, not 'abc'"),
+    ("val_eps_p", None, "val_eps_p must be a number, not None"),
+    ("epoch", 1.5, "epoch must be an integer, not 1.5"),
+    ("epoch", 0, "epoch must be at least 1, not 0"),
+    ("l_fo", [1], "l_fo must be a number, not [1]"),
+    ("l_imb", float("nan"), "l_imb must be finite, not nan"),
+    ("omega_d", float("inf"), "omega_d must be finite, not inf"),
+])
+def test_evaluate_checkpoint_with_a_bad_history_entry_exits_1(
+        tmp_path, sim_config, train_config, capsys, key, value, message):
+    # The last entry is edited; the message names it and the field.
+    data_path, ckpt_path = _trained(tmp_path, sim_config, train_config)
+    entries = len(json.loads(ckpt_path.read_text())["history"])
+    code, err = _evaluate_edited(data_path, ckpt_path,
+                                 lambda doc: doc["history"][-1].update({key: value}),
+                                 capsys)
+    assert code == 1
+    assert f"malformed checkpoint {ckpt_path}: history[{entries - 1}]: {message}" in err
+
+
+def test_evaluate_checkpoint_with_a_non_finite_validation_score_exits_0(
+        tmp_path, sim_config, train_config, capsys):
+    # fit records an epoch whose validation score is not finite, so a
+    # checkpoint may hold one.
+    data_path, ckpt_path = _trained(tmp_path, sim_config, train_config)
+    code, _ = _evaluate_edited(data_path, ckpt_path, lambda doc: doc["history"][0].update(
+        val_rmse=float("nan"), val_eps_p=float("inf")), capsys)
+    assert code == 0
+    assert np.isnan(load_checkpoint(ckpt_path).history[0].val_rmse)
 
 
 def test_unknown_train_config_key_exits_1(tmp_path, sim_config):

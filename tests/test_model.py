@@ -142,11 +142,12 @@ def test_default_beta():
 # ---------------------------------------------------------------- multitask step
 
 def test_step_applies_task_objective_gradients():
-    # One step equals Adam updates built from task_objective's gradients, in
-    # task order, on an identical copy of the net: training runs the
-    # objectives the finite-difference checks verify. The step has
-    # task_objective write into the state's gradient vector; the reference
-    # copies the task's slice of a fresh gradient vector in.
+    # One step equals, on an identical copy of the net, Adam on task 1's
+    # task_objective gradient and then Adam on the sum of tasks 2 and 3's:
+    # training runs the objectives the finite-difference checks verify. The
+    # step backs the summed representation gradient through the encoder
+    # once, where the reference sums two encoder gradients, so the encoder
+    # agrees to rounding and every other block bytewise.
     for ablation, plan in ABLATIONS.items():
         cfg = replace(TINY, ablation=ablation)
         net = _tiny_net(seed=9)
@@ -156,16 +157,27 @@ def test_step_applies_task_objective_gradients():
         batch = _batch(seed=10)
         multitask_step(init_train_state(net, cfg), batch, cfg)
 
-        ref_state = init_train_state(ref, cfg)
-        for task, opt in ref_state.opts.items():
-            if task == 2 and not plan.run_balance:
-                continue
-            grad, grads = _grads(ref)
-            task_objective(ref, batch, cfg, task, grads)
-            opt.grad[...] = grad[task_slice(ref, task)]
-            nn.adam_update(opt)
+        opts = init_train_state(ref, cfg).opts
+        assert sorted(opts) == [1, 3]
+        grad, grads = _grads(ref)
+        task_objective(ref, batch, cfg, 1, grads)
+        opts[1].grad[...] = grad[task_slice(ref, 1)]
+        nn.adam_update(opts[1])
+        grad, grads = _grads(ref)
+        task_objective(ref, batch, cfg, 3, grads)
+        if plan.run_balance:  # task 2 writes the encoder's block only
+            imb, imb_grads = _grads(ref)
+            task_objective(ref, batch, cfg, 2, imb_grads)
+            grad += imb
+        opts[3].grad[...] = grad[task_slice(ref, 3)]
+        nn.adam_update(opts[3])
 
-        assert net.params.tobytes() == ref.params.tobytes(), ablation
+        phi = net.blocks["phi"]
+        rest = np.ones(net.params.size, dtype=bool)
+        rest[phi] = False
+        assert net.params[rest].tobytes() == ref.params[rest].tobytes(), ablation
+        np.testing.assert_allclose(net.params[phi], ref.params[phi], rtol=1e-12,
+                                   atol=1e-15, err_msg=ablation)
         assert (float(net.eps_y) != 0.3 and float(net.eps_d) != -0.2) == plan.train_eps
 
 
@@ -274,6 +286,22 @@ def test_optimizers_own_their_task_groups():
     assert state.opts[1].work.base.size == nn.ADAM_BLOCK
 
 
+def test_every_parameter_has_exactly_one_optimizer():
+    # Task 2's group lies inside task 3's, so the two optimizers cover the
+    # parameter vector once: at the default architecture the moments hold
+    # 364,605 entries each, not the 487,405 of a second optimizer over phi.
+    for net, cfg in ((_tiny_net(seed=9), TINY),
+                     (build_net(10, "continuous", TrainConfig(), seed=0), TrainConfig())):
+        owners = np.zeros(net.params.size, dtype=int)
+        for opt in init_train_state(net, cfg).opts.values():
+            start = (opt.params.ctypes.data - net.params.ctypes.data) // net.params.itemsize
+            owners[start:start + opt.params.size] += 1
+        assert np.all(owners == 1)
+    opts = init_train_state(net, cfg).opts
+    assert net.params.size == sum(o.m.size for o in opts.values()) == 364_605
+    assert sum(o.v.size for o in opts.values()) == 364_605
+
+
 @pytest.mark.parametrize("ablation", list(ABLATIONS))
 @pytest.mark.parametrize("task", [1, 2, 3])
 def test_layout_keeps_each_task_group_one_slice(ablation, task):
@@ -286,8 +314,13 @@ def test_layout_keeps_each_task_group_one_slice(ablation, task):
     want = sum(size[b] for b in model.TASK_GROUPS[task])
     s = task_slice(net, task)
     assert s.stop - s.start == want
-    opt = init_train_state(net, replace(TINY, ablation=ablation)).opts[task]
-    assert _is_slice(opt.params, net.params, s)
+    opts = init_train_state(net, replace(TINY, ablation=ablation)).opts
+    if task == 2:  # inside task 3's group, whose optimizer steps it
+        assert task not in opts
+        s3 = task_slice(net, 3)
+        assert s3.start <= s.start and s.stop <= s3.stop
+        s, task = s3, 3
+    assert _is_slice(opts[task].params, net.params, s)
     blocks = [[getattr(net, name)] if name in model.SCALARS
               else getattr(net, name).tensors() for name in model.LAYOUT]
     assert net.params.tobytes() == np.concatenate(
@@ -319,56 +352,64 @@ def test_steps_build_no_views(monkeypatch):
 
 
 def test_step_writes_task_gradients_into_one_shared_buffer(monkeypatch):
-    seen = []
-    objective = model.task_objective
-    monkeypatch.setattr(model, "task_objective", lambda *a, **k: seen.append(
+    # Every task objective and every backward pass of a step writes into
+    # the state's one gradient vector, through the views it holds.
+    seen, outs = [], []
+    objective, backward = model._objective_at, nn.backward
+    monkeypatch.setattr(model, "_objective_at", lambda *a, **k: seen.append(
         (a[3], a[4])) or objective(*a, **k))
+    monkeypatch.setattr(nn, "backward", lambda *a, **k: outs.append(
+        k["out"]) or backward(*a, **k))
     net = _tiny_net(seed=9)
     state = init_train_state(net, TINY)
     multitask_step(state, _batch(seed=10), TINY)
-    assert [task for task, _ in seen] == [1, 2, 3]
+    assert [task for task, _ in seen] == [1, 3, 2]
     assert all(grads is state.grads for _, grads in seen)
+    assert [id(out) for out in outs] == [id(state.grads[name])
+                                         for name in ("pi", "f0", "f1", "phi")]
+
+
+def _passes(monkeypatch, net):
+    # The subnet and row count of every forward pass, as (name, rows), and
+    # the subnet of every backward pass, in call order.
+    calls = []
+    forward, backward = nn.forward, nn.backward
+    monkeypatch.setattr(nn, "forward", lambda params, spec, X: calls.append(
+        ("forward", params, len(X))) or forward(params, spec, X))
+    monkeypatch.setattr(nn, "backward", lambda params, *a, **k: calls.append(
+        ("backward", params, None)) or backward(params, *a, **k))
+    names = {id(getattr(net, name)): name for name in model.SUBNETS}
+    return lambda kind: [(names[id(p)], rows) if kind == "forward" else names[id(p)]
+                         for k, p, rows in calls if k == kind]
 
 
 def test_balanced_step_runs_the_encoder_once_for_tasks_1_and_2(monkeypatch):
-    # encoder + discriminator (tasks 1 and 2 share the encoder pass), then
-    # encoder + two heads for task 3: five forward passes, not six. Each
-    # head sees only its own arm: f0 the 5 control rows, f1 the 3 treated.
-    calls = []
-    forward = nn.forward
-    monkeypatch.setattr(nn, "forward", lambda params, spec, X: calls.append(
-        (params, len(X))) or forward(params, spec, X))
+    # One encoder pass serves all three tasks: encoder, discriminator and
+    # two heads, four forward passes. Each head sees only its own arm: f0
+    # the 5 control rows, f1 the 3 treated. The heads' and the balancing
+    # representation gradients go back through the encoder once, last.
     net = _tiny_net(seed=9)
     batch = _batch(seed=10)._replace(treatment=np.array([1.0, 0, 0, 1, 0, 0, 1, 0]))
+    passes = _passes(monkeypatch, net)
     multitask_step(init_train_state(net, TINY), batch, TINY)
-    assert [(id(p), rows) for p, rows in calls] == [
-        (id(net.phi), 8), (id(net.pi), 8), (id(net.phi), 8),
-        (id(net.f0), 5), (id(net.f1), 3)]
-
-
-def _forward_passes(monkeypatch, net):
-    # The subnet and row count of every forward pass, as (name, rows).
-    calls = []
-    forward = nn.forward
-    monkeypatch.setattr(nn, "forward", lambda params, spec, X: calls.append(
-        (params, len(X))) or forward(params, spec, X))
-    names = {id(getattr(net, name)): name for name in model.SUBNETS}
-    return lambda: [(names[id(p)], rows) for p, rows in calls]
+    assert passes("forward") == [("phi", 8), ("pi", 8), ("f0", 5), ("f1", 3)]
+    assert passes("backward") == ["pi", "f0", "f1", "phi"]
 
 
 @pytest.mark.parametrize("case", ["tarnet_mode", "all_control"])
 def test_a_step_without_balancing_runs_the_encoder_once(monkeypatch, case):
-    # With task 2 skipped no task moves the encoder before task 3, so its
-    # pass serves tasks 1 and 3: four forward passes, not five.
+    # Without balancing the step makes the same passes as a balanced one.
     net = _tiny_net(seed=9)
     cfg = replace(TINY, ablation="full_mbrl" if case == "all_control" else case)
     batch = _batch(seed=10)
     if case == "all_control":
         batch = batch._replace(treatment=np.zeros(8))
-    passes = _forward_passes(monkeypatch, net)
+    passes = _passes(monkeypatch, net)
     multitask_step(init_train_state(net, cfg), batch, cfg)
     f0_rows = 8 if case == "all_control" else 4
-    assert passes() == [("phi", 8), ("pi", 8), ("f0", f0_rows), ("f1", 8 - f0_rows)]
+    assert passes("forward") == [("phi", 8), ("pi", 8), ("f0", f0_rows),
+                                 ("f1", 8 - f0_rows)]
+    assert passes("backward") == ["pi", "f0", "f1", "phi"]
 
 
 def test_a_task_group_holding_phi_gets_the_encoder_gradient(monkeypatch):
@@ -378,17 +419,6 @@ def test_a_task_group_holding_phi_gets_the_encoder_gradient(monkeypatch):
     net = _tiny_net(seed=7)
     net.eps_d[()] = -0.4
     assert task_gradient_error(net, _batch(seed=8), cfg, 1, h=1e-5) <= 1e-4
-
-
-def test_a_task_that_moves_the_encoder_ends_its_shared_pass(monkeypatch):
-    # Task 1 now moves the encoder, so task 2 and task 3 each run their own
-    # encoder pass: six forward passes.
-    monkeypatch.setitem(model.TASK_GROUPS, 1, ("eps_d", "pi", "phi"))
-    net = _tiny_net(seed=9)
-    passes = _forward_passes(monkeypatch, net)
-    multitask_step(init_train_state(net, TINY), _batch(seed=10), TINY)
-    assert passes() == [("phi", 8), ("pi", 8), ("phi", 8), ("phi", 8),
-                        ("f0", 4), ("f1", 4)]
 
 
 @pytest.mark.parametrize("outcome_kind", ["continuous", "binary"])
@@ -471,30 +501,42 @@ def test_step_zero_learning_rate_keeps_parameters():
     assert state.last["l_fo"] > 0.0  # losses recorded
 
 
-def test_step_single_group_batch_skips_balancing():
+def _sinkhorn_calls(monkeypatch):
+    calls = []
+    solve = model.wasserstein_sinkhorn
+    monkeypatch.setattr(model, "wasserstein_sinkhorn",
+                        lambda *a: calls.append(len(a[0])) or solve(*a))
+    return calls
+
+
+def test_step_single_group_batch_skips_balancing(monkeypatch):
     net = _tiny_net(seed=2)
     state = init_train_state(net, TINY)
     rng = np.random.default_rng(0)
     all_control = Batch(rng.normal(size=(6, 3)), np.zeros(6), rng.normal(size=6))
+    sinkhorn = _sinkhorn_calls(monkeypatch)
     multitask_step(state, all_control, TINY)
     assert state.last["l_imb"] == 0.0
-    assert state.opts[2].step == 0      # task 2 untouched
+    assert sinkhorn == []               # no balancing term
+    assert sorted(state.opts) == [1, 3]
     assert state.opts[1].step == 1
     assert state.opts[3].step == 1
 
 
-def test_step_tarnet_mode_never_balances():
+def test_step_tarnet_mode_never_balances(monkeypatch):
     cfg = replace(TINY, ablation="tarnet_mode")
     net = _tiny_net(seed=3)
     state = init_train_state(net, cfg)
+    sinkhorn = _sinkhorn_calls(monkeypatch)
     multitask_step(state, _batch(), cfg)
-    assert state.opts[2].step == 0
+    assert sinkhorn == []
+    assert state.opts[1].step == state.opts[3].step == 1
     assert state.last["l_imb"] == 0.0
     # eps scalars frozen
     assert float(net.eps_y) == 0.0 and float(net.eps_d) == 0.0
 
 
-def test_step_cfr_mode_only_adds_balancing():
+def test_step_cfr_mode_only_adds_balancing(monkeypatch):
     net_t = _tiny_net(seed=4)
     net_c = _tiny_net(seed=4)
     cfg_t = replace(TINY, ablation="tarnet_mode")
@@ -502,13 +544,17 @@ def test_step_cfr_mode_only_adds_balancing():
     st_t = init_train_state(net_t, cfg_t)
     st_c = init_train_state(net_c, cfg_c)
     batch = _batch(seed=5)
+    sinkhorn = _sinkhorn_calls(monkeypatch)
     multitask_step(st_t, batch, cfg_t)
+    assert sinkhorn == []
     multitask_step(st_c, batch, cfg_c)
-    assert st_c.opts[2].step == 1 and st_t.opts[2].step == 0
+    assert sinkhorn == [4] and st_c.last["l_imb"] > 0.0
+    # both steps make two Adam steps; the balancing term joins task 3's
+    assert [o.step for o in st_c.opts.values()] == [o.step for o in st_t.opts.values()]
     # task 1 runs before balancing and is unaffected by it
     for a, b in zip(net_t.pi.tensors(), net_c.pi.tensors()):
         np.testing.assert_array_equal(a, b)
-    # the balancing step actually moved the encoder
+    # the balancing term actually moved the encoder
     assert any(not np.array_equal(a, b)
                for a, b in zip(net_t.phi.tensors(), net_c.phi.tensors()))
 

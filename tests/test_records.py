@@ -4,7 +4,7 @@ import pytest
 
 from mbrl.data import SimConfig, SplitSpec
 from mbrl.harness import ExperimentConfig
-from mbrl.model import TrainConfig
+from mbrl.model import EpochStats, TrainConfig
 from mbrl.ot import SinkhornConfig
 
 TINY = 5e-324  # the smallest positive float
@@ -86,3 +86,23 @@ def test_float_fields_and_kl_levels_take_numbers_only(value):
         TrainConfig(learning_rate=value)
     with pytest.raises(ValueError, match=f"kl_levels must be a number, not {shown}"):
         ExperimentConfig(kl_levels=[0.5, value])
+
+
+_EPOCH = dict(epoch=1, l_fo=0.5, l_dis=-0.7, l_imb=0.1, omega_y=0.0, omega_d=0.0,
+              val_rmse=0.4, val_eps_p=0.45)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_a_field_bounded_not_finite_takes_any_float(value):
+    # fit records an epoch whose validation score is not finite; its
+    # training losses stay finite.
+    stats = EpochStats(**_EPOCH | {"val_rmse": value, "val_eps_p": value})
+    assert repr(stats.val_rmse) == repr(value)
+    with pytest.raises(ValueError, match="l_fo must be finite"):
+        EpochStats(**_EPOCH | {"l_fo": value})
+
+
+@pytest.mark.parametrize("value", [True, "a", [1.0], None])
+def test_a_field_bounded_not_finite_still_takes_numbers_only(value):
+    with pytest.raises(ValueError, match="val_rmse must be a number"):
+        EpochStats(**_EPOCH | {"val_rmse": value})
