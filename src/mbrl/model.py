@@ -60,6 +60,11 @@ def default_beta(outcome_kind: str) -> float:
     return BETA_DEFAULT_BINARY if outcome_kind == "binary" else BETA_DEFAULT_CONTINUOUS
 
 
+def run_beta(cfg: TrainConfig, outcome_kind: str) -> float:
+    """The cross-term weight of a run: ``cfg.beta``, else the kind's default."""
+    return default_beta(outcome_kind) if cfg.beta is None else cfg.beta
+
+
 def head_activation(outcome_kind: str) -> str:
     """The output activation of an outcome head: a probability for binary
     outcomes, the real line for continuous ones."""
@@ -521,32 +526,48 @@ class EpochStats:
         check_fields(self)
 
 
+def selected_epoch(history: Sequence[EpochStats], rule: str) -> int | None:
+    """The selection rule: the first epoch with the least finite value of
+    ``val_<rule>`` ("eps_p" or "rmse"), or None when no epoch has one."""
+    values = [getattr(stats, f"val_{rule}") for stats in history]
+    finite = [v for v in values if np.isfinite(v)]
+    return history[values.index(min(finite))].epoch if finite else None
+
+
 @dataclass
 class Checkpoint:
-    """Best parameters under the run's selection criterion plus its history.
-
-    ``best_eps_p`` holds the selected rule's best validation value: the
-    perturbation error under ``full_mbrl``, the RMSE under the ablations
-    that select by RMSE. ``net_rmse`` is the best snapshot under plain
-    validation RMSE, tracked on every run so selection rules can be compared
-    on one trajectory. ``check_fields`` holds the scalars to their types
-    and bounds, so a loaded checkpoint with a bad one is rejected.
+    """What ``fit`` returns: its config, history and clip count, and the nets
+    at the end of the epochs ``selected_epoch`` picks under the run's rule
+    (``net``) and under RMSE (``net_rmse``). Construction rejects an empty
+    history, epochs other than 1..n in order, and a history in which a rule
+    it derives has no finite score.
     """
 
     net: MBRLNet
-    best_epoch: int = bounded(at_least=1)
-    best_eps_p: float
-    history: list[EpochStats]
-    selection: str = bounded(among=("eps_p", "rmse"))
-    beta: float = bounded(at_least=0)
-    config: TrainConfig
     net_rmse: MBRLNet
-    best_epoch_rmse: int = bounded(at_least=1)
-    best_val_rmse: float
+    history: list[EpochStats]
+    config: TrainConfig
     clip_events: int = bounded(at_least=0)
+
+    # Derived from the fields, never stored: each rule's epoch and its score.
+    selection = property(lambda self: ABLATIONS[self.config.ablation].selection)
+    beta = property(lambda self: run_beta(self.config, self.net.outcome_kind))
+    best_epoch = property(lambda self: selected_epoch(self.history, self.selection))
+    best_eps_p = property(lambda self: getattr(self.history[self.best_epoch - 1],
+                                               f"val_{self.selection}"))
+    best_epoch_rmse = property(lambda self: selected_epoch(self.history, "rmse"))
+    best_val_rmse = property(lambda self: self.history[self.best_epoch_rmse - 1].val_rmse)
 
     def __post_init__(self):
         check_fields(self)
+        if not self.history:
+            raise ValueError("history is empty")
+        for i, stats in enumerate(self.history):
+            if stats.epoch != i + 1:
+                raise ValueError(f"history[{i}] has epoch {stats.epoch}, not {i + 1}")
+        for rule in (self.selection, "rmse"):
+            if selected_epoch(self.history, rule) is None:
+                raise ValueError(f"no history entry has a finite val_{rule}")
 
 
 def validation_scores(net: MBRLNet, val: Dataset, beta: float) -> tuple[float, float]:
@@ -556,21 +577,18 @@ def validation_scores(net: MBRLNet, val: Dataset, beta: float) -> tuple[float, f
 
 
 def fit(train: Dataset, val: Dataset, cfg: TrainConfig) -> Checkpoint:
-    """Epoch loop of shuffled minibatch multi-task steps.
-
-    After each epoch the validation RMSE and perturbation error are
-    recorded; the checkpoint keeps the parameters of the epoch minimizing
-    the selection criterion (perturbation error by default, RMSE under
-    ablations that drop it). Ties keep the earlier epoch. Raises
-    RuntimeError when no epoch has a finite selection criterion.
-    """
+    """Epoch loop of shuffled minibatch multi-task steps, recording each
+    epoch's validation RMSE and perturbation error and keeping the parameters
+    of the epochs ``selected_epoch`` picks under the run's rule (perturbation
+    error by default, RMSE under ablations that drop it) and under RMSE.
+    Raises RuntimeError when either rule has no finite score."""
     if train.n_covariates != val.n_covariates:
         raise ValueError("train and validation covariate dimensions differ")
     if train.outcome_kind != val.outcome_kind:
         raise ValueError("train and validation outcome kinds differ")
 
     selection = ABLATIONS[cfg.ablation].selection
-    beta = default_beta(train.outcome_kind) if cfg.beta is None else cfg.beta
+    beta = run_beta(cfg, train.outcome_kind)
     root = np.random.SeedSequence(cfg.seed).spawn(2)
     mean, scale = standardizer_from(train)
     net = build_net(train.n_covariates, train.outcome_kind, cfg,
@@ -581,9 +599,8 @@ def fit(train: Dataset, val: Dataset, cfg: TrainConfig) -> Checkpoint:
 
     n = train.n_units
     history: list[EpochStats] = []
-    # Selection rule -> (best value, its epoch, net.params at that epoch);
-    # rules that improve in the same epoch share one snapshot.
-    best = {rule: (np.inf, 0, None) for rule in ("eps_p", "rmse")}
+    # Epoch -> net.params at its end, kept while a rule selects the epoch.
+    snapshots: dict[int, np.ndarray] = {}
 
     for epoch in range(1, cfg.epochs + 1):
         order = rng.permutation(n)
@@ -597,8 +614,6 @@ def fit(train: Dataset, val: Dataset, cfg: TrainConfig) -> Checkpoint:
             for k, v in state.last.items():
                 sums[k] = sums.get(k, 0.0) + v
             n_steps += 1
-        if n_steps == 0:
-            raise ValueError("batch_size leaves no usable minibatch")
 
         val_rmse, val_eps_p = validation_scores(net, val, beta)
         history.append(EpochStats(
@@ -606,35 +621,22 @@ def fit(train: Dataset, val: Dataset, cfg: TrainConfig) -> Checkpoint:
             **{k: v / n_steps for k, v in sums.items()},
             val_rmse=val_rmse, val_eps_p=val_eps_p,
         ))
-        scores = {"eps_p": val_eps_p, "rmse": val_rmse}
-        improved = [rule for rule, value in scores.items() if value < best[rule][0]]
-        if improved:
-            snapshot = net.params.copy()
-            for rule in improved:
-                best[rule] = (scores[rule], epoch, snapshot)
+        selected = {rule: selected_epoch(history, rule) for rule in (selection, "rmse")}
+        if epoch in selected.values():
+            snapshots[epoch] = net.params.copy()
+        snapshots = {e: snapshots[e] for e in selected.values() if e is not None}
 
-    value, epoch, selected = best[selection]
-    if selected is None:
+    missing = [rule for rule, epoch in selected.items() if epoch is None]
+    if missing:
         raise RuntimeError(f"no epoch of {cfg.epochs} had a finite validation "
-                           f"{selection}; nothing to select")
-    best_rmse, best_epoch_rmse, net_rmse = best["rmse"]
+                           f"{missing[0]}; nothing to select")
     # The gradient, moments and work vector go before the returned nets
     # are built, so building them does not raise the fit's peak memory.
     clip_events = state.clip_events
     del state
-    return Checkpoint(
-        net=replace(net, params=selected),
-        best_epoch=epoch,
-        best_eps_p=float(value),
-        history=history,
-        selection=selection,
-        beta=beta,
-        config=cfg,
-        net_rmse=replace(net, params=net_rmse),
-        best_epoch_rmse=best_epoch_rmse,
-        best_val_rmse=float(best_rmse),
-        clip_events=clip_events,
-    )
+    return Checkpoint(net=replace(net, params=snapshots[selected[selection]]),
+                      net_rmse=replace(net, params=snapshots[selected["rmse"]]),
+                      history=history, config=cfg, clip_events=clip_events)
 
 
 # =========================================================================
@@ -642,7 +644,7 @@ def fit(train: Dataset, val: Dataset, cfg: TrainConfig) -> Checkpoint:
 # =========================================================================
 
 CHECKPOINT_FORMAT = "mbrl-checkpoint"
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 
 def _net_to_dict(net: MBRLNet) -> dict:
@@ -672,14 +674,12 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
-    """Read the checkpoint ``save_checkpoint`` wrote: one version-3 JSON
-    document of every ``Checkpoint`` field, each net its outcome kind, input
+    """Read the checkpoint ``save_checkpoint`` wrote: one version-4 JSON
+    document of the ``Checkpoint`` fields, each net its outcome kind, input
     transform, four specs and one ``params`` list in ``LAYOUT`` order.
     Any failure raises ValueError naming the file and the entry, block or
-    field: not a JSON object, another format or version, a missing entry, a
-    ``params`` list the specs do not lay out, a non-finite parameter, heads
-    that do not fit the outcome kind, or a scalar (a history entry's too)
-    of the wrong type or out of its bound."""
+    field: not a JSON object, another format or version, a missing entry, or
+    a net, config, history entry or checkpoint its constructor rejects."""
     path = Path(path)
     try:
         doc = json.loads(path.read_text())

@@ -238,14 +238,15 @@ def test_evaluate_non_finite_checkpoint_exits_1(tmp_path, sim_config,
 def test_evaluate_version_1_checkpoint_exits_1(tmp_path, sim_config,
                                                train_config, capsys):
     # Files of older versions (1: per-tensor nested lists; 2: a sidecar
-    # beside the nets) are rejected, not read.
+    # beside the nets; 3: the selected epochs, scores, rule and beta stored
+    # beside the history and config they derive from) are rejected, not read.
     data_path, ckpt_path = _trained(tmp_path, sim_config, train_config)
-    for version in (1, 2):
+    for version in (1, 2, 3):
         code, err = _evaluate_edited(data_path, ckpt_path,
                                      lambda doc: doc.update(version=version), capsys)
         assert code == 1
         assert (f"unsupported checkpoint version {version} in {ckpt_path}: "
-                f"this code reads version 3") in err
+                f"this code reads version 4") in err
 
 
 def _outcome_kind_foo(doc):
@@ -276,23 +277,11 @@ def test_evaluate_checkpoint_whose_heads_do_not_fit_its_outcome_kind_exits_1(
 
 
 @pytest.mark.parametrize("key,value,message", [
-    ("beta", "abc", "beta must be a number, not 'abc'"),
-    ("beta", None, "beta must be a number, not None"),
-    ("beta", float("nan"), "beta must be finite, not nan"),
-    ("beta", -0.5, "beta must be nonnegative, not -0.5"),
-    ("best_eps_p", float("inf"), "best_eps_p must be finite, not inf"),
-    ("selection", "foo", "unknown selection 'foo'"),
-    ("best_epoch", "x", "best_epoch must be an integer, not 'x'"),
-    ("best_epoch", 0, "best_epoch must be at least 1, not 0"),
-    ("best_epoch_rmse", "x", "best_epoch_rmse must be an integer, not 'x'"),
-    ("best_epoch_rmse", 2.5, "best_epoch_rmse must be an integer, not 2.5"),
-    ("best_epoch_rmse", True, "best_epoch_rmse must be an integer, not True"),
-    ("best_epoch_rmse", 0, "best_epoch_rmse must be at least 1, not 0"),
-    ("best_val_rmse", None, "best_val_rmse must be a number, not None"),
     ("clip_events", -1, "clip_events must be nonnegative, not -1"),
     ("config", None, "config must be a TrainConfig or its JSON object, not None"),
     ("history", None, "history must be a list, not None"),
     ("history", [3], "history[0] must be a JSON object, not 3"),
+    ("history", [], "history is empty"),
 ])
 def test_evaluate_checkpoint_with_a_bad_scalar_exits_1(
         tmp_path, sim_config, train_config, capsys, key, value, message):
@@ -322,6 +311,33 @@ def test_evaluate_checkpoint_with_a_bad_history_entry_exits_1(
                                  capsys)
     assert code == 1
     assert f"malformed checkpoint {ckpt_path}: history[{entries - 1}]: {message}" in err
+
+
+def _renumbered(doc):
+    doc["history"].reverse()
+
+
+def _every_score_nan(column):
+    def edit(doc):
+        for entry in doc["history"]:
+            entry[column] = float("nan")
+    return edit
+
+
+@pytest.mark.parametrize("edit,message", [
+    (_renumbered, "history[0] has epoch 2, not 1"),
+    (_every_score_nan("val_eps_p"), "no history entry has a finite val_eps_p"),
+    (_every_score_nan("val_rmse"), "no history entry has a finite val_rmse"),
+])
+def test_evaluate_checkpoint_whose_history_selects_no_epoch_exits_1(
+        tmp_path, sim_config, train_config, capsys, edit, message):
+    # The selected epochs are derived from the history, so a history that
+    # is out of order or has no finite score under full_mbrl's rule or under
+    # RMSE leaves nothing to derive them from.
+    data_path, ckpt_path = _trained(tmp_path, sim_config, train_config)
+    code, err = _evaluate_edited(data_path, ckpt_path, edit, capsys)
+    assert code == 1
+    assert f"malformed checkpoint {ckpt_path}: {message}" in err
 
 
 def test_evaluate_checkpoint_with_a_non_finite_validation_score_exits_0(

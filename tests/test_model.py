@@ -199,9 +199,8 @@ _COPIES = {
     "deepcopy": copy.deepcopy,
     "pickle": lambda net: pickle.loads(pickle.dumps(net)),
     "checkpoint-deepcopy": lambda net: copy.deepcopy(model.Checkpoint(
-        net=net, best_epoch=1, best_eps_p=0.0, history=[], selection="eps_p",
-        beta=0.1, config=TINY, net_rmse=net, best_epoch_rmse=1,
-        best_val_rmse=0.0, clip_events=0)).net,
+        net=net, net_rmse=net, history=[model.EpochStats(1, *[0.0] * 7)],
+        config=TINY, clip_events=0)).net,
 }
 
 
@@ -667,6 +666,32 @@ def test_fit_no_eps_p_ablation_selects_on_rmse():
     assert ckpt.best_eps_p == ckpt.best_val_rmse
 
 
+@pytest.mark.parametrize("ablation", ["full_mbrl", "no_eps_p"])
+def test_fit_selects_the_first_least_finite_score(monkeypatch, ablation):
+    # Scripted (RMSE, eps_p) per epoch: non-finite epochs are skipped and a
+    # tie keeps the earlier epoch, under each rule on its own.
+    scores = iter(zip([np.inf, 0.7, 0.2, np.nan, 0.2, 0.6],
+                      [np.nan, 0.5, np.inf, 0.5, 0.3, 0.3]))
+    params = []
+
+    def scripted(net, val, beta):
+        params.append(net.params.copy())
+        return next(scores)
+
+    monkeypatch.setattr(model, "validation_scores", scripted)
+    tr, va, te = _small_sim(seed=4)
+    ckpt = fit(tr, va, replace(TINY, epochs=6, ablation=ablation))
+    assert ckpt.best_epoch_rmse == 3 and ckpt.best_val_rmse == 0.2
+    assert ckpt.net_rmse.params.tobytes() == params[2].tobytes()
+    if ablation == "full_mbrl":
+        assert ckpt.best_epoch == 5 and ckpt.best_eps_p == 0.3
+        assert ckpt.net.params.tobytes() == params[4].tobytes()
+    else:
+        assert ckpt.best_epoch == 3 and ckpt.best_eps_p == 0.2
+        assert ckpt.net.params.tobytes() == params[2].tobytes()
+    assert len({p.tobytes() for p in params}) == 6  # every epoch moved the net
+
+
 def test_fit_raises_when_no_epoch_is_finite(monkeypatch):
     tr, va, te = _small_sim(seed=4)
     monkeypatch.setattr(model, "validation_scores",
@@ -848,15 +873,17 @@ def test_checkpoint_round_trip(tmp_path):
     ckpt = fit(tr, va, replace(TINY, epochs=2))
     path = tmp_path / "ckpt.json"
     save_checkpoint(ckpt, path)
+    # The file stores the nets, config, history and clip count; the selected
+    # epochs, their scores, the rule and beta are derived from them.
+    assert set(json.loads(path.read_text())) == {
+        "format", "version", "net", "net_rmse", "history", "config", "clip_events"}
     back = load_checkpoint(path)
-    assert back.best_epoch == ckpt.best_epoch
-    assert back.best_eps_p == ckpt.best_eps_p
-    assert back.selection == ckpt.selection
     assert back.config == ckpt.config
     assert back.history == ckpt.history
-    assert back.best_epoch_rmse == ckpt.best_epoch_rmse
-    assert back.best_val_rmse == ckpt.best_val_rmse
     assert back.clip_events == ckpt.clip_events
+    for name in ("best_epoch", "best_eps_p", "selection", "beta",
+                 "best_epoch_rmse", "best_val_rmse"):
+        assert getattr(back, name) == getattr(ckpt, name), name
     # every parameter, the free scalars included, and the predictions agree
     # exactly, for both selection rules
     for net, net_back in ((ckpt.net, back.net), (ckpt.net_rmse, back.net_rmse)):
@@ -865,6 +892,52 @@ def test_checkpoint_round_trip(tmp_path):
         b = predict(net_back, te.covariates)
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x, y)
+
+
+def _stats(epoch, val_rmse=0.5, val_eps_p=0.6):
+    return model.EpochStats(epoch, 0.0, 0.0, 0.0, 0.0, 0.0, val_rmse, val_eps_p)
+
+
+@pytest.mark.parametrize("history,message", [
+    ([], "history is empty"),
+    ([_stats(1), _stats(3)], r"history\[1\] has epoch 3, not 2"),
+    ([_stats(1), _stats(1)], r"history\[1\] has epoch 1, not 2"),
+    ([_stats(1, val_eps_p=np.nan), _stats(2, val_eps_p=np.inf)],
+     "no history entry has a finite val_eps_p"),
+    ([_stats(1, val_rmse=np.nan)], "no history entry has a finite val_rmse"),
+])
+def test_checkpoint_rejects_a_history_that_selects_no_epoch(history, message):
+    net = _tiny_net()
+    with pytest.raises(ValueError, match=message):
+        model.Checkpoint(net=net, net_rmse=net, history=history, config=TINY,
+                         clip_events=0)
+
+
+@pytest.mark.parametrize("outcome_kind,beta,derived", [
+    ("continuous", None, 0.1), ("binary", None, 100.0), ("binary", 2.5, 2.5)])
+def test_checkpoint_derives_beta_from_config_and_outcome_kind(outcome_kind, beta,
+                                                              derived):
+    net = _tiny_net(outcome_kind)
+    ckpt = model.Checkpoint(net=net, net_rmse=net, history=[_stats(1)],
+                            config=replace(TINY, beta=beta), clip_events=0)
+    assert ckpt.beta == derived == model.run_beta(ckpt.config, outcome_kind)
+
+
+def test_fit_clips_the_free_scalars_and_counts_it(tmp_path, caplog):
+    # One Adam step moves a free scalar by about the learning rate (1e-3),
+    # so a clip bound of 1e-4 is crossed on the first step.
+    tr, va, te = _small_sim(seed=9)
+    cfg = replace(TINY, epochs=2, eps_clip=1e-4)
+    with caplog.at_level("WARNING", logger="mbrl.model"):
+        ckpt = fit(tr, va, cfg)
+    assert ckpt.clip_events > 0
+    assert "free scalar clipped to |eps| <= 0.0001" in caplog.text
+    for net in (ckpt.net, ckpt.net_rmse):
+        assert abs(float(net.eps_d)) <= cfg.eps_clip
+        assert abs(float(net.eps_y)) <= cfg.eps_clip
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(ckpt, path)
+    assert load_checkpoint(path).clip_events == ckpt.clip_events
 
 
 def test_history_csv(tmp_path):

@@ -12,16 +12,19 @@ Prints one sorted line per item, computed under OPENBLAS_NUM_THREADS=1:
   two hashes of what ``load_checkpoint`` returns for it, which a change of
   the file format alone leaves alone: ``loaded=``, of the selected and
   RMSE-selected nets' parameter bytes, and ``record=``, of canonical JSON
-  (sorted keys, dataclasses as dicts) of every other field; and the exit
-  code and output sha256 of ``mbrl evaluate`` on that checkpoint and a CSV
-  of the fit's validation split;
+  (sorted keys, dataclasses as dicts) of the attributes named in
+  ``RECORD``: the rule, beta, both selected epochs and their scores, the
+  config, the history and the clip count, stored or derived alike; and the
+  exit code and output sha256 of ``mbrl evaluate`` on that checkpoint and a
+  CSV of the fit's validation split;
 - ``check seed=S``: ``mbrl check --seed S``'s exit code and output sha256
   (seeds 0-16).
 
 Two trees produce the same results exactly when this output is the same:
 run it in each and ``diff`` the two files. It reads checkpoints only
-through ``load_checkpoint`` and the dataclass fields it returns, so a copy
-of it also runs in a tree whose checkpoint file format differs.
+through ``load_checkpoint`` and the attributes in ``RECORD``, so a copy of
+it also runs in a tree whose checkpoint stores some of them and derives the
+others, or whose file format differs.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ import io
 import json
 import sys
 import tempfile
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -48,6 +51,12 @@ TINY = model.TrainConfig(
     batch_size=8, epochs=3, phi_depth=2, phi_width=6, pi_depth=2, pi_width=5,
     head_depth=2, head_width=5,
     sinkhorn=model.SinkhornConfig(entropic_reg=0.1, max_iters=50, tol=1e-6))
+
+
+# What a loaded checkpoint says besides its two nets, read by name, whether
+# the checkpoint stores a value or derives it from its config and history.
+RECORD = ("selection", "beta", "best_epoch", "best_eps_p", "best_epoch_rmse",
+          "best_val_rmse", "config", "history", "clip_events")
 
 
 def sha256(raw: bytes) -> str:
@@ -95,8 +104,7 @@ def tiny_lines(work: Path):
                 model.fit(train, val, replace(TINY, ablation=ablation, seed=3)), path)
             back = model.load_checkpoint(path)
             loaded = back.net.params.tobytes() + back.net_rmse.params.tobytes()
-            record = json.dumps({f.name: getattr(back, f.name) for f in fields(back)
-                                 if f.name not in ("net", "net_rmse")},
+            record = json.dumps({name: getattr(back, name) for name in RECORD},
                                 sort_keys=True, default=asdict)
             evaluate = run_cli(["evaluate", "--checkpoint", str(path),
                                 "--data", str(val_csv)])
