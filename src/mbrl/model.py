@@ -4,8 +4,9 @@ An encoder maps covariates to a representation read by three consumers: a
 sigmoid discriminator producing propensity scores, and two outcome heads for
 the control and treated arms. Two trainable free scalars turn the mean
 outcome and treatment residuals into noise regularizers. Each minibatch
-runs three tasks on one encoder pass, and tasks 2 and 3 take one optimizer
-step on the sum of their gradients (CFR's unweighted L_fo + IPM):
+runs three tasks on one encoder pass, and one Adam step moves the whole net
+on their gradients; the encoder's is the sum of tasks 2 and 3's (CFR's
+unweighted L_fo + IPM):
 
   Task 1  descend  -L_dis + lambda1 * Omega_d  over (discriminator, eps_d)
   Task 2  descend  L_imb                       over the encoder
@@ -310,18 +311,21 @@ def heldout_scores(nuis: NuisanceEstimates, data: Dataset,
 
 @dataclass
 class TrainState:
+    """A net in training: one Adam state over all of ``net.params``, whose
+    gradient vector every task writes through ``grads`` (its views by
+    block) and whose ``step`` counts the steps taken, the clip count and
+    the last step's loss terms."""
+
     net: MBRLNet
-    grad: np.ndarray  # the gradient vector, in the net's layout
-    grads: dict[str, nn.ParamSet | np.ndarray]  # its views, by block
-    opts: dict[int, nn.AdamState]  # task -> the optimizer of its group (1 and 3)
-    step_count: int = 0
+    opt: nn.AdamState
+    grads: dict[str, nn.ParamSet | np.ndarray]
     clip_events: int = 0
     last: dict = field(default_factory=dict)
 
 
 # Task -> the blocks it trains, adjacent in LAYOUT: the one statement of each
 # task's slice and of the gradient blocks it writes (the encoder's only where
-# "phi" is listed). A group inside another is stepped by that one's optimizer.
+# "phi" is listed, as a representation gradient the step sums over tasks).
 # A free scalar stays in its group; where its lambda is 0 its gradient is 0.
 TASK_GROUPS = {
     1: ("eps_d", "pi"),
@@ -337,25 +341,19 @@ def task_slice(net: MBRLNet, task: int) -> slice:
 
 
 def init_train_state(net: MBRLNet, cfg: TrainConfig) -> TrainState:
-    """One gradient vector in the net's layout, and one optimizer over its
-    slice of both vectors per task group inside no other (tasks 1 and 3), so
-    each parameter has one. They share one Adam work vector of one block
-    (``nn.ADAM_BLOCK`` entries, fewer if both groups are smaller): each
-    update consumes its gradient before the other's is written."""
-    grad = np.zeros_like(net.params)
-    slices = {task: task_slice(net, task) for task, blocks in TASK_GROUPS.items()
-              if not any(set(blocks) < set(other) for other in TASK_GROUPS.values())}
-    work = np.zeros(min(nn.ADAM_BLOCK, max(s.stop - s.start for s in slices.values())))
-    return TrainState(net=net, grad=grad, grads=net.views_of(grad), opts={
-        task: nn.adam_init(net.params[s], grad[s], cfg.learning_rate, work)
-        for task, s in slices.items()})
+    """One Adam state over all of ``net.params`` and a gradient vector in
+    the net's layout. Adam steps each entry from that entry's gradient and
+    moments alone, so the one state is every task group's optimizer."""
+    opt = nn.adam_init(net.params, np.zeros_like(net.params), cfg.learning_rate)
+    return TrainState(net=net, opt=opt, grads=net.views_of(opt.grad))
 
 
 def multitask_step(state: TrainState, batch: Batch, cfg: TrainConfig) -> TrainState:
-    """Run the three tasks on one minibatch and one encoder pass, writing
-    their gradients (``task_objective``'s) into the state's gradient vector:
-    task 1's, then its Adam step; task 3's, its representation gradient plus
-    task 2's backed through the encoder once, then one Adam step.
+    """One encoder pass, then ``task_objective`` for tasks 1, 3 and (when
+    balancing) 2, each writing its gradients into the state's gradient
+    vector; their representation gradients, summed in that order, backed
+    through the encoder once; then one Adam update of the whole net. A step
+    that raises on a non-finite loss or gradient leaves the net unchanged.
 
     The balancing term is left out when the batch lacks a treatment arm (the
     imbalance loss is then defined as 0) and under the tarnet ablation.
@@ -363,17 +361,22 @@ def multitask_step(state: TrainState, batch: Batch, cfg: TrainConfig) -> TrainSt
     plan = ABLATIONS[cfg.ablation]
     net, grads = state.net, state.grads
     treated = np.asarray(batch.treatment) == 1
-    R, cache_phi = encode(net, batch)
-    dis, _ = _objective_at(net, batch, cfg, 1, grads, R)
-    nn.adam_update(state.opts[1])
-    fo, dR = _objective_at(net, batch, cfg, 3, grads, R)
-    losses = {**dis.terms, **fo.terms, "l_imb": 0.0}
+    tasks = [1, 3]
     if plan.run_balance and treated.any() and not treated.all():
-        imb, dR_imb = _objective_at(net, batch, cfg, 2, grads, R)
-        dR += dR_imb
-        losses.update(imb.terms)
+        tasks.append(2)
+    R, cache_phi = encode(net, batch)
+    objectives = [task_objective(net, batch, cfg, task, grads, R) for task in tasks]
+    losses = {"l_imb": 0.0}
+    for objective in objectives:
+        losses.update(objective.terms)
+    if not all(np.isfinite(v) for v in losses.values()):
+        raise RuntimeError(f"non-finite training signal at step "
+                           f"{state.opt.step + 1}: {losses}")
+    dR, *rest = [o.rep_grad for o in objectives if o.rep_grad is not None]
+    for rep_grad in rest:
+        dR += rep_grad
     nn.backward(net.phi, net.phi_spec, cache_phi, dR, input_grad=False, out=grads["phi"])
-    nn.adam_update(state.opts[3])
+    nn.adam_update(state.opt)
 
     if plan.train_eps:
         for eps in (net.eps_y, net.eps_d):
@@ -381,11 +384,6 @@ def multitask_step(state: TrainState, batch: Batch, cfg: TrainConfig) -> TrainSt
                 eps[()] = np.clip(float(eps), -cfg.eps_clip, cfg.eps_clip)
                 state.clip_events += 1
                 logger.warning("free scalar clipped to |eps| <= %g", cfg.eps_clip)
-
-    if not all(np.isfinite(v) for v in losses.values()):
-        raise RuntimeError(f"non-finite training signal at step "
-                           f"{state.step_count + 1}: {losses}")
-    state.step_count += 1
     state.last = losses
     return state
 
@@ -397,6 +395,7 @@ def multitask_step(state: TrainState, batch: Batch, cfg: TrainConfig) -> TrainSt
 class TaskObjective(NamedTuple):
     value: float
     terms: dict[str, float]  # the loss terms the training log records
+    rep_grad: np.ndarray | None  # the value's gradient at R, where the group has "phi"
 
 
 def encode(net: MBRLNet, batch: Batch) -> tuple[np.ndarray, nn.ForwardCache]:
@@ -405,14 +404,15 @@ def encode(net: MBRLNet, batch: Batch) -> tuple[np.ndarray, nn.ForwardCache]:
 
 
 def task_objective(net: MBRLNet, batch: Batch, cfg: TrainConfig, task: int,
-                   grads: dict[str, nn.ParamSet | np.ndarray],
-                   encoded: tuple[np.ndarray, nn.ForwardCache] | None = None
+                   grads: dict[str, nn.ParamSet | np.ndarray], R: np.ndarray
                    ) -> TaskObjective:
-    """Value and logged loss terms of one task objective, whose analytic
-    gradients are written into ``grads`` (``net.views_of`` a gradient
-    vector): every block ``TASK_GROUPS`` names for the task, the encoder's
-    exactly when it is named. ``encoded`` is ``encode(net, batch)`` at the
-    current encoder weights, computed here when omitted.
+    """Value and logged loss terms of one task objective at the
+    representation ``R`` (``encode(net, batch)``'s at the current encoder
+    weights). Its analytic gradients are written into ``grads``
+    (``net.views_of`` a gradient vector) for every block ``TASK_GROUPS``
+    names for the task but the encoder; where the group names "phi",
+    ``rep_grad`` is the value's gradient at ``R``, for the caller to back
+    through the encoder.
 
     Every task objective is descended: -L_dis + lambda1*Omega_d (task 1),
     the entropic dual value of L_imb (task 2) and L_fo + lambda2*Omega_y
@@ -421,20 +421,6 @@ def task_objective(net: MBRLNet, batch: Batch, cfg: TrainConfig, task: int,
     """
     if task not in TASK_GROUPS:
         raise ValueError("task must be 1, 2 or 3")
-    R, cache_phi = encode(net, batch) if encoded is None else encoded
-    objective, dR = _objective_at(net, batch, cfg, task, grads, R)
-    if dR is not None:
-        nn.backward(net.phi, net.phi_spec, cache_phi, dR, input_grad=False,
-                    out=grads["phi"])
-    return objective
-
-
-def _objective_at(net: MBRLNet, batch: Batch, cfg: TrainConfig, task: int,
-                  grads: dict[str, nn.ParamSet | np.ndarray], R: np.ndarray
-                  ) -> tuple[TaskObjective, np.ndarray | None]:
-    """``task_objective`` at the representation ``R`` but for the encoder's
-    backward pass: the objective, and in place of the encoder's gradient the
-    value's gradient at ``R`` (None where the task's group lacks "phi")."""
     d = np.asarray(batch.treatment, dtype=float)
     treated = d == 1
     b = R.shape[0]
@@ -488,20 +474,28 @@ def _objective_at(net: MBRLNet, batch: Batch, cfg: TrainConfig, task: int,
         grads[scalar][()] = lam * abs(gap)
         terms = ({"l_dis": -loss, "omega_d": eps * abs(gap)} if task == 1
                  else {"l_fo": loss, "omega_y": eps * abs(gap)})
-    return TaskObjective(value, terms), dR
+    return TaskObjective(value, terms, dR)
 
 
 def task_gradient_error(net: MBRLNet, batch: Batch, cfg: TrainConfig,
                         task: int, h: float = 1e-5) -> float:
     """Max relative error between analytic task gradients and central
-    finite differences over the task's slice of the parameter vector."""
+    finite differences over the task's slice of the parameter vector: the
+    ``task_objective`` gradients, the encoder's backed from ``rep_grad`` as
+    ``multitask_step`` backs it."""
     s = task_slice(net, task)
     grad = np.zeros_like(net.params)
-    task_objective(net, batch, cfg, task, net.views_of(grad))
+    grads = net.views_of(grad)
+    R, cache_phi = encode(net, batch)
+    rep_grad = task_objective(net, batch, cfg, task, grads, R).rep_grad
+    if rep_grad is not None:
+        nn.backward(net.phi, net.phi_spec, cache_phi, rep_grad, input_grad=False,
+                    out=grads["phi"])
     spare = net.views_of(np.zeros_like(net.params))
     return nn.central_difference_error(
         net.params[s], grad[s],
-        lambda: task_objective(net, batch, cfg, task, spare).value, h, 2000)
+        lambda: task_objective(net, batch, cfg, task, spare, encode(net, batch)[0]).value,
+        h, 2000)
 
 
 # =========================================================================
@@ -657,7 +651,15 @@ def _net_to_dict(net: MBRLNet) -> dict:
     }
 
 
+def _reject_unknown(d: dict, keys: Sequence[str]) -> None:
+    unknown = sorted(set(d) - set(keys)) if isinstance(d, dict) else []
+    if unknown:
+        raise ValueError(f"unknown entry {unknown[0]!r}")
+
+
 def _net_from_dict(d: dict) -> MBRLNet:
+    _reject_unknown(d, ("outcome_kind", "input_mean", "input_scale", "specs", "params"))
+    _reject_unknown(d["specs"], SUBNETS)
     return MBRLNet(**{f"{name}_spec": nn.NetSpec(**d["specs"][name]) for name in SUBNETS},
                    params=d["params"], outcome_kind=d["outcome_kind"],
                    input_mean=d["input_mean"], input_scale=d["input_scale"])
@@ -678,8 +680,9 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     document of the ``Checkpoint`` fields, each net its outcome kind, input
     transform, four specs and one ``params`` list in ``LAYOUT`` order.
     Any failure raises ValueError naming the file and the entry, block or
-    field: not a JSON object, another format or version, a missing entry, or
-    a net, config, history entry or checkpoint its constructor rejects."""
+    field: not a JSON object, another format or version, a missing or
+    unknown entry, or a net, config, history entry or checkpoint its
+    constructor rejects."""
     path = Path(path)
     try:
         doc = json.loads(path.read_text())
@@ -693,7 +696,9 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         raise ValueError(f"unsupported checkpoint version {doc.get('version')!r} "
                          f"in {path}: this code reads version {CHECKPOINT_VERSION}")
     try:
-        record = {f.name: doc[f.name] for f in fields(Checkpoint)}
+        names = [f.name for f in fields(Checkpoint)]
+        _reject_unknown(doc, ("format", "version", *names))
+        record = {name: doc[name] for name in names}
         history = record["history"]
         if not isinstance(history, list):
             raise ValueError(f"history must be a list, not {history!r}")

@@ -244,12 +244,10 @@ ADAM_BLOCK = 32768
 
 @dataclass
 class AdamState:
-    """The parameter vector an optimizer updates (its parameter group, a
-    view of the net's vector), the gradient vector its producer writes in
-    the same layout, the first/second moment accumulators and a work
-    vector of one block, ``min(ADAM_BLOCK, size)`` entries. Updates that
-    run one after another can share one work vector sized for the largest
-    of their groups."""
+    """The parameter vector an optimizer updates (a net's whole vector),
+    the gradient vector its producer writes in the same layout, the
+    first/second moment accumulators and a work vector of one block,
+    ``min(ADAM_BLOCK, size)`` entries."""
 
     params: np.ndarray
     grad: np.ndarray
@@ -260,19 +258,12 @@ class AdamState:
     learning_rate: float = 1e-3
 
 
-def adam_init(params: np.ndarray, grad: np.ndarray, learning_rate: float = 1e-3,
-              work: np.ndarray | None = None) -> AdamState:
-    """Optimizer state of a flat parameter vector and its gradient vector;
-    with ``work`` (at least ``min(ADAM_BLOCK, size)`` entries) it shares
-    that work vector, else it gets its own."""
+def adam_init(params: np.ndarray, grad: np.ndarray,
+              learning_rate: float = 1e-3) -> AdamState:
+    """Optimizer state of a flat parameter vector and its gradient vector."""
     size = params.size
-    need = min(ADAM_BLOCK, size)
-    if work is None:
-        work = np.zeros(need)
-    if work.size < need:
-        raise ValueError(f"work vector of size {work.size} cannot hold {need} entries")
     return AdamState(params=params, grad=grad, m=np.zeros(size), v=np.zeros(size),
-                     work=work[:need], learning_rate=learning_rate)
+                     work=np.zeros(min(ADAM_BLOCK, size)), learning_rate=learning_rate)
 
 
 def adam_update(state: AdamState) -> None:

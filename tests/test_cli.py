@@ -340,6 +340,23 @@ def test_evaluate_checkpoint_whose_history_selects_no_epoch_exits_1(
     assert f"malformed checkpoint {ckpt_path}: {message}" in err
 
 
+@pytest.mark.parametrize("edit,entry", [
+    (lambda doc: doc.update(best_epoch=99), "best_epoch"),
+    (lambda doc: doc.update(selection="rmse", beta=1.0), "beta"),
+    (lambda doc: doc["net"].update(best_val_rmse=0.5), "best_val_rmse"),
+    (lambda doc: doc["net_rmse"]["specs"].update(g0=doc["net_rmse"]["specs"]["f0"]),
+     "g0"),
+], ids=["top-level", "first-of-two", "net", "net-specs"])
+def test_evaluate_checkpoint_with_an_unknown_entry_exits_1(
+        tmp_path, sim_config, train_config, capsys, edit, entry):
+    # A key the loader would not read is named, not ignored: a leftover
+    # best_epoch would otherwise look stored while the history decides.
+    data_path, ckpt_path = _trained(tmp_path, sim_config, train_config)
+    code, err = _evaluate_edited(data_path, ckpt_path, edit, capsys)
+    assert code == 1
+    assert f"malformed checkpoint {ckpt_path}: unknown entry '{entry}'" in err
+
+
 def test_evaluate_checkpoint_with_a_non_finite_validation_score_exits_0(
         tmp_path, sim_config, train_config, capsys):
     # fit records an epoch whose validation score is not finite, so a

@@ -80,8 +80,19 @@ def _grads(net):
     return grad, net.views_of(grad)
 
 
+def _objective(net, batch, cfg, task, grads):
+    # task_objective at the net's encoding, with the representation
+    # gradient backed through the encoder into grads, as the step does.
+    R, cache_phi = model.encode(net, batch)
+    objective = task_objective(net, batch, cfg, task, grads, R)
+    if objective.rep_grad is not None:
+        nn.backward(net.phi, net.phi_spec, cache_phi, objective.rep_grad,
+                    input_grad=False, out=grads["phi"])
+    return objective
+
+
 def _term(net, batch, task, name):
-    return task_objective(net, batch, TINY, task, _grads(net)[1]).terms[name]
+    return _objective(net, batch, TINY, task, _grads(net)[1]).terms[name]
 
 
 def test_factual_loss_examples():
@@ -142,10 +153,12 @@ def test_default_beta():
 # ---------------------------------------------------------------- multitask step
 
 def test_step_applies_task_objective_gradients():
-    # One step equals, on an identical copy of the net, Adam on task 1's
-    # task_objective gradient and then Adam on the sum of tasks 2 and 3's:
-    # training runs the objectives the finite-difference checks verify. The
-    # step backs the summed representation gradient through the encoder
+    # One step equals, on an identical copy of the net, the structure of two
+    # optimizers: Adam over task 1's slice on its task_objective gradient,
+    # then Adam over task 3's slice on the sum of tasks 2 and 3's. Training
+    # runs the objectives the finite-difference checks verify, and one Adam
+    # state over the whole net steps each entry as its group's own would.
+    # The step backs the summed representation gradient through the encoder
     # once, where the reference sums two encoder gradients, so the encoder
     # agrees to rounding and every other block bytewise.
     for ablation, plan in ABLATIONS.items():
@@ -155,22 +168,22 @@ def test_step_applies_task_objective_gradients():
         net.eps_d[()] = -0.2
         ref = replace(net)
         batch = _batch(seed=10)
-        multitask_step(init_train_state(net, cfg), batch, cfg)
+        state = init_train_state(net, cfg)
+        multitask_step(state, batch, cfg)
+        assert state.opt.step == 1
 
-        opts = init_train_state(ref, cfg).opts
-        assert sorted(opts) == [1, 3]
         grad, grads = _grads(ref)
-        task_objective(ref, batch, cfg, 1, grads)
-        opts[1].grad[...] = grad[task_slice(ref, 1)]
-        nn.adam_update(opts[1])
-        grad, grads = _grads(ref)
-        task_objective(ref, batch, cfg, 3, grads)
+        s1, s3 = task_slice(ref, 1), task_slice(ref, 3)
+        opt1, opt3 = (nn.adam_init(ref.params[s], grad[s], cfg.learning_rate)
+                      for s in (s1, s3))
+        _objective(ref, batch, cfg, 1, grads)
+        nn.adam_update(opt1)
+        _objective(ref, batch, cfg, 3, grads)
         if plan.run_balance:  # task 2 writes the encoder's block only
             imb, imb_grads = _grads(ref)
-            task_objective(ref, batch, cfg, 2, imb_grads)
-            grad += imb
-        opts[3].grad[...] = grad[task_slice(ref, 3)]
-        nn.adam_update(opts[3])
+            _objective(ref, batch, cfg, 2, imb_grads)
+            grad[s3] += imb[s3]
+        nn.adam_update(opt3)
 
         phi = net.blocks["phi"]
         rest = np.ones(net.params.size, dtype=bool)
@@ -179,6 +192,25 @@ def test_step_applies_task_objective_gradients():
         np.testing.assert_allclose(net.params[phi], ref.params[phi], rtol=1e-12,
                                    atol=1e-15, err_msg=ablation)
         assert (float(net.eps_y) != 0.3 and float(net.eps_d) != -0.2) == plan.train_eps
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_a_step_that_raises_leaves_the_net_unchanged(bad):
+    # The gradients of every task are checked before the one update moves
+    # any block: task 1's discriminator and eps_d do not step ahead of a
+    # task 3 that fails. Under warnings-as-errors the first error may be
+    # the RuntimeWarning of a product with the non-finite output gradient.
+    net = _tiny_net(seed=9)
+    net.eps_d[()] = -0.2
+    state = init_train_state(net, TINY)
+    multitask_step(state, _batch(seed=1), TINY)
+    before = net.params.tobytes()
+    batch = _batch(seed=10)
+    batch.outcome[3] = bad
+    with pytest.raises((RuntimeError, RuntimeWarning, ValueError)):
+        multitask_step(state, batch, TINY)
+    assert net.params.tobytes() == before
+    assert state.opt.step == 1
 
 
 def test_a_replaced_net_is_a_copy_with_its_own_vector():
@@ -254,72 +286,41 @@ def test_nets_and_checkpoints_compare_without_raising():
     assert not replace(ckpt, net=replace(ckpt.net)) == ckpt
 
 
-def _is_slice(view, base, s):
-    # view is exactly base[s]: the same first entry and length, no copy.
-    return (view.base is base and view.size == s.stop - s.start
-            and view.ctypes.data == base.ctypes.data + s.start * base.itemsize)
-
-
-def test_optimizers_own_their_task_groups():
-    # Each optimizer holds its task's slice of the parameter vector and of
-    # the one gradient vector, which task_objective writes through the
-    # state's views, and all share one work vector of one Adam block, or of
-    # the largest group where every group is smaller.
+def test_every_parameter_has_exactly_one_optimizer():
+    # One Adam state over the net's whole parameter vector and the one
+    # gradient vector, which task_objective writes through the state's
+    # views, with a work vector of one Adam block (of the net, where it is
+    # smaller). At the default architecture the moments hold 364,605
+    # entries each, not the 487,405 of a second optimizer over phi.
     for ablation in ABLATIONS:
         net = _tiny_net(seed=9)
         state = init_train_state(net, replace(TINY, ablation=ablation))
-        for task, opt in state.opts.items():
-            s = task_slice(net, task)
-            assert _is_slice(opt.params, net.params, s), (ablation, task)
-            assert _is_slice(opt.grad, state.grad, s), (ablation, task)
-            assert opt.work.base is state.opts[1].work.base
-        assert state.opts[1].work.base.size == min(
-            nn.ADAM_BLOCK, max(o.m.size for o in state.opts.values()))
-        assert all(np.shares_memory(v, state.grad) for name in model.SUBNETS
+        assert state.opt.params is net.params
+        assert state.opt.work.size == net.params.size < nn.ADAM_BLOCK
+        assert all(np.shares_memory(v, state.opt.grad) for name in model.SUBNETS
                    for v in state.grads[name].tensors())
-        assert all(np.shares_memory(state.grads[n], state.grad) for n in model.SCALARS)
-    # At the default architecture the groups span several blocks.
-    state = init_train_state(build_net(10, "continuous", TrainConfig(), seed=0),
-                             TrainConfig())
-    assert max(o.m.size for o in state.opts.values()) > 2 * nn.ADAM_BLOCK
-    assert state.opts[1].work.base.size == nn.ADAM_BLOCK
-
-
-def test_every_parameter_has_exactly_one_optimizer():
-    # Task 2's group lies inside task 3's, so the two optimizers cover the
-    # parameter vector once: at the default architecture the moments hold
-    # 364,605 entries each, not the 487,405 of a second optimizer over phi.
-    for net, cfg in ((_tiny_net(seed=9), TINY),
-                     (build_net(10, "continuous", TrainConfig(), seed=0), TrainConfig())):
-        owners = np.zeros(net.params.size, dtype=int)
-        for opt in init_train_state(net, cfg).opts.values():
-            start = (opt.params.ctypes.data - net.params.ctypes.data) // net.params.itemsize
-            owners[start:start + opt.params.size] += 1
-        assert np.all(owners == 1)
-    opts = init_train_state(net, cfg).opts
-    assert net.params.size == sum(o.m.size for o in opts.values()) == 364_605
-    assert sum(o.v.size for o in opts.values()) == 364_605
+        assert all(np.shares_memory(state.grads[n], state.opt.grad)
+                   for n in model.SCALARS)
+    net = build_net(10, "continuous", TrainConfig(), seed=0)
+    opt = init_train_state(net, TrainConfig()).opt
+    assert opt.params is net.params
+    assert net.params.size == opt.m.size == opt.v.size == opt.grad.size == 364_605
+    assert opt.work.size == nn.ADAM_BLOCK
 
 
 @pytest.mark.parametrize("ablation", list(ABLATIONS))
 @pytest.mark.parametrize("task", [1, 2, 3])
 def test_layout_keeps_each_task_group_one_slice(ablation, task):
-    # Fails when a LAYOUT order splits a group: its slice would take in a
-    # block the group does not name. The slice, and the optimizer's, is the
-    # whole group under every ablation, its free scalar included.
+    # Fails when a LAYOUT order splits a group: its slice, which
+    # task_gradient_error checks, would take in a block the group does not
+    # name. The slice is the whole group, its free scalar included, whatever
+    # the ablation (which TASK_GROUPS does not read).
     net = _tiny_net(seed=9)
     size = {name: getattr(net, f"{name}_spec").n_params for name in model.SUBNETS}
     size.update(eps_d=1, eps_y=1)
     want = sum(size[b] for b in model.TASK_GROUPS[task])
     s = task_slice(net, task)
     assert s.stop - s.start == want
-    opts = init_train_state(net, replace(TINY, ablation=ablation)).opts
-    if task == 2:  # inside task 3's group, whose optimizer steps it
-        assert task not in opts
-        s3 = task_slice(net, 3)
-        assert s3.start <= s.start and s.stop <= s3.stop
-        s, task = s3, 3
-    assert _is_slice(opts[task].params, net.params, s)
     blocks = [[getattr(net, name)] if name in model.SCALARS
               else getattr(net, name).tensors() for name in model.LAYOUT]
     assert net.params.tobytes() == np.concatenate(
@@ -328,8 +329,8 @@ def test_layout_keeps_each_task_group_one_slice(ablation, task):
 
 
 def test_steps_build_no_views(monkeypatch):
-    # The net's and the gradient's views, and the task slices, are built
-    # once, by the net and by init_train_state, never in a step.
+    # The net's and the gradient's views are built once, by the net and by
+    # init_train_state, and the task slices never, in a step.
     net = _tiny_net(seed=9)
     state = init_train_state(net, TINY)
     calls = []
@@ -345,20 +346,22 @@ def test_steps_build_no_views(monkeypatch):
         monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
     for seed in range(10):
         multitask_step(state, _batch(seed=seed), TINY)
-    assert state.step_count == 10 and calls == []
+    assert state.opt.step == 10 and calls == []
     replace(net)
     assert "views_of" in calls   # the counting itself works
 
 
 def test_step_writes_task_gradients_into_one_shared_buffer(monkeypatch):
     # Every task objective and every backward pass of a step writes into
-    # the state's one gradient vector, through the views it holds.
-    seen, outs = [], []
-    objective, backward = model._objective_at, nn.backward
-    monkeypatch.setattr(model, "_objective_at", lambda *a, **k: seen.append(
+    # the state's one gradient vector, through the views it holds, and one
+    # Adam update steps it.
+    seen, outs, updates = [], [], []
+    objective, backward, update = model.task_objective, nn.backward, nn.adam_update
+    monkeypatch.setattr(model, "task_objective", lambda *a, **k: seen.append(
         (a[3], a[4])) or objective(*a, **k))
     monkeypatch.setattr(nn, "backward", lambda *a, **k: outs.append(
         k["out"]) or backward(*a, **k))
+    monkeypatch.setattr(nn, "adam_update", lambda opt: updates.append(opt) or update(opt))
     net = _tiny_net(seed=9)
     state = init_train_state(net, TINY)
     multitask_step(state, _batch(seed=10), TINY)
@@ -366,6 +369,7 @@ def test_step_writes_task_gradients_into_one_shared_buffer(monkeypatch):
     assert all(grads is state.grads for _, grads in seen)
     assert [id(out) for out in outs] == [id(state.grads[name])
                                          for name in ("pi", "f0", "f1", "phi")]
+    assert updates == [state.opt]
 
 
 def _passes(monkeypatch, net):
@@ -420,6 +424,28 @@ def test_a_task_group_holding_phi_gets_the_encoder_gradient(monkeypatch):
     assert task_gradient_error(net, _batch(seed=8), cfg, 1, h=1e-5) <= 1e-4
 
 
+def test_a_step_with_phi_in_task_1s_group_makes_the_same_passes(monkeypatch):
+    # With the table edit alone the step still makes one encoder pass, one
+    # encoder backward and one Adam update; task 1's representation
+    # gradient joins the sum, so the encoder moves differently.
+    batch = _batch(seed=10)
+    unpatched = _tiny_net(seed=9)
+    multitask_step(init_train_state(unpatched, TINY), batch, TINY)
+    monkeypatch.setitem(model.TASK_GROUPS, 1, ("eps_d", "pi", "phi"))
+    net = _tiny_net(seed=9)
+    state = init_train_state(net, TINY)
+    passes = _passes(monkeypatch, net)
+    updates = []
+    update = nn.adam_update
+    monkeypatch.setattr(nn, "adam_update", lambda opt: updates.append(opt) or update(opt))
+    multitask_step(state, batch, TINY)
+    assert passes("forward") == [("phi", 8), ("pi", 8), ("f0", 4), ("f1", 4)]
+    assert passes("backward") == ["pi", "f0", "f1", "phi"]
+    assert updates == [state.opt]
+    phi = net.blocks["phi"]
+    assert net.params[phi].tobytes() != unpatched.params[phi].tobytes()
+
+
 @pytest.mark.parametrize("outcome_kind", ["continuous", "binary"])
 @pytest.mark.parametrize("ablation", list(ABLATIONS))
 @pytest.mark.parametrize("task", [1, 2, 3])
@@ -432,7 +458,7 @@ def test_task_objective_writes_its_whole_slice(task, ablation, outcome_kind):
     if outcome_kind == "binary":
         batch = batch._replace(outcome=(batch.outcome > 0).astype(float))
     grad = np.full_like(net.params, np.nan)
-    task_objective(net, batch, cfg, task, net.views_of(grad))
+    _objective(net, batch, cfg, task, net.views_of(grad))
     assert np.isfinite(grad[task_slice(net, task)]).all()
 
 
@@ -475,7 +501,7 @@ def test_task3_heads_on_their_own_arm_match_the_masked_full_batch(outcome_kind, 
     y = rng.normal(size=10) if outcome_kind == "continuous" else rng.integers(0, 2, 10) * 1.0
     batch = Batch(rng.normal(size=(10, 3)), d, y)
     _, g = _grads(net)
-    obj = task_objective(net, batch, TINY, 3, g)
+    obj = _objective(net, batch, TINY, 3, g)
     value, want = _task3_full_batch_reference(net, batch, TINY)
     assert obj.value == pytest.approx(value, rel=1e-12, abs=0)
     got = [*g["phi"].tensors(), *g["f0"].tensors(), *g["f1"].tensors(), g["eps_y"]]
@@ -517,9 +543,7 @@ def test_step_single_group_batch_skips_balancing(monkeypatch):
     multitask_step(state, all_control, TINY)
     assert state.last["l_imb"] == 0.0
     assert sinkhorn == []               # no balancing term
-    assert sorted(state.opts) == [1, 3]
-    assert state.opts[1].step == 1
-    assert state.opts[3].step == 1
+    assert state.opt.step == 1
 
 
 def test_step_tarnet_mode_never_balances(monkeypatch):
@@ -529,7 +553,7 @@ def test_step_tarnet_mode_never_balances(monkeypatch):
     sinkhorn = _sinkhorn_calls(monkeypatch)
     multitask_step(state, _batch(), cfg)
     assert sinkhorn == []
-    assert state.opts[1].step == state.opts[3].step == 1
+    assert state.opt.step == 1
     assert state.last["l_imb"] == 0.0
     # eps scalars frozen
     assert float(net.eps_y) == 0.0 and float(net.eps_d) == 0.0
@@ -548,8 +572,8 @@ def test_step_cfr_mode_only_adds_balancing(monkeypatch):
     assert sinkhorn == []
     multitask_step(st_c, batch, cfg_c)
     assert sinkhorn == [4] and st_c.last["l_imb"] > 0.0
-    # both steps make two Adam steps; the balancing term joins task 3's
-    assert [o.step for o in st_c.opts.values()] == [o.step for o in st_t.opts.values()]
+    # both steps make one Adam step; the balancing term joins task 3's
+    assert st_c.opt.step == st_t.opt.step == 1
     # task 1 runs before balancing and is unaffected by it
     for a, b in zip(net_t.pi.tensors(), net_c.pi.tensors()):
         np.testing.assert_array_equal(a, b)
@@ -566,10 +590,10 @@ def test_stationarity_links_constraint_to_zero_gap():
     cfg = TINY
     _, grads = _grads(net)
     balanced = Batch(np.zeros((2, 3)), np.array([1.0, 0.0]), np.zeros(2))
-    task_objective(net, balanced, cfg, 1, grads)
+    _objective(net, balanced, cfg, 1, grads)
     assert float(grads["eps_d"]) == 0.0   # mean(d - 0.5) = 0
     lopsided = Batch(np.zeros((2, 3)), np.array([1.0, 1.0]), np.zeros(2))
-    task_objective(net, lopsided, cfg, 1, grads)
+    _objective(net, lopsided, cfg, 1, grads)
     assert float(grads["eps_d"]) == pytest.approx(cfg.lambda1 * 0.5)
 
 
@@ -596,7 +620,7 @@ def test_task1_gradients_are_the_negated_ascent_gradients(eps_d):
     net.eps_d[()] = eps_d
     batch = _batch(seed=15)
     _, g = _grads(net)
-    task_objective(net, batch, cfg, 1, g)
+    _objective(net, batch, cfg, 1, g)
     got = [*g["pi"].tensors(), g["eps_d"]]
     want = _task1_ascent_reference(net, batch, cfg)
     assert len(got) == len(want)
@@ -800,7 +824,7 @@ def test_validation_scores_keep_no_forward_caches():
 
 def test_fit_peak_memory_is_its_persistent_state_plus_slack():
     # A fit at the default architecture holds the parameter and gradient
-    # vectors, each task's Adam moments and at most two best-epoch
+    # vectors, the Adam moments and at most two best-epoch
     # snapshots. A training step or a validation pass adds a few
     # layer-sized arrays (here under 1 MiB); the slack is 4 MiB. Cached
     # validation passes, or the returned nets built while the optimizer
@@ -811,7 +835,7 @@ def test_fit_peak_memory_is_its_persistent_state_plus_slack():
     cfg = TrainConfig(epochs=2, seed=1)
     state = init_train_state(build_net(10, "continuous", cfg, seed=0), cfg)
     persistent = (4 * state.net.params.nbytes
-                  + sum(o.m.nbytes + o.v.nbytes for o in state.opts.values()))
+                  + state.opt.m.nbytes + state.opt.v.nbytes)
     del state
     assert _traced_peak(lambda: fit(tr, va, cfg)) < persistent + 4 * 2**20
 
