@@ -651,16 +651,28 @@ def _net_to_dict(net: MBRLNet) -> dict:
     }
 
 
+def _json_object(name: str, value) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{name} must be a JSON object, not {value!r}")
+    return value
+
+
 def _reject_unknown(d: dict, keys: Sequence[str]) -> None:
-    unknown = sorted(set(d) - set(keys)) if isinstance(d, dict) else []
+    unknown = sorted(set(d) - set(keys))
     if unknown:
         raise ValueError(f"unknown entry {unknown[0]!r}")
 
 
-def _net_from_dict(d: dict) -> MBRLNet:
-    _reject_unknown(d, ("outcome_kind", "input_mean", "input_scale", "specs", "params"))
-    _reject_unknown(d["specs"], SUBNETS)
-    return MBRLNet(**{f"{name}_spec": nn.NetSpec(**d["specs"][name]) for name in SUBNETS},
+def _net_from_dict(name: str, d) -> MBRLNet:
+    """The net a checkpoint holds under ``name``; ValueError names the
+    entry that is not a JSON object."""
+    _reject_unknown(_json_object(name, d),
+                    ("outcome_kind", "input_mean", "input_scale", "specs", "params"))
+    specs = _json_object(f"{name}.specs", d["specs"])
+    _reject_unknown(specs, SUBNETS)
+    return MBRLNet(**{f"{sub}_spec": nn.NetSpec(**_json_object(f"{name}.specs.{sub}",
+                                                               specs[sub]))
+                      for sub in SUBNETS},
                    params=d["params"], outcome_kind=d["outcome_kind"],
                    input_mean=d["input_mean"], input_scale=d["input_scale"])
 
@@ -703,14 +715,13 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         if not isinstance(history, list):
             raise ValueError(f"history must be a list, not {history!r}")
         for i, entry in enumerate(history):
-            if not isinstance(entry, dict):
-                raise ValueError(f"history[{i}] must be a JSON object, not {entry!r}")
+            _json_object(f"history[{i}]", entry)
             try:
                 history[i] = EpochStats(**entry)
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"history[{i}]: {exc}") from exc
-        record.update(net=_net_from_dict(record["net"]),
-                      net_rmse=_net_from_dict(record["net_rmse"]),
+        record.update(net=_net_from_dict("net", record["net"]),
+                      net_rmse=_net_from_dict("net_rmse", record["net_rmse"]),
                       config=nested_record("config", record["config"], TrainConfig))
         return Checkpoint(**record)
     except KeyError as exc:

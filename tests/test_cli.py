@@ -357,6 +357,33 @@ def test_evaluate_checkpoint_with_an_unknown_entry_exits_1(
     assert f"malformed checkpoint {ckpt_path}: unknown entry '{entry}'" in err
 
 
+def _set_net_entry(path, value):
+    def edit(doc):
+        *parents, key = path
+        target = doc
+        for parent in parents:
+            target = target[parent]
+        target[key] = value
+    return edit
+
+
+@pytest.mark.parametrize("path,value,name", [
+    (("net",), "abc", "net"),
+    (("net",), [1, 2], "net"),
+    (("net_rmse",), "abc", "net_rmse"),
+    (("net_rmse",), [1, 2], "net_rmse"),
+    (("net", "specs"), "x", "net.specs"),
+    (("net_rmse", "specs", "pi"), [3], "net_rmse.specs.pi"),
+])
+def test_evaluate_checkpoint_whose_net_is_not_an_object_exits_1(
+        tmp_path, sim_config, train_config, capsys, path, value, name):
+    data_path, ckpt_path = _trained(tmp_path, sim_config, train_config)
+    code, err = _evaluate_edited(data_path, ckpt_path, _set_net_entry(path, value), capsys)
+    assert code == 1
+    assert (f"malformed checkpoint {ckpt_path}: {name} must be a JSON object, "
+            f"not {value!r}") in err
+
+
 def test_evaluate_checkpoint_with_a_non_finite_validation_score_exits_0(
         tmp_path, sim_config, train_config, capsys):
     # fit records an epoch whose validation score is not finite, so a

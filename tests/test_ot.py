@@ -95,9 +95,15 @@ def test_sinkhorn_reports_convergence_flag():
 
 
 def test_sinkhorn_rejects_non_finite():
-    with pytest.raises(ValueError, match="non-finite"):
-        wasserstein_sinkhorn(np.array([[np.inf]]), np.array([[0.0]]),
-                             SinkhornConfig())
+    # pytest turns warnings into errors, so a RuntimeWarning from arithmetic
+    # on the bad value before the check would fail the test.
+    for bad in (np.nan, np.inf, -np.inf):
+        for cloud in ("A", "B"):
+            rng = np.random.default_rng(8)
+            clouds = {"A": rng.normal(size=(3, 2)), "B": rng.normal(size=(4, 2))}
+            clouds[cloud][1, 0] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                wasserstein_sinkhorn(clouds["A"], clouds["B"], SinkhornConfig())
 
 
 def test_sinkhorn_config_validation():
@@ -107,6 +113,34 @@ def test_sinkhorn_config_validation():
         SinkhornConfig(max_iters=0)
     with pytest.raises(ValueError):
         SinkhornConfig(cost="manhattan")
+
+
+def test_over_relaxation_halves_the_iterations_of_a_study_shaped_instance(monkeypatch):
+    # The shape and setting of a study minibatch: 57 treated and 71 control
+    # representations in R^128, eps 0.1, tol 1e-6, 100 iterations.
+    rng = np.random.default_rng(0)
+    A = 0.6 * rng.normal(size=(57, 128))
+    B = 0.6 * rng.normal(size=(71, 128))
+    cfg = SinkhornConfig(entropic_reg=0.1, max_iters=100, tol=1e-6)
+    relaxed = wasserstein_sinkhorn(A, B, cfg)
+    monkeypatch.setattr(ot, "OMEGA", 1.0)
+    plain = wasserstein_sinkhorn(A, B, cfg)
+    assert relaxed.converged and plain.converged
+    assert 2 * relaxed.iterations < plain.iterations
+    # Both converge to the same plan, to within the tolerance.
+    assert relaxed.distance == pytest.approx(plain.distance, rel=1e-5)
+
+
+@pytest.mark.parametrize("omega", [1.2, 1.5, 1.8])
+def test_lyapunov_ratio_is_the_root_of_the_relaxed_change(omega):
+    def h(r):
+        return (r ** omega - 1.0) / r - omega * np.log(r)
+
+    r_max = ot._lyapunov_ratio(omega)
+    assert np.all(h(np.linspace(1.0 + 1e-3, r_max * (1 - 1e-9), 1000)) < 0)
+    assert h(r_max * (1 + 1e-9)) > 0
+    assert ot._lyapunov_ratio(1.0) == np.inf
+    assert ot.RELAXED_FLOOR == 1.0 / ot._lyapunov_ratio(ot.OMEGA)
 
 
 # ---------------------------------------------------------------- oracle agreement
@@ -191,9 +225,16 @@ def test_fixed_plan_gradient_is_the_gradient_of_the_dual_value(cost):
 # ---------------------------------------------------------------- log-domain reference
 
 def _sinkhorn_plan_rebuild(A, B, cfg):
-    """The log-domain solver that rebuilt the plan every iteration to test
-    the row marginals. Kept as the reference the kernel-domain solver must
-    follow: the same iterations and flag, the same numbers to rounding."""
+    """The log-domain solver that rebuilds the plan every iteration to test
+    the marginals. Kept as the reference the kernel-domain solver must
+    follow: the same iterations and flag, the same numbers to rounding.
+
+    The first iteration is a plain f- then g-half-step from g = 0. Every
+    later half-step is over-relaxed in the log domain,
+    f <- (1 - w) f + w f_half and likewise for g, with w = ot.OMEGA, or
+    w = 1 when some marginal of the plan it starts from is below
+    ot.RELAXED_FLOOR times its target. Returns the number of half-steps run
+    at w = 1 after the first iteration as well."""
     def lse(M, axis):
         mx = M.max(axis=axis, keepdims=True)
         return mx.squeeze(axis) + np.log(np.exp(M - mx).sum(axis=axis))
@@ -205,18 +246,39 @@ def _sinkhorn_plan_rebuild(A, B, cfg):
     eps = cfg.entropic_reg
     log_a = np.full(n1, -np.log(n1))
     log_b = np.full(n0, -np.log(n0))
-    f, g = np.zeros(n1), np.zeros(n0)
     neg_C = -C / eps
-    iterations, converged = 0, False
-    for _ in range(cfg.max_iters):
-        iterations += 1
-        f = eps * (log_a - lse(neg_C + g[None, :] / eps, 1))
-        g = eps * (log_b - lse(neg_C + f[:, None] / eps, 0))
-        T = np.exp(neg_C + (f[:, None] + g[None, :]) / eps)
-        if np.abs(T.sum(axis=1) - 1.0 / n1).sum() <= cfg.tol:
+
+    def f_half(g):
+        return eps * (log_a - lse(neg_C + g[None, :] / eps, 1))
+
+    def g_half(f):
+        return eps * (log_b - lse(neg_C + f[:, None] / eps, 0))
+
+    def plan(f, g):
+        return np.exp(neg_C + (f[:, None] + g[None, :]) / eps)
+
+    def relaxation(marginal, target):
+        return ot.OMEGA if marginal.min() >= ot.RELAXED_FLOOR * target else 1.0
+
+    f = f_half(np.zeros(n0))
+    g = g_half(f)
+    iterations, converged, fallbacks = 1, False, 0
+    while True:
+        T = plan(f, g)
+        err = (np.abs(T.sum(axis=1) - 1.0 / n1).sum()
+               + np.abs(T.sum(axis=0) - 1.0 / n0).sum())
+        if err <= cfg.tol:
             converged = True
             break
-    T = np.exp(neg_C + (f[:, None] + g[None, :]) / eps)
+        if iterations == cfg.max_iters:
+            break
+        iterations += 1
+        w = relaxation(T.sum(axis=1), 1.0 / n1)
+        f = (1.0 - w) * f + w * f_half(g)
+        fallbacks += w == 1.0
+        w = relaxation(plan(f, g).sum(axis=0), 1.0 / n0)
+        g = (1.0 - w) * g + w * g_half(f)
+        fallbacks += w == 1.0
     if cfg.cost == "squared_euclidean":
         grad_a = 2.0 * (T.sum(axis=1)[:, None] * A - T @ B)
         grad_b = 2.0 * (T.sum(axis=0)[:, None] * B - T.T @ A)
@@ -225,7 +287,7 @@ def _sinkhorn_plan_rebuild(A, B, cfg):
             W = np.where(C > 0, T / np.where(C > 0, C, 1.0), 0.0)
         grad_a = W.sum(axis=1)[:, None] * A - W @ B
         grad_b = W.sum(axis=0)[:, None] * B - W.T @ A
-    return float(np.sum(T * C)), grad_a, grad_b, iterations, converged
+    return float(np.sum(T * C)), grad_a, grad_b, iterations, converged, fallbacks
 
 
 def test_euclidean_gradient_weights_match_the_two_where_expression_bitwise():
@@ -252,7 +314,8 @@ def _assert_follows_reference(A, B, cfg, rtol):
     # invalid operation hides in the kernel-domain path.
     with np.errstate(divide="raise", over="raise", invalid="raise"):
         res = wasserstein_sinkhorn(A, B, cfg)
-    distance, grad_a, grad_b, iterations, converged = _sinkhorn_plan_rebuild(A, B, cfg)
+    distance, grad_a, grad_b, iterations, converged, fallbacks = _sinkhorn_plan_rebuild(
+        A, B, cfg)
     assert (res.iterations, res.converged) == (iterations, converged)
     assert np.isfinite(res.distance) and np.isfinite(res.dual_value)
     np.testing.assert_allclose(res.distance, distance, rtol=rtol, atol=0)
@@ -261,7 +324,7 @@ def _assert_follows_reference(A, B, cfg, rtol):
     # of the whole gradient.
     for got, want in ((res.grad_a, grad_a), (res.grad_b, grad_b)):
         np.testing.assert_allclose(got, want, rtol=0, atol=rtol * np.abs(want).max())
-    return res
+    return res, fallbacks
 
 
 # The name is older than the kernel-domain solver, which follows the
@@ -283,19 +346,21 @@ def test_sinkhorn_matches_plan_rebuild_reference_bitwise(cost, max_iters, tol,
     # 20-80 iterations to converge.
     reg = 2.0 if cost == "squared_euclidean" else 0.5
     cfg = SinkhornConfig(entropic_reg=reg, max_iters=max_iters, tol=tol, cost=cost)
-    res = _assert_follows_reference(A, B, cfg, rtol=1e-12)
+    res, _ = _assert_follows_reference(A, B, cfg, rtol=1e-12)
     assert res.converged is want_converged
 
 
 def _count_anchors(monkeypatch):
+    """Records, for each re-anchor, whether u and v lay outside the bound."""
     calls = []
-    anchor = ot._anchor
+    reanchor = ot._reanchor
 
-    def counted(*args):
-        calls.append(1)
-        return anchor(*args)
+    def counted(neg_C, f, g, u, v, *rest):
+        calls.append(tuple(bool(np.any(np.abs(np.log(s)) > np.log(ot.SCALING_BOUND)))
+                           for s in (u, v)))
+        return reanchor(neg_C, f, g, u, v, *rest)
 
-    monkeypatch.setattr(ot, "_anchor", counted)
+    monkeypatch.setattr(ot, "_reanchor", counted)
     return calls
 
 
@@ -312,9 +377,9 @@ def test_sinkhorn_reanchors_past_an_underflowed_kernel_column(seed, monkeypatch)
     anchors = _count_anchors(monkeypatch)
     # The reference's potentials reach max(C)/eps ~ 6e4, so each of its exps
     # carries ~6e4 * 2**-52 ~ 1e-11 relative rounding.
-    res = _assert_follows_reference(A, B, cfg, rtol=1e-9)
+    res, _ = _assert_follows_reference(A, B, cfg, rtol=1e-9)
     assert res.converged
-    assert len(anchors) > 1
+    assert anchors
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -326,6 +391,34 @@ def test_sinkhorn_reanchors_when_a_scaling_leaves_its_bound(seed, monkeypatch):
     B = rng.normal(size=(12, 3)) + 1.0
     cfg = SinkhornConfig(entropic_reg=0.01, max_iters=5000, tol=1e-9)
     anchors = _count_anchors(monkeypatch)
-    res = _assert_follows_reference(A, B, cfg, rtol=1e-12)
+    res, _ = _assert_follows_reference(A, B, cfg, rtol=1e-12)
     assert res.converged
-    assert len(anchors) > 1
+    assert anchors
+
+
+@pytest.mark.parametrize("seed", [3, 8])
+def test_sinkhorn_reanchors_when_only_v_leaves_its_bound(seed, monkeypatch):
+    # Over-relaxation moves both potentials, so the column scaling v can
+    # leave the bound while u stays inside it.
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(10, 3))
+    B = rng.normal(size=(12, 3)) + 1.0
+    cfg = SinkhornConfig(entropic_reg=0.01, max_iters=5000, tol=1e-9)
+    anchors = _count_anchors(monkeypatch)
+    res, _ = _assert_follows_reference(A, B, cfg, rtol=1e-12)
+    assert res.converged
+    assert anchors[0] == (False, True)
+
+
+@pytest.mark.parametrize("seed", [0, 3, 10])
+def test_sinkhorn_converges_through_a_fallback_half_step(seed):
+    # A tight treated cloud against a wider control cloud: after the first
+    # iteration some marginal is below RELAXED_FLOOR times its target, so a
+    # half-step runs at omega = 1.
+    rng = np.random.default_rng(seed)
+    A = 0.3 * rng.normal(size=(9, 2))
+    B = rng.normal(size=(8, 2)) + 1.0
+    cfg = SinkhornConfig(entropic_reg=0.03, max_iters=3000, tol=1e-9)
+    res, fallbacks = _assert_follows_reference(A, B, cfg, rtol=1e-12)
+    assert fallbacks >= 1
+    assert res.converged
