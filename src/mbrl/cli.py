@@ -100,7 +100,7 @@ def _load_json(path: str) -> dict:
 def _cmd_generate(args) -> int:
     doc = _load_json(args.config)
     try:
-        sim = SimConfig(**doc)
+        sim = nested_record(None, doc, SimConfig)
     except (TypeError, ValueError) as exc:
         raise _UsageError(f"bad simulator config: {exc}") from exc
     data, _ = generate_simulation(sim, seed=args.seed)
@@ -114,7 +114,7 @@ def _cmd_train(args) -> int:
     outcome_kind = doc.pop("outcome_kind", "continuous")
     split_doc = doc.pop("split", None)
     try:
-        cfg = TrainConfig(**doc)
+        cfg = nested_record(None, doc, TrainConfig)
         split_spec = nested_record("split", split_doc, SplitSpec,
                                    nullable=True) or DEFAULT_SPLIT
     except (TypeError, ValueError) as exc:
@@ -152,7 +152,7 @@ def _cmd_evaluate(args) -> int:
 def _cmd_bench(args) -> int:
     doc = _load_json(args.config)
     try:
-        cfg = ExperimentConfig(**doc)
+        cfg = nested_record(None, doc, ExperimentConfig)
     except (TypeError, ValueError) as exc:
         raise _UsageError(f"bad experiment config: {exc}") from exc
     if args.seed is not None:

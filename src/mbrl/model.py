@@ -32,7 +32,7 @@ from .data import OUTCOME_KINDS, Dataset
 from .estimators import NuisanceEstimates
 from .metrics import rmse
 from .ot import SinkhornConfig, wasserstein_sinkhorn
-from .records import bounded, check_fields, nested_record
+from .records import bounded, check_fields, nested_record, reject_unknown
 
 logger = logging.getLogger(__name__)
 
@@ -55,6 +55,10 @@ ABLATIONS = {
 
 BETA_DEFAULT_CONTINUOUS = 0.1
 BETA_DEFAULT_BINARY = 100.0
+
+# After each step a free scalar is held to |eps| <= EPS_CLIP; each clip is
+# logged and counted in the checkpoint's clip_events.
+EPS_CLIP = 100.0
 
 
 def default_beta(outcome_kind: str) -> float:
@@ -228,7 +232,6 @@ class TrainConfig:
     head_depth: int = bounded(3, at_least=1)
     head_width: int = bounded(100, at_least=1)
     sinkhorn: SinkhornConfig = field(default_factory=SinkhornConfig)
-    eps_clip: float = bounded(100.0, positive=True)
 
     def __post_init__(self):
         check_fields(self)
@@ -380,10 +383,10 @@ def multitask_step(state: TrainState, batch: Batch, cfg: TrainConfig) -> TrainSt
 
     if plan.train_eps:
         for eps in (net.eps_y, net.eps_d):
-            if abs(float(eps)) > cfg.eps_clip:
-                eps[()] = np.clip(float(eps), -cfg.eps_clip, cfg.eps_clip)
+            if abs(float(eps)) > EPS_CLIP:
+                eps[()] = np.clip(float(eps), -EPS_CLIP, EPS_CLIP)
                 state.clip_events += 1
-                logger.warning("free scalar clipped to |eps| <= %g", cfg.eps_clip)
+                logger.warning("free scalar clipped to |eps| <= %g", EPS_CLIP)
     state.last = losses
     return state
 
@@ -638,7 +641,7 @@ def fit(train: Dataset, val: Dataset, cfg: TrainConfig) -> Checkpoint:
 # =========================================================================
 
 CHECKPOINT_FORMAT = "mbrl-checkpoint"
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 
 
 def _net_to_dict(net: MBRLNet) -> dict:
@@ -657,23 +660,19 @@ def _json_object(name: str, value) -> dict:
     return value
 
 
-def _reject_unknown(d: dict, keys: Sequence[str]) -> None:
-    unknown = sorted(set(d) - set(keys))
-    if unknown:
-        raise ValueError(f"unknown entry {unknown[0]!r}")
-
-
 def _net_from_dict(name: str, d) -> MBRLNet:
     """The net a checkpoint holds under ``name``; ValueError names the
-    entry that is not a JSON object."""
-    _reject_unknown(_json_object(name, d),
-                    ("outcome_kind", "input_mean", "input_scale", "specs", "params"))
+    entry that is not a JSON object or holds an unknown key."""
+    reject_unknown(_json_object(name, d),
+                   ("outcome_kind", "input_mean", "input_scale", "specs", "params"), name)
     specs = _json_object(f"{name}.specs", d["specs"])
-    _reject_unknown(specs, SUBNETS)
-    return MBRLNet(**{f"{sub}_spec": nn.NetSpec(**_json_object(f"{name}.specs.{sub}",
-                                                               specs[sub]))
-                      for sub in SUBNETS},
-                   params=d["params"], outcome_kind=d["outcome_kind"],
+    reject_unknown(specs, SUBNETS, f"{name}.specs")
+    built = {}
+    for sub in SUBNETS:
+        block = f"{name}.specs.{sub}"
+        built[f"{sub}_spec"] = nested_record(block, _json_object(block, specs[sub]),
+                                             nn.NetSpec)
+    return MBRLNet(**built, params=d["params"], outcome_kind=d["outcome_kind"],
                    input_mean=d["input_mean"], input_scale=d["input_scale"])
 
 
@@ -688,7 +687,7 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
-    """Read the checkpoint ``save_checkpoint`` wrote: one version-4 JSON
+    """Read the checkpoint ``save_checkpoint`` wrote: one version-5 JSON
     document of the ``Checkpoint`` fields, each net its outcome kind, input
     transform, four specs and one ``params`` list in ``LAYOUT`` order.
     Any failure raises ValueError naming the file and the entry, block or
@@ -709,7 +708,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
                          f"in {path}: this code reads version {CHECKPOINT_VERSION}")
     try:
         names = [f.name for f in fields(Checkpoint)]
-        _reject_unknown(doc, ("format", "version", *names))
+        reject_unknown(doc, ("format", "version", *names))
         record = {name: doc[name] for name in names}
         history = record["history"]
         if not isinstance(history, list):
@@ -717,7 +716,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         for i, entry in enumerate(history):
             _json_object(f"history[{i}]", entry)
             try:
-                history[i] = EpochStats(**entry)
+                history[i] = nested_record(None, entry, EpochStats)
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"history[{i}]: {exc}") from exc
         record.update(net=_net_from_dict("net", record["net"]),

@@ -16,7 +16,6 @@ import numpy as np
 
 SIGMOID_CLAMP = 1e-7
 
-HIDDEN_ACTIVATIONS = ("elu",)
 OUTPUT_ACTIVATIONS = ("identity", "sigmoid")
 
 
@@ -26,10 +25,10 @@ OUTPUT_ACTIVATIONS = ("identity", "sigmoid")
 
 @dataclass(frozen=True)
 class NetSpec:
-    """Shape and activation description of a fully connected net."""
+    """Shape and output activation of a fully connected net; every hidden
+    layer applies ELU."""
 
     layer_widths: tuple[int, ...]
-    hidden_activation: str = "elu"
     output_activation: str = "identity"
 
     def __post_init__(self):
@@ -43,8 +42,6 @@ class NetSpec:
             raise ValueError("layer_widths needs at least input and output entries")
         if any(w < 1 for w in widths):
             raise ValueError("layer widths must be positive")
-        if self.hidden_activation not in HIDDEN_ACTIVATIONS:
-            raise ValueError(f"unknown hidden activation {self.hidden_activation!r}")
         if self.output_activation not in OUTPUT_ACTIVATIONS:
             raise ValueError(f"unknown output activation {self.output_activation!r}")
 

@@ -1,13 +1,14 @@
 """Wasserstein imbalance distance between treated and control point clouds.
 
 The practical surrogate is entropic-regularized optimal transport with
-uniform marginals, solved by over-relaxed Sinkhorn scalings in the kernel
-domain on a kernel that absorbs the dual potentials and is rebuilt from them
-whenever a scaling leaves its bound. The reported distance is the transport
-cost of the plan (entropy term excluded); gradients treat the plan as fixed
-(envelope gradients), which makes them, at convergence, the gradients of the
-entropic dual value the solver also reports. A small-instance exact LP
-solver serves as an independent oracle.
+uniform marginals and a Euclidean ground cost, solved by over-relaxed
+Sinkhorn scalings in the kernel domain on a kernel that absorbs the dual
+potentials and is rebuilt from them whenever a scaling leaves its bound.
+The reported distance is the transport cost of the plan (entropy term
+excluded); gradients treat the plan as fixed (envelope gradients), which
+makes them, at convergence, the gradients of the entropic dual value the
+solver also reports. A small-instance exact LP solver serves as an
+independent oracle.
 """
 
 from __future__ import annotations
@@ -17,8 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .records import bounded, check_fields
-
-COST_KINDS = ("euclidean", "squared_euclidean")
 
 EXACT_OT_MAX_CELLS = 64
 
@@ -37,7 +36,6 @@ class SinkhornConfig:
     entropic_reg: float = bounded(0.1, positive=True)
     max_iters: int = bounded(200, at_least=1)
     tol: float = bounded(1e-6, positive=True)
-    cost: str = bounded("euclidean", among=COST_KINDS)
 
     def __post_init__(self):
         check_fields(self)
@@ -82,15 +80,11 @@ def _lyapunov_ratio(omega: float) -> float:
 RELAXED_FLOOR = 1.0 / _lyapunov_ratio(OMEGA)
 
 
-def _pairwise_sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+def _cost_matrix(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Euclidean distances between the rows of A and those of B."""
     d2 = (np.sum(A * A, axis=1)[:, None] + np.sum(B * B, axis=1)[None, :]
           - 2.0 * A @ B.T)
-    return np.maximum(d2, 0.0)
-
-
-def _cost_matrix(A: np.ndarray, B: np.ndarray, cost: str) -> np.ndarray:
-    d2 = _pairwise_sq_dists(A, B)
-    return d2 if cost == "squared_euclidean" else np.sqrt(d2)
+    return np.sqrt(np.maximum(d2, 0.0))
 
 
 def _first_anchor(neg_C: np.ndarray, eps: float, a: float, b: float,
@@ -126,15 +120,10 @@ def _reanchor(neg_C: np.ndarray, f: np.ndarray, g: np.ndarray, u: np.ndarray,
     v.fill(1.0)
 
 
-def _fixed_plan_grads(A: np.ndarray, B: np.ndarray, T: np.ndarray, C: np.ndarray,
-                      cost: str) -> tuple[np.ndarray, np.ndarray]:
+def _fixed_plan_grads(A: np.ndarray, B: np.ndarray, T: np.ndarray,
+                      C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Gradients of <T, C(A, B)> with respect to A and B with the plan T
-    held fixed."""
-    if cost == "squared_euclidean":
-        # dC_ij/da_i = 2 (a_i - b_j)
-        grad_a = 2.0 * (T.sum(axis=1)[:, None] * A - T @ B)
-        grad_b = 2.0 * (T.sum(axis=0)[:, None] * B - T.T @ A)
-        return grad_a, grad_b
+    held fixed, for the Euclidean cost C."""
     # dC_ij/da_i = (a_i - b_j) / ||a_i - b_j||, zero at coincident points
     W = np.divide(T, C, out=np.zeros_like(T), where=C > 0)
     grad_a = W.sum(axis=1)[:, None] * A
@@ -149,7 +138,8 @@ def wasserstein_sinkhorn(
     B: np.ndarray,
     cfg: SinkhornConfig,
 ) -> SinkhornResult:
-    """Entropic OT between clouds A (n1, r) and B (n0, r), uniform marginals.
+    """Entropic OT between clouds A (n1, r) and B (n0, r), uniform marginals,
+    Euclidean cost.
 
     The first iteration is a plain log-domain f- then g-half-step from
     g = 0, which anchors a kernel K = exp((f + g - C)/eps) that absorbs the
@@ -179,7 +169,7 @@ def wasserstein_sinkhorn(
         raise ValueError("non-finite inputs")
 
     n1, n0 = A.shape[0], B.shape[0]
-    C = _cost_matrix(A, B, cfg.cost)
+    C = _cost_matrix(A, B)
     eps, tol, max_iters, omega = cfg.entropic_reg, cfg.tol, cfg.max_iters, OMEGA
     a, b = 1.0 / n1, 1.0 / n0
     neg_C = C / -eps
@@ -234,14 +224,15 @@ def wasserstein_sinkhorn(
     g += eps * np.log(v)
     dual_value = float(a * f.sum() + b * g.sum() - eps * a * q.sum())
 
-    grad_a, grad_b = _fixed_plan_grads(A, B, T, C, cfg.cost)
+    grad_a, grad_b = _fixed_plan_grads(A, B, T, C)
     return SinkhornResult(distance=distance, grad_a=grad_a, grad_b=grad_b,
                           iterations=iterations, converged=converged,
                           dual_value=dual_value)
 
 
-def exact_ot_small(A: np.ndarray, B: np.ndarray, cost: str = "euclidean") -> float:
-    """Exact optimal-transport cost with uniform marginals via the LP.
+def exact_ot_small(A: np.ndarray, B: np.ndarray) -> float:
+    """Exact optimal-transport cost with uniform marginals and a Euclidean
+    ground cost, via the LP.
 
     The oracle that Sinkhorn is checked against (by the tests and by
     ``mbrl check``); instances are capped at n1 * n0 <= 64. scipy is
@@ -250,8 +241,6 @@ def exact_ot_small(A: np.ndarray, B: np.ndarray, cost: str = "euclidean") -> flo
     """
     from scipy.optimize import linprog
 
-    if cost not in COST_KINDS:
-        raise ValueError(f"unknown cost {cost!r}")
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
     if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[1]:
@@ -260,7 +249,7 @@ def exact_ot_small(A: np.ndarray, B: np.ndarray, cost: str = "euclidean") -> flo
     if n1 * n0 > EXACT_OT_MAX_CELLS:
         raise ValueError("instance too large")
 
-    C = _cost_matrix(A, B, cost).reshape(-1)
+    C = _cost_matrix(A, B).reshape(-1)
     # Row-sum and column-sum constraints on vec(T); one is redundant but the
     # HiGHS solver copes with that.
     A_eq = np.zeros((n1 + n0, n1 * n0))

@@ -1,7 +1,8 @@
 """Checks shared by the config records: ``SimConfig``, ``SplitSpec``,
 ``SinkhornConfig``, ``TrainConfig`` and ``ExperimentConfig``, and the one
-rule by which a record reads a nested record from JSON. Each field declares
-its own bound (``bounded``); ``__post_init__`` keeps the cross-field rules.
+rule by which a record is read from JSON, whether a config file or a block
+nested in one. Each field declares its own bound (``bounded``);
+``__post_init__`` keeps the cross-field rules.
 """
 
 from __future__ import annotations
@@ -61,12 +62,23 @@ def check_fields(record) -> None:
                 raise ValueError(f"{f.name} must be {bound}, not {v}")
 
 
-def nested_record(name: str, value, record: type, nullable: bool = False):
-    """The ``record`` a config field ``name`` holds: ``value`` itself if it
-    is one, else built from ``value`` as its JSON object (a dict). None
-    passes through when ``nullable``; any other value raises ValueError
-    naming the field."""
+def reject_unknown(d: dict, keys, block: str | None = None) -> None:
+    """Raise ValueError naming the first key of ``d``, in sorted order,
+    that is not among ``keys``, and the ``block`` that holds ``d`` if any."""
+    unknown = sorted(set(d) - set(keys))
+    if unknown:
+        where = f" in {block}" if block else ""
+        raise ValueError(f"unknown entry {unknown[0]!r}{where}")
+
+
+def nested_record(name: str | None, value, record: type, nullable: bool = False):
+    """The ``record`` a config field ``name`` holds (None for a block the
+    caller names, such as a whole config file): ``value`` itself if it is
+    one, else built from ``value`` as its JSON object (a dict), whose keys
+    must be the record's fields (``reject_unknown``). None passes through
+    when ``nullable``; any other value raises ValueError naming the field."""
     if isinstance(value, dict):
+        reject_unknown(value, [f.name for f in fields(record) if f.init], name)
         return record(**value)
     if isinstance(value, record) or (nullable and value is None):
         return value

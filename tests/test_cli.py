@@ -239,14 +239,16 @@ def test_evaluate_version_1_checkpoint_exits_1(tmp_path, sim_config,
                                                train_config, capsys):
     # Files of older versions (1: per-tensor nested lists; 2: a sidecar
     # beside the nets; 3: the selected epochs, scores, rule and beta stored
-    # beside the history and config they derive from) are rejected, not read.
+    # beside the history and config they derive from; 4: specs naming their
+    # hidden activation, a config naming eps_clip and a Sinkhorn cost) are
+    # rejected, not read.
     data_path, ckpt_path = _trained(tmp_path, sim_config, train_config)
-    for version in (1, 2, 3):
+    for version in (1, 2, 3, 4):
         code, err = _evaluate_edited(data_path, ckpt_path,
                                      lambda doc: doc.update(version=version), capsys)
         assert code == 1
         assert (f"unsupported checkpoint version {version} in {ckpt_path}: "
-                f"this code reads version 4") in err
+                f"this code reads version 5") in err
 
 
 def _outcome_kind_foo(doc):
@@ -300,6 +302,7 @@ def test_evaluate_checkpoint_with_a_bad_scalar_exits_1(
     ("l_fo", [1], "l_fo must be a number, not [1]"),
     ("l_imb", float("nan"), "l_imb must be finite, not nan"),
     ("omega_d", float("inf"), "omega_d must be finite, not inf"),
+    ("l_foo", 1.0, "unknown entry 'l_foo'"),
 ])
 def test_evaluate_checkpoint_with_a_bad_history_entry_exits_1(
         tmp_path, sim_config, train_config, capsys, key, value, message):
@@ -341,20 +344,28 @@ def test_evaluate_checkpoint_whose_history_selects_no_epoch_exits_1(
 
 
 @pytest.mark.parametrize("edit,entry", [
-    (lambda doc: doc.update(best_epoch=99), "best_epoch"),
-    (lambda doc: doc.update(selection="rmse", beta=1.0), "beta"),
-    (lambda doc: doc["net"].update(best_val_rmse=0.5), "best_val_rmse"),
+    (lambda doc: doc.update(best_epoch=99), "'best_epoch'"),
+    (lambda doc: doc.update(selection="rmse", beta=1.0), "'beta'"),
+    (lambda doc: doc["net"].update(best_val_rmse=0.5), "'best_val_rmse' in net"),
     (lambda doc: doc["net_rmse"]["specs"].update(g0=doc["net_rmse"]["specs"]["f0"]),
-     "g0"),
-], ids=["top-level", "first-of-two", "net", "net-specs"])
+     "'g0' in net_rmse.specs"),
+    (lambda doc: doc["net"]["specs"]["phi"].update(hidden_activation="elu"),
+     "'hidden_activation' in net.specs.phi"),
+    (lambda doc: doc["config"].update(eps_clip=100.0), "'eps_clip' in config"),
+    (lambda doc: doc["config"]["sinkhorn"].update(cost="euclidean"),
+     "'cost' in sinkhorn"),
+], ids=["top-level", "first-of-two", "net", "net-specs", "spec-hidden_activation",
+        "config-eps_clip", "sinkhorn-cost"])
 def test_evaluate_checkpoint_with_an_unknown_entry_exits_1(
         tmp_path, sim_config, train_config, capsys, edit, entry):
     # A key the loader would not read is named, not ignored: a leftover
     # best_epoch would otherwise look stored while the history decides.
+    # Version-4 files held the last three; a version-5 file naming one is
+    # rejected like any other unknown key.
     data_path, ckpt_path = _trained(tmp_path, sim_config, train_config)
     code, err = _evaluate_edited(data_path, ckpt_path, edit, capsys)
     assert code == 1
-    assert f"malformed checkpoint {ckpt_path}: unknown entry '{entry}'" in err
+    assert f"malformed checkpoint {ckpt_path}: unknown entry {entry}" in err
 
 
 def _set_net_entry(path, value):
@@ -395,12 +406,27 @@ def test_evaluate_checkpoint_with_a_non_finite_validation_score_exits_0(
     assert np.isnan(load_checkpoint(ckpt_path).history[0].val_rmse)
 
 
-def test_unknown_train_config_key_exits_1(tmp_path, sim_config):
+def test_unknown_train_config_key_exits_1(tmp_path, sim_config, capsys):
+    # A typo and the keys a train config no longer has (eps_clip,
+    # sinkhorn.cost), in a train config and in a bench config's train block;
+    # the error names the key and, in a nested block, the block.
     data_path = str(tmp_path / "data.csv")
     assert main(["generate", "--config", sim_config, "--out", data_path]) == 0
-    cfg = _write(tmp_path / "train.json", {"epochs": 1, "learning_rte": 0.1})
-    assert main(["train", "--config", cfg, "--data", data_path,
-                 "--out", str(tmp_path / "ckpt.json")]) == 1
+    out = str(tmp_path / "out")
+    train = ["train", "--data", data_path, "--out", out, "--config"]
+    bench = ["bench", "--out", out, "--config"]
+    for argv, doc, message in [
+        (train, {"epochs": 1, "learning_rte": 0.1}, "unknown entry 'learning_rte'"),
+        (train, {"epochs": 1, "eps_clip": 100.0}, "unknown entry 'eps_clip'"),
+        (bench, _bench_doc(**{"train.eps_clip": 100.0}),
+         "unknown entry 'eps_clip' in train"),
+        (bench, _bench_doc(**{"train.sinkhorn.cost": "euclidean"}),
+         "unknown entry 'cost' in sinkhorn"),
+    ]:
+        capsys.readouterr()
+        assert main([*argv, _write(tmp_path / "cfg.json", doc)]) == 1
+        assert message in capsys.readouterr().err
+        assert not Path(out).exists()
 
 
 def test_train_config_that_is_not_an_object_exits_1(tmp_path, sim_config, capsys):
@@ -458,7 +484,7 @@ def test_bench_rejects_non_integer_int_fields(tmp_path, capsys, path, value):
 # float fields, and the entries of kl_levels.
 @pytest.mark.parametrize("path,value,shown", [
     ("train.sinkhorn.tol", float("nan"), "nan"),
-    ("train.eps_clip", float("nan"), "nan"),
+    ("train.lambda1", float("nan"), "nan"),
     ("train.learning_rate", float("nan"), "nan"),
     ("train.beta", float("inf"), "inf"),
     ("sim.sigma_scale", float("inf"), "inf"),

@@ -947,18 +947,18 @@ def test_checkpoint_derives_beta_from_config_and_outcome_kind(outcome_kind, beta
     assert ckpt.beta == derived == model.run_beta(ckpt.config, outcome_kind)
 
 
-def test_fit_clips_the_free_scalars_and_counts_it(tmp_path, caplog):
+def test_fit_clips_the_free_scalars_and_counts_it(tmp_path, caplog, monkeypatch):
     # One Adam step moves a free scalar by about the learning rate (1e-3),
     # so a clip bound of 1e-4 is crossed on the first step.
     tr, va, te = _small_sim(seed=9)
-    cfg = replace(TINY, epochs=2, eps_clip=1e-4)
+    monkeypatch.setattr(model, "EPS_CLIP", 1e-4)
     with caplog.at_level("WARNING", logger="mbrl.model"):
-        ckpt = fit(tr, va, cfg)
+        ckpt = fit(tr, va, replace(TINY, epochs=2))
     assert ckpt.clip_events > 0
     assert "free scalar clipped to |eps| <= 0.0001" in caplog.text
     for net in (ckpt.net, ckpt.net_rmse):
-        assert abs(float(net.eps_d)) <= cfg.eps_clip
-        assert abs(float(net.eps_y)) <= cfg.eps_clip
+        assert abs(float(net.eps_d)) <= 1e-4
+        assert abs(float(net.eps_y)) <= 1e-4
     path = tmp_path / "ckpt.json"
     save_checkpoint(ckpt, path)
     assert load_checkpoint(path).clip_events == ckpt.clip_events
@@ -978,12 +978,12 @@ def test_history_csv(tmp_path):
 def test_train_config_json_round_trip_with_sinkhorn():
     cfg = TrainConfig(epochs=3, beta=0.5, ablation="cfr_mode",
                       sinkhorn=SinkhornConfig(entropic_reg=0.05, max_iters=17,
-                                              tol=1e-4, cost="squared_euclidean"))
+                                              tol=1e-4))
     back = TrainConfig(**json.loads(json.dumps(asdict(cfg))))
     assert back == cfg
     assert isinstance(back.sinkhorn, SinkhornConfig)
     assert TrainConfig(sinkhorn=None).sinkhorn == SinkhornConfig()
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError, match="unknown entry 'max_iter' in sinkhorn"):
         TrainConfig(**{**asdict(cfg), "sinkhorn": {"max_iter": 5}})
 
 

@@ -72,13 +72,15 @@ def test_sinkhorn_symmetry():
     assert abs(d1 - d2) <= 1e-9
 
 
-@pytest.mark.parametrize("cost", ["euclidean", "squared_euclidean"])
+# The ground cost is Euclidean; the cases that covered it keep their
+# "euclidean" ids.
+@pytest.mark.parametrize("cost", ["euclidean"])
 def test_sinkhorn_translation_invariance(cost):
     rng = np.random.default_rng(3)
     A = rng.normal(size=(4, 2))
     B = rng.normal(size=(6, 2))
     shift = rng.normal(size=2)
-    cfg = SinkhornConfig(entropic_reg=0.1, max_iters=20000, tol=1e-12, cost=cost)
+    cfg = SinkhornConfig(entropic_reg=0.1, max_iters=20000, tol=1e-12)
     d1 = wasserstein_sinkhorn(A, B, cfg).distance
     d2 = wasserstein_sinkhorn(A + shift, B + shift, cfg).distance
     assert abs(d1 - d2) <= 1e-9
@@ -111,8 +113,6 @@ def test_sinkhorn_config_validation():
         SinkhornConfig(entropic_reg=0.0)
     with pytest.raises(ValueError):
         SinkhornConfig(max_iters=0)
-    with pytest.raises(ValueError):
-        SinkhornConfig(cost="manhattan")
 
 
 def test_over_relaxation_halves_the_iterations_of_a_study_shaped_instance(monkeypatch):
@@ -184,12 +184,12 @@ def _fd_grad_a(A, B, cfg, h=1e-6):
     return grad
 
 
-@pytest.mark.parametrize("cost", ["euclidean", "squared_euclidean"])
+@pytest.mark.parametrize("cost", ["euclidean"])
 def test_envelope_gradient_matches_finite_differences(cost):
     rng = np.random.default_rng(5)
     A = rng.normal(size=(4, 2))
     B = rng.normal(size=(5, 2))
-    cfg = SinkhornConfig(entropic_reg=0.01, max_iters=20000, tol=1e-11, cost=cost)
+    cfg = SinkhornConfig(entropic_reg=0.01, max_iters=20000, tol=1e-11)
     res = wasserstein_sinkhorn(A, B, cfg)
     numeric = _fd_grad_a(A, B, cfg)
     rel = np.abs(res.grad_a - numeric) / np.maximum(
@@ -199,7 +199,7 @@ def test_envelope_gradient_matches_finite_differences(cost):
 
 # ---------------------------------------------------------------- dual value
 
-@pytest.mark.parametrize("cost", ["euclidean", "squared_euclidean"])
+@pytest.mark.parametrize("cost", ["euclidean"])
 def test_fixed_plan_gradient_is_the_gradient_of_the_dual_value(cost):
     # At eps = 0.5 the plan is far from a vertex, so the transport cost's own
     # gradient differs from the fixed-plan one; the entropic dual value's
@@ -207,7 +207,7 @@ def test_fixed_plan_gradient_is_the_gradient_of_the_dual_value(cost):
     rng = np.random.default_rng(6)
     A = rng.normal(size=(4, 2))
     B = rng.normal(size=(5, 2))
-    cfg = SinkhornConfig(entropic_reg=0.5, max_iters=20000, tol=1e-13, cost=cost)
+    cfg = SinkhornConfig(entropic_reg=0.5, max_iters=20000, tol=1e-13)
     res = wasserstein_sinkhorn(A, B, cfg)
     h = 1e-6
     numeric = np.zeros_like(A)
@@ -240,9 +240,8 @@ def _sinkhorn_plan_rebuild(A, B, cfg):
         return mx.squeeze(axis) + np.log(np.exp(M - mx).sum(axis=axis))
 
     n1, n0 = A.shape[0], B.shape[0]
-    d2 = np.maximum(np.sum(A * A, axis=1)[:, None] + np.sum(B * B, axis=1)[None, :]
-                    - 2.0 * A @ B.T, 0.0)
-    C = d2 if cfg.cost == "squared_euclidean" else np.sqrt(d2)
+    C = np.sqrt(np.maximum(np.sum(A * A, axis=1)[:, None]
+                           + np.sum(B * B, axis=1)[None, :] - 2.0 * A @ B.T, 0.0))
     eps = cfg.entropic_reg
     log_a = np.full(n1, -np.log(n1))
     log_b = np.full(n0, -np.log(n0))
@@ -279,14 +278,10 @@ def _sinkhorn_plan_rebuild(A, B, cfg):
         w = relaxation(plan(f, g).sum(axis=0), 1.0 / n0)
         g = (1.0 - w) * g + w * g_half(f)
         fallbacks += w == 1.0
-    if cfg.cost == "squared_euclidean":
-        grad_a = 2.0 * (T.sum(axis=1)[:, None] * A - T @ B)
-        grad_b = 2.0 * (T.sum(axis=0)[:, None] * B - T.T @ A)
-    else:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            W = np.where(C > 0, T / np.where(C > 0, C, 1.0), 0.0)
-        grad_a = W.sum(axis=1)[:, None] * A - W @ B
-        grad_b = W.sum(axis=0)[:, None] * B - W.T @ A
+    with np.errstate(divide="ignore", invalid="ignore"):
+        W = np.where(C > 0, T / np.where(C > 0, C, 1.0), 0.0)
+    grad_a = W.sum(axis=1)[:, None] * A - W @ B
+    grad_b = W.sum(axis=0)[:, None] * B - W.T @ A
     return float(np.sum(T * C)), grad_a, grad_b, iterations, converged, fallbacks
 
 
@@ -297,14 +292,14 @@ def test_euclidean_gradient_weights_match_the_two_where_expression_bitwise():
     A = rng.integers(-3, 4, size=(40, 16)).astype(float)
     B = rng.integers(-3, 4, size=(80, 16)).astype(float)
     B[:3] = A[:3]
-    C = ot._cost_matrix(A, B, "euclidean")
+    C = ot._cost_matrix(A, B)
     assert np.count_nonzero(C == 0) >= 3
     T = rng.random(C.shape) / C.size
     with np.errstate(divide="ignore", invalid="ignore"):
         W = np.where(C > 0, T / np.where(C > 0, C, 1.0), 0.0)
     want = (W.sum(axis=1)[:, None] * A - W @ B, W.sum(axis=0)[:, None] * B - W.T @ A)
     with np.errstate(all="raise"):
-        got = ot._fixed_plan_grads(A, B, T, C, "euclidean")
+        got = ot._fixed_plan_grads(A, B, T, C)
     for g, w in zip(got, want):
         assert g.tobytes() == w.tobytes()
 
@@ -329,7 +324,7 @@ def _assert_follows_reference(A, B, cfg, rtol):
 
 # The name is older than the kernel-domain solver, which follows the
 # reference to rounding rather than to the bit.
-@pytest.mark.parametrize("cost", ["euclidean", "squared_euclidean"])
+@pytest.mark.parametrize("cost", ["euclidean"])
 @pytest.mark.parametrize("max_iters,tol,want_converged", [
     (1000, 1e-6, True),     # converges well inside the cap
     (5, 1e-12, False),      # stops at the cap
@@ -342,10 +337,7 @@ def test_sinkhorn_matches_plan_rebuild_reference_bitwise(cost, max_iters, tol,
     A = rng.normal(size=(n1, r))
     B = rng.normal(size=(n0, r)) + 0.3
     B[0] = A[0]  # one coincident pair: a zero-cost cell
-    # Squared costs are ~r times larger; a larger eps keeps both kinds at
-    # 20-80 iterations to converge.
-    reg = 2.0 if cost == "squared_euclidean" else 0.5
-    cfg = SinkhornConfig(entropic_reg=reg, max_iters=max_iters, tol=tol, cost=cost)
+    cfg = SinkhornConfig(entropic_reg=0.5, max_iters=max_iters, tol=tol)
     res, _ = _assert_follows_reference(A, B, cfg, rtol=1e-12)
     assert res.converged is want_converged
 

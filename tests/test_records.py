@@ -19,7 +19,6 @@ BOUNDS = [
     (SinkhornConfig, "entropic_reg", 0.0, TINY, {}),
     (SinkhornConfig, "max_iters", 0, 1, {}),
     (SinkhornConfig, "tol", 0.0, TINY, {}),
-    (SinkhornConfig, "cost", "bogus", "squared_euclidean", {}),
     (TrainConfig, "lambda1", -TINY, 0.0, {}),
     (TrainConfig, "lambda2", -TINY, 0.0, {}),
     (TrainConfig, "beta", -TINY, 0.0, {}),
@@ -33,7 +32,6 @@ BOUNDS = [
     (TrainConfig, "pi_width", 0, 1, {}),
     (TrainConfig, "head_depth", 0, 1, {}),
     (TrainConfig, "head_width", 0, 1, {}),
-    (TrainConfig, "eps_clip", 0.0, TINY, {}),
     (SimConfig, "n_treated", 0, 1, {}),
     (SimConfig, "n_control", 0, 1, {}),
     (SimConfig, "dim", 0, 1, {}),
@@ -67,7 +65,6 @@ def test_each_field_holds_its_bound(record, name, outside, boundary, others):
     (TrainConfig, "batch_size", "batch_size must be an integer, not None"),
     (TrainConfig, "lambda1", "lambda1 must be a number, not None"),
     (TrainConfig, "ablation", "unknown ablation None"),
-    (SinkhornConfig, "cost", "unknown cost None"),
 ])
 def test_null_is_rejected_where_the_field_is_not_nullable(record, name, message):
     with pytest.raises(ValueError, match=message):

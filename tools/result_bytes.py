@@ -4,7 +4,10 @@
 
 Prints one sorted line per item, computed under OPENBLAS_NUM_THREADS=1:
 
-- ``study seed=S``: the benchmark study's report.json sha256 (seeds 1-3);
+- ``study seed=S``: the benchmark study's report.json sha256 (seeds 1-3),
+  and ``results=``, the sha256 of canonical JSON of the report's rows,
+  aggregates and failures, which an edit of the serialized config alone
+  leaves alone;
 - ``deep_fit seed=S``: the sha256 of the selected and RMSE-selected nets'
   parameter bytes, and the unit's ATE error and root-PEHE (seeds 1-2);
 - ``tiny ablation=A outcome=K``: the checkpoint file's sha256 for a
@@ -14,9 +17,10 @@ Prints one sorted line per item, computed under OPENBLAS_NUM_THREADS=1:
   RMSE-selected nets' parameter bytes, and ``record=``, of canonical JSON
   (sorted keys, dataclasses as dicts) of the attributes named in
   ``RECORD``: the rule, beta, both selected epochs and their scores, the
-  config, the history and the clip count, stored or derived alike; and the
-  exit code and output sha256 of ``mbrl evaluate`` on that checkpoint and a
-  CSV of the fit's validation split;
+  history and the clip count, stored or derived alike; ``config=``, of
+  the loaded config's canonical JSON, which an edit of the config's fields
+  alone moves; and the exit code and output sha256 of ``mbrl evaluate`` on
+  that checkpoint and a CSV of the fit's validation split;
 - ``check seed=S``: ``mbrl check --seed S``'s exit code and output sha256
   (seeds 0-16).
 
@@ -56,11 +60,18 @@ TINY = model.TrainConfig(
 # What a loaded checkpoint says besides its two nets, read by name, whether
 # the checkpoint stores a value or derives it from its config and history.
 RECORD = ("selection", "beta", "best_epoch", "best_eps_p", "best_epoch_rmse",
-          "best_val_rmse", "config", "history", "clip_events")
+          "best_val_rmse", "history", "clip_events")
+# The rows, aggregates and failures of a study report: everything in it but
+# the metadata, which holds the serialized config.
+RESULTS = ("rows", "aggregates", "failures")
 
 
 def sha256(raw: bytes) -> str:
     return hashlib.sha256(raw).hexdigest()
+
+
+def canonical_sha256(value) -> str:
+    return sha256(json.dumps(value, sort_keys=True, default=asdict).encode())
 
 
 def run_cli(argv: list[str]) -> str:
@@ -73,8 +84,12 @@ def run_cli(argv: list[str]) -> str:
 def study_lines(work: Path):
     for seed in (1, 2, 3):
         unit = Study(seed, work / f"study-{seed}")
-        unit.verify(unit.run())
-        yield f"study seed={seed} report_sha256={unit.report_sha256}"
+        out = unit.run()
+        unit.verify(out)
+        report = json.loads(out[1].read_text())
+        results = canonical_sha256({key: report[key] for key in RESULTS})
+        yield (f"study seed={seed} report_sha256={unit.report_sha256} "
+               f"results={results}")
 
 
 def deep_fit_lines():
@@ -104,13 +119,13 @@ def tiny_lines(work: Path):
                 model.fit(train, val, replace(TINY, ablation=ablation, seed=3)), path)
             back = model.load_checkpoint(path)
             loaded = back.net.params.tobytes() + back.net_rmse.params.tobytes()
-            record = json.dumps({name: getattr(back, name) for name in RECORD},
-                                sort_keys=True, default=asdict)
+            record = canonical_sha256({name: getattr(back, name) for name in RECORD})
             evaluate = run_cli(["evaluate", "--checkpoint", str(path),
                                 "--data", str(val_csv)])
             yield (f"tiny ablation={ablation} outcome={kind} "
                    f"checkpoint={sha256(path.read_bytes())} "
-                   f"loaded={sha256(loaded)} record={sha256(record.encode())} "
+                   f"loaded={sha256(loaded)} record={record} "
+                   f"config={canonical_sha256(back.config)} "
                    f"evaluate {evaluate}")
 
 

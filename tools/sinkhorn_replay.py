@@ -32,7 +32,7 @@ os.environ["OPENBLAS_NUM_THREADS"] = "1"  # before numpy is imported
 import argparse
 import sys
 import time
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -70,8 +70,16 @@ def capture(out: Path, seed: int, kl: float, replication: int) -> int:
 
 
 def load(path: Path) -> tuple[list[tuple[np.ndarray, np.ndarray]], SinkhornConfig]:
+    """The captured pairs and solver config. A capture made where the
+    config also named its ground cost (``cfg_cost``) replays only if that
+    cost is the Euclidean one this solver computes."""
     z = np.load(path)
-    cfg = SinkhornConfig(**{k[4:]: z[k].item() for k in z.files if k.startswith("cfg_")})
+    saved = {k[4:]: z[k].item() for k in z.files if k.startswith("cfg_")}
+    cost = saved.pop("cost", "euclidean")
+    if cost != "euclidean":
+        raise SystemExit(f"{path} was captured with cost {cost!r}; this solver "
+                         "computes the Euclidean cost only")
+    cfg = SinkhornConfig(**{f.name: saved[f.name] for f in fields(SinkhornConfig)})
     a_at = np.cumsum(z["n1"])[:-1]
     b_at = np.cumsum(z["n0"])[:-1]
     return list(zip(np.split(z["A"], a_at), np.split(z["B"], b_at))), cfg
