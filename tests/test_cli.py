@@ -282,8 +282,9 @@ def test_evaluate_checkpoint_whose_heads_do_not_fit_its_outcome_kind_exits_1(
     ("clip_events", -1, "clip_events must be nonnegative, not -1"),
     ("config", None, "config must be a TrainConfig or its JSON object, not None"),
     ("history", None, "history must be a list, not None"),
-    ("history", [3], "history[0] must be a JSON object, not 3"),
-    ("history", [], "history is empty"),
+    pytest.param("history", [3], "history[0] must be a JSON object, not 3",
+                 id="history-entry-3"),
+    pytest.param("history", [], "history is empty", id="history-empty"),
 ])
 def test_evaluate_checkpoint_with_a_bad_scalar_exits_1(
         tmp_path, sim_config, train_config, capsys, key, value, message):
@@ -299,7 +300,7 @@ def test_evaluate_checkpoint_with_a_bad_scalar_exits_1(
     ("val_eps_p", None, "val_eps_p must be a number, not None"),
     ("epoch", 1.5, "epoch must be an integer, not 1.5"),
     ("epoch", 0, "epoch must be at least 1, not 0"),
-    ("l_fo", [1], "l_fo must be a number, not [1]"),
+    pytest.param("l_fo", [1], "l_fo must be a number, not [1]", id="l_fo-list"),
     ("l_imb", float("nan"), "l_imb must be finite, not nan"),
     ("omega_d", float("inf"), "omega_d must be finite, not inf"),
     ("l_foo", 1.0, "unknown entry 'l_foo'"),
@@ -385,7 +386,8 @@ def _set_net_entry(path, value):
     (("net_rmse",), [1, 2], "net_rmse"),
     (("net", "specs"), "x", "net.specs"),
     (("net_rmse", "specs", "pi"), [3], "net_rmse.specs.pi"),
-])
+], ids=["net-string", "net-list", "net_rmse-string", "net_rmse-list",
+        "net.specs-string", "net_rmse.specs.pi-list"])
 def test_evaluate_checkpoint_whose_net_is_not_an_object_exits_1(
         tmp_path, sim_config, train_config, capsys, path, value, name):
     data_path, ckpt_path = _trained(tmp_path, sim_config, train_config)
@@ -489,7 +491,7 @@ def test_bench_rejects_non_integer_int_fields(tmp_path, capsys, path, value):
     ("train.beta", float("inf"), "inf"),
     ("sim.sigma_scale", float("inf"), "inf"),
     ("split.train_frac", float("nan"), "nan"),
-    ("kl_levels", [0.5, float("-inf")], "-inf"),
+    pytest.param("kl_levels", [0.5, float("-inf")], "-inf", id="kl_levels--inf"),
 ])
 def test_bench_rejects_non_finite_float_fields(tmp_path, capsys, path, value, shown):
     cfg = _write(tmp_path / "exp.json", _bench_doc(**{path: value}))

@@ -76,7 +76,7 @@ def test_null_keeps_its_meaning_where_the_field_is_nullable():
     assert ExperimentConfig(kl_levels=None).kl_levels is None
 
 
-@pytest.mark.parametrize("value", [True, "a", [1.0], None])
+@pytest.mark.parametrize("value", [True, "a", pytest.param([1.0], id="list"), None])
 def test_float_fields_and_kl_levels_take_numbers_only(value):
     shown = re.escape(repr(value))
     with pytest.raises(ValueError, match=f"learning_rate must be a number, not {shown}"):
@@ -99,7 +99,7 @@ def test_a_field_bounded_not_finite_takes_any_float(value):
         EpochStats(**_EPOCH | {"l_fo": value})
 
 
-@pytest.mark.parametrize("value", [True, "a", [1.0], None])
+@pytest.mark.parametrize("value", [True, "a", pytest.param([1.0], id="list"), None])
 def test_a_field_bounded_not_finite_still_takes_numbers_only(value):
     with pytest.raises(ValueError, match="val_rmse must be a number"):
         EpochStats(**_EPOCH | {"val_rmse": value})
