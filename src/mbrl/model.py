@@ -91,8 +91,11 @@ LAYOUT = ("eps_d", "pi", "phi", "f0", "f1", "eps_y")
 class MBRLNet:
     """Encoder, discriminator, outcome heads and the two free scalars.
 
-    A net is its four specs and one float64 vector ``params``, laid out in
-    ``LAYOUT`` order, a subnet's block in ``ParamSet.tensors()`` order. The
+    A net is its four specs (``net_specs``'s, from a config) and one
+    float64 vector ``params``, laid out in ``LAYOUT`` order, a subnet's
+    block in ``ParamSet.tensors()`` order. Construction checks what a
+    checkpoint supplies: the outcome kind, that ``params`` is finite and
+    has the specs' length, and the input transform. The
     net keeps its own copy of the vector it is given; the ParamSets
     ``phi``, ``pi``, ``f0``, ``f1``, the 0-d scalars ``eps_y``/``eps_d`` and
     the ``blocks`` slices are views of that copy, made with the net. So every
@@ -122,25 +125,8 @@ class MBRLNet:
     blocks: dict[str, slice] = field(init=False, repr=False)  # of ``params``
 
     def __post_init__(self):
-        rep = self.phi_spec.output_width
-        for name in SUBNETS[1:]:  # the consumers of the representation
-            spec = getattr(self, f"{name}_spec")
-            if spec.input_width != rep:
-                raise ValueError(f"{name} input width must equal the "
-                                 f"representation width {rep}")
-            if spec.output_width != 1:
-                raise ValueError(f"{name} must have 1 output, not {spec.output_width}")
-        if self.pi_spec.output_activation != "sigmoid":
-            raise ValueError(f"pi must have a sigmoid output, not "
-                             f"{self.pi_spec.output_activation!r}")
         if self.outcome_kind not in OUTCOME_KINDS:
             raise ValueError(f"unknown outcome_kind {self.outcome_kind!r}")
-        head_out = head_activation(self.outcome_kind)
-        for name in ("f0", "f1"):
-            out = getattr(self, f"{name}_spec").output_activation
-            if out != head_out:
-                raise ValueError(f"{name} of a {self.outcome_kind} net must have "
-                                 f"output {head_out!r}, not {out!r}")
         sizes = [getattr(self, f"{n}_spec").n_params if n in SUBNETS else 1
                  for n in LAYOUT]
         ends = np.cumsum(sizes).tolist()
@@ -240,20 +226,28 @@ class TrainConfig:
         self.sinkhorn = nested_record("sinkhorn", self.sinkhorn, SinkhornConfig)
 
 
+def net_specs(n_covariates: int, outcome_kind: str,
+              cfg: TrainConfig) -> dict[str, nn.NetSpec]:
+    """The one statement of a net's architecture: its four specs for
+    s-dimensional covariates, keyed as ``MBRLNet``'s fields. pi, f0 and f1
+    read the representation phi outputs and each has one output: pi's a
+    sigmoid, the heads' ``head_activation(outcome_kind)``."""
+    rep = cfg.phi_width
+    head_spec = nn.NetSpec((rep, *([cfg.head_width] * cfg.head_depth), 1),
+                           output_activation=head_activation(outcome_kind))
+    return {"phi_spec": nn.NetSpec((n_covariates, *([rep] * cfg.phi_depth))),
+            "pi_spec": nn.NetSpec((rep, *([cfg.pi_width] * cfg.pi_depth), 1),
+                                  output_activation="sigmoid"),
+            "f0_spec": head_spec, "f1_spec": head_spec}
+
+
 def build_net(n_covariates: int, outcome_kind: str, cfg: TrainConfig, seed: int,
               input_mean: np.ndarray | None = None,
               input_scale: np.ndarray | None = None) -> MBRLNet:
     """Construct a freshly initialized network for s-dimensional covariates."""
     children = np.random.SeedSequence(seed).spawn(4)
     seeds = [int(c.generate_state(1)[0]) for c in children]
-    rep = cfg.phi_width
-    phi_spec = nn.NetSpec((n_covariates, *([cfg.phi_width] * cfg.phi_depth)))
-    pi_spec = nn.NetSpec((rep, *([cfg.pi_width] * cfg.pi_depth), 1),
-                         output_activation="sigmoid")
-    head_spec = nn.NetSpec((rep, *([cfg.head_width] * cfg.head_depth), 1),
-                           output_activation=head_activation(outcome_kind))
-    specs = {"phi_spec": phi_spec, "pi_spec": pi_spec,
-             "f0_spec": head_spec, "f1_spec": head_spec}
+    specs = net_specs(n_covariates, outcome_kind, cfg)
     # The net copies this read-only zero vector into its own; each subnet's
     # draws are written into their views of it and dropped before the next
     # subnet is drawn.
@@ -535,9 +529,12 @@ def selected_epoch(history: Sequence[EpochStats], rule: str) -> int | None:
 class Checkpoint:
     """What ``fit`` returns: its config, history and clip count, and the nets
     at the end of the epochs ``selected_epoch`` picks under the run's rule
-    (``net``) and under RMSE (``net_rmse``). Construction rejects an empty
-    history, epochs other than 1..n in order, and a history in which a rule
-    it derives has no finite score.
+    (``net``) and under RMSE (``net_rmse``). Construction rejects a net
+    whose specs are not ``net_specs``'s for the config, a ``net_rmse`` whose
+    outcome kind or input transform is not ``net``'s, an empty history,
+    epochs other than 1..n in order, and a history in which a rule it
+    derives has no finite score. So a checkpoint that stores these facts
+    once round-trips every field.
     """
 
     net: MBRLNet
@@ -557,6 +554,17 @@ class Checkpoint:
 
     def __post_init__(self):
         check_fields(self)
+        ref = self.net
+        specs = net_specs(ref.phi_spec.input_width, ref.outcome_kind, self.config)
+        for name in ("net", "net_rmse"):
+            net = getattr(self, name)
+            if any(getattr(net, key) != spec for key, spec in specs.items()):
+                raise ValueError(f"{name} has other specs than the config's net_specs")
+            if (net.outcome_kind != ref.outcome_kind
+                    or not np.array_equal(net.input_mean, ref.input_mean)
+                    or not np.array_equal(net.input_scale, ref.input_scale)):
+                raise ValueError(f"{name} has another outcome kind or input "
+                                 f"transform than net")
         if not self.history:
             raise ValueError("history is empty")
         for i, stats in enumerate(self.history):
@@ -641,17 +649,9 @@ def fit(train: Dataset, val: Dataset, cfg: TrainConfig) -> Checkpoint:
 # =========================================================================
 
 CHECKPOINT_FORMAT = "mbrl-checkpoint"
-CHECKPOINT_VERSION = 5
-
-
-def _net_to_dict(net: MBRLNet) -> dict:
-    return {
-        "outcome_kind": net.outcome_kind,
-        "input_mean": net.input_mean.tolist(),
-        "input_scale": net.input_scale.tolist(),
-        "specs": {name: asdict(getattr(net, f"{name}_spec")) for name in SUBNETS},
-        "params": net.params.tolist(),
-    }
+CHECKPOINT_VERSION = 6
+# The facts both nets share, stored once beside their parameter vectors.
+SHARED_NET_FIELDS = ("outcome_kind", "input_mean", "input_scale")
 
 
 def _json_object(name: str, value) -> dict:
@@ -660,40 +660,30 @@ def _json_object(name: str, value) -> dict:
     return value
 
 
-def _net_from_dict(name: str, d) -> MBRLNet:
-    """The net a checkpoint holds under ``name``; ValueError names the
-    entry that is not a JSON object or holds an unknown key."""
-    reject_unknown(_json_object(name, d),
-                   ("outcome_kind", "input_mean", "input_scale", "specs", "params"), name)
-    specs = _json_object(f"{name}.specs", d["specs"])
-    reject_unknown(specs, SUBNETS, f"{name}.specs")
-    built = {}
-    for sub in SUBNETS:
-        block = f"{name}.specs.{sub}"
-        built[f"{sub}_spec"] = nested_record(block, _json_object(block, specs[sub]),
-                                             nn.NetSpec)
-    return MBRLNet(**built, params=d["params"], outcome_kind=d["outcome_kind"],
-                   input_mean=d["input_mean"], input_scale=d["input_scale"])
-
-
 def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
     """Write every ``Checkpoint`` field to one JSON document at ``path``,
-    beside the format and version: each net as ``_net_to_dict``, the config
-    and each epoch's stats as their dicts."""
+    beside the format and version: the config and each epoch's stats as
+    their dicts, the outcome kind and input transform the nets share once,
+    and each net as its ``params`` list. No spec is stored: ``Checkpoint``
+    holds nets built from ``net_specs`` of its config."""
+    net = ckpt.net
     doc = {f.name: getattr(ckpt, f.name) for f in fields(Checkpoint)}
     doc.update(format=CHECKPOINT_FORMAT, version=CHECKPOINT_VERSION,
-               net=_net_to_dict(ckpt.net), net_rmse=_net_to_dict(ckpt.net_rmse))
+               outcome_kind=net.outcome_kind, input_mean=net.input_mean.tolist(),
+               input_scale=net.input_scale.tolist(),
+               net=net.params.tolist(), net_rmse=ckpt.net_rmse.params.tolist())
     Path(path).write_text(json.dumps(doc, sort_keys=True, default=asdict))
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
-    """Read the checkpoint ``save_checkpoint`` wrote: one version-5 JSON
-    document of the ``Checkpoint`` fields, each net its outcome kind, input
-    transform, four specs and one ``params`` list in ``LAYOUT`` order.
-    Any failure raises ValueError naming the file and the entry, block or
-    field: not a JSON object, another format or version, a missing or
-    unknown entry, or a net, config, history entry or checkpoint its
-    constructor rejects."""
+    """Read the checkpoint ``save_checkpoint`` wrote: one version-6 JSON
+    document of the config, history and clip count, the nets' outcome kind
+    and input transform, and each net's ``params`` list in ``LAYOUT``
+    order; both nets are built from ``net_specs`` of the config. Any
+    failure raises ValueError naming the file and the entry, net or field:
+    not a JSON object, another format or version, a missing or unknown
+    entry, or a net, config, history entry or checkpoint its constructor
+    rejects."""
     path = Path(path)
     try:
         doc = json.loads(path.read_text())
@@ -708,8 +698,9 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
                          f"in {path}: this code reads version {CHECKPOINT_VERSION}")
     try:
         names = [f.name for f in fields(Checkpoint)]
-        reject_unknown(doc, ("format", "version", *names))
+        reject_unknown(doc, ("format", "version", *names, *SHARED_NET_FIELDS))
         record = {name: doc[name] for name in names}
+        shared = {key: doc[key] for key in SHARED_NET_FIELDS}
         history = record["history"]
         if not isinstance(history, list):
             raise ValueError(f"history must be a list, not {history!r}")
@@ -719,9 +710,14 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
                 history[i] = nested_record(None, entry, EpochStats)
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"history[{i}]: {exc}") from exc
-        record.update(net=_net_from_dict("net", record["net"]),
-                      net_rmse=_net_from_dict("net_rmse", record["net_rmse"]),
-                      config=nested_record("config", record["config"], TrainConfig))
+        record["config"] = nested_record("config", record["config"], TrainConfig)
+        specs = net_specs(np.size(shared["input_mean"]), shared["outcome_kind"],
+                          record["config"])
+        for name in ("net", "net_rmse"):
+            try:
+                record[name] = MBRLNet(**specs, params=record[name], **shared)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{name}: {exc}") from exc
         return Checkpoint(**record)
     except KeyError as exc:
         raise ValueError(f"malformed checkpoint {path}: missing entry {exc}") from exc

@@ -217,22 +217,42 @@ def test_evaluate_malformed_checkpoint_exits_1(tmp_path, sim_config,
                                                train_config, capsys):
     data_path, ckpt_path = _trained(tmp_path, sim_config, train_config)
     code, err = _evaluate_edited(data_path, ckpt_path,
-                                 lambda doc: doc["net"]["specs"].pop("phi"), capsys)
+                                 lambda doc: doc.pop("input_mean"), capsys)
     assert code == 1
-    assert f"malformed checkpoint {ckpt_path}: missing entry 'phi'" in err
+    assert f"malformed checkpoint {ckpt_path}: missing entry 'input_mean'" in err
 
 
 def test_evaluate_non_finite_checkpoint_exits_1(tmp_path, sim_config,
                                                 train_config, capsys):
+    # In either net, whose name the error gives; looped over, not
+    # parametrized, so the case keeps its id.
     data_path, ckpt_path = _trained(tmp_path, sim_config, train_config)
     f1_w0 = load_checkpoint(ckpt_path).net.blocks["f1"].start  # f1.W0[0, 0]
+    good = ckpt_path.read_text()
+    for name in ("net", "net_rmse"):
+        ckpt_path.write_text(good)
 
-    def edit(doc):
-        doc["net"]["params"][f1_w0] = float("nan")
+        def edit(doc):
+            doc[name][f1_w0] = float("nan")
 
-    code, err = _evaluate_edited(data_path, ckpt_path, edit, capsys)
+        code, err = _evaluate_edited(data_path, ckpt_path, edit, capsys)
+        assert code == 1
+        assert (f"malformed checkpoint {ckpt_path}: {name}: f1 has non-finite "
+                f"parameters") in err
+
+
+@pytest.mark.parametrize("field,value", [("phi_width", 77), ("head_depth", 9)])
+def test_evaluate_checkpoint_whose_config_was_edited_exits_1(
+        tmp_path, sim_config, train_config, capsys, field, value):
+    # The nets are built from the config's architecture, so an edited depth
+    # or width no longer lays out the saved parameter vectors.
+    data_path, ckpt_path = _trained(tmp_path, sim_config, train_config)
+    n = len(json.loads(ckpt_path.read_text())["net"])
+    code, err = _evaluate_edited(data_path, ckpt_path,
+                                 lambda doc: doc["config"].update({field: value}), capsys)
     assert code == 1
-    assert f"malformed checkpoint {ckpt_path}: f1 has non-finite parameters" in err
+    assert (f"malformed checkpoint {ckpt_path}: net: params has shape ({n},); "
+            f"the specs lay out (") in err
 
 
 def test_evaluate_version_1_checkpoint_exits_1(tmp_path, sim_config,
@@ -240,45 +260,20 @@ def test_evaluate_version_1_checkpoint_exits_1(tmp_path, sim_config,
     # Files of older versions (1: per-tensor nested lists; 2: a sidecar
     # beside the nets; 3: the selected epochs, scores, rule and beta stored
     # beside the history and config they derive from; 4: specs naming their
-    # hidden activation, a config naming eps_clip and a Sinkhorn cost) are
+    # hidden activation, a config naming eps_clip and a Sinkhorn cost; 5:
+    # each net stored its own specs, outcome kind and input transform) are
     # rejected, not read.
     data_path, ckpt_path = _trained(tmp_path, sim_config, train_config)
-    for version in (1, 2, 3, 4):
+    for version in (1, 2, 3, 4, 5):
         code, err = _evaluate_edited(data_path, ckpt_path,
                                      lambda doc: doc.update(version=version), capsys)
         assert code == 1
         assert (f"unsupported checkpoint version {version} in {ckpt_path}: "
-                f"this code reads version 5") in err
-
-
-def _outcome_kind_foo(doc):
-    doc["net"]["outcome_kind"] = "foo"
-
-
-def _sigmoid_f1_on_continuous(doc):
-    doc["net_rmse"]["specs"]["f1"]["output_activation"] = "sigmoid"
-
-
-def _identity_heads_on_binary(doc):
-    doc["net"]["outcome_kind"] = "binary"
-
-
-@pytest.mark.parametrize("edit,message", [
-    (_outcome_kind_foo, "unknown outcome_kind 'foo'"),
-    (_sigmoid_f1_on_continuous,
-     "f1 of a continuous net must have output 'identity', not 'sigmoid'"),
-    (_identity_heads_on_binary,
-     "f0 of a binary net must have output 'sigmoid', not 'identity'"),
-])
-def test_evaluate_checkpoint_whose_heads_do_not_fit_its_outcome_kind_exits_1(
-        tmp_path, sim_config, train_config, capsys, edit, message):
-    data_path, ckpt_path = _trained(tmp_path, sim_config, train_config)
-    code, err = _evaluate_edited(data_path, ckpt_path, edit, capsys)
-    assert code == 1
-    assert f"malformed checkpoint {ckpt_path}: {message}" in err
+                f"this code reads version 6") in err
 
 
 @pytest.mark.parametrize("key,value,message", [
+    ("outcome_kind", "foo", "net: unknown outcome_kind 'foo'"),
     ("clip_events", -1, "clip_events must be nonnegative, not -1"),
     ("config", None, "config must be a TrainConfig or its JSON object, not None"),
     ("history", None, "history must be a list, not None"),
@@ -347,21 +342,15 @@ def test_evaluate_checkpoint_whose_history_selects_no_epoch_exits_1(
 @pytest.mark.parametrize("edit,entry", [
     (lambda doc: doc.update(best_epoch=99), "'best_epoch'"),
     (lambda doc: doc.update(selection="rmse", beta=1.0), "'beta'"),
-    (lambda doc: doc["net"].update(best_val_rmse=0.5), "'best_val_rmse' in net"),
-    (lambda doc: doc["net_rmse"]["specs"].update(g0=doc["net_rmse"]["specs"]["f0"]),
-     "'g0' in net_rmse.specs"),
-    (lambda doc: doc["net"]["specs"]["phi"].update(hidden_activation="elu"),
-     "'hidden_activation' in net.specs.phi"),
     (lambda doc: doc["config"].update(eps_clip=100.0), "'eps_clip' in config"),
     (lambda doc: doc["config"]["sinkhorn"].update(cost="euclidean"),
      "'cost' in sinkhorn"),
-], ids=["top-level", "first-of-two", "net", "net-specs", "spec-hidden_activation",
-        "config-eps_clip", "sinkhorn-cost"])
+], ids=["top-level", "first-of-two", "config-eps_clip", "sinkhorn-cost"])
 def test_evaluate_checkpoint_with_an_unknown_entry_exits_1(
         tmp_path, sim_config, train_config, capsys, edit, entry):
     # A key the loader would not read is named, not ignored: a leftover
     # best_epoch would otherwise look stored while the history decides.
-    # Version-4 files held the last three; a version-5 file naming one is
+    # Version-4 files held the last two; a version-6 file naming one is
     # rejected like any other unknown key.
     data_path, ckpt_path = _trained(tmp_path, sim_config, train_config)
     code, err = _evaluate_edited(data_path, ckpt_path, edit, capsys)
@@ -369,32 +358,20 @@ def test_evaluate_checkpoint_with_an_unknown_entry_exits_1(
     assert f"malformed checkpoint {ckpt_path}: unknown entry {entry}" in err
 
 
-def _set_net_entry(path, value):
-    def edit(doc):
-        *parents, key = path
-        target = doc
-        for parent in parents:
-            target = target[parent]
-        target[key] = value
-    return edit
-
-
-@pytest.mark.parametrize("path,value,name", [
-    (("net",), "abc", "net"),
-    (("net",), [1, 2], "net"),
-    (("net_rmse",), "abc", "net_rmse"),
-    (("net_rmse",), [1, 2], "net_rmse"),
-    (("net", "specs"), "x", "net.specs"),
-    (("net_rmse", "specs", "pi"), [3], "net_rmse.specs.pi"),
-], ids=["net-string", "net-list", "net_rmse-string", "net_rmse-list",
-        "net.specs-string", "net_rmse.specs.pi-list"])
-def test_evaluate_checkpoint_whose_net_is_not_an_object_exits_1(
-        tmp_path, sim_config, train_config, capsys, path, value, name):
+@pytest.mark.parametrize("name,value,message", [
+    ("net", "abc", "could not convert string to float: 'abc'"),
+    ("net", [[0.5]], "params has shape (1, 1); the specs lay out"),
+    ("net_rmse", {"params": [0.5]}, "float() argument must be a string or a real "
+                                    "number, not 'dict'"),
+    ("net_rmse", None, "params has shape (); the specs lay out"),
+], ids=["net-string", "net-list", "net_rmse-object", "net_rmse-null"])
+def test_evaluate_checkpoint_whose_net_is_not_a_parameter_list_exits_1(
+        tmp_path, sim_config, train_config, capsys, name, value, message):
     data_path, ckpt_path = _trained(tmp_path, sim_config, train_config)
-    code, err = _evaluate_edited(data_path, ckpt_path, _set_net_entry(path, value), capsys)
+    code, err = _evaluate_edited(data_path, ckpt_path,
+                                 lambda doc: doc.update({name: value}), capsys)
     assert code == 1
-    assert (f"malformed checkpoint {ckpt_path}: {name} must be a JSON object, "
-            f"not {value!r}") in err
+    assert f"malformed checkpoint {ckpt_path}: {name}: {message}" in err
 
 
 def test_evaluate_checkpoint_with_a_non_finite_validation_score_exits_0(

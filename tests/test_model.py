@@ -274,6 +274,27 @@ def test_build_net_draws_into_the_nets_own_vector():
     assert _traced_peak(build) < 2 * build().params.nbytes
 
 
+@pytest.mark.parametrize("outcome_kind,head", [("continuous", "identity"),
+                                               ("binary", "sigmoid")])
+def test_net_specs_fit_the_representation_and_outcome_kind(outcome_kind, head):
+    # The one statement of a net's architecture, which build_net and
+    # load_checkpoint both take: pi, f0 and f1 read phi's output, each has
+    # one output, pi's a sigmoid and the heads' the outcome kind's.
+    cfg = TrainConfig(phi_depth=2, phi_width=7, pi_depth=3, pi_width=5,
+                      head_depth=1, head_width=4)
+    specs = model.net_specs(3, outcome_kind, cfg)
+    assert list(specs) == [f"{name}_spec" for name in model.SUBNETS]
+    assert specs["phi_spec"] == nn.NetSpec((3, 7, 7))
+    for name in ("pi", "f0", "f1"):
+        assert specs[f"{name}_spec"].input_width == specs["phi_spec"].output_width
+        assert specs[f"{name}_spec"].output_width == 1
+    assert specs["pi_spec"] == nn.NetSpec((7, 5, 5, 5, 1), output_activation="sigmoid")
+    assert specs["f0_spec"] == specs["f1_spec"] == nn.NetSpec(
+        (7, 4, 1), output_activation=head)
+    net = build_net(3, outcome_kind, cfg, seed=0)
+    assert all(getattr(net, key) == spec for key, spec in specs.items())
+
+
 def test_nets_and_checkpoints_compare_without_raising():
     # Nets compare by identity (their arrays have no single truth value); a
     # checkpoint compares field by field, its nets by identity.
@@ -897,10 +918,13 @@ def test_checkpoint_round_trip(tmp_path):
     ckpt = fit(tr, va, replace(TINY, epochs=2))
     path = tmp_path / "ckpt.json"
     save_checkpoint(ckpt, path)
-    # The file stores the nets, config, history and clip count; the selected
-    # epochs, their scores, the rule and beta are derived from them.
+    # The file stores each net's parameter vector, the outcome kind and input
+    # transform they share, the config, history and clip count; the specs,
+    # the selected epochs, their scores, the rule and beta are derived.
     assert set(json.loads(path.read_text())) == {
-        "format", "version", "net", "net_rmse", "history", "config", "clip_events"}
+        "format", "version", "config", "history", "clip_events", "outcome_kind",
+        "input_mean", "input_scale", "net", "net_rmse"}
+    assert "specs" not in path.read_text()
     back = load_checkpoint(path)
     assert back.config == ckpt.config
     assert back.history == ckpt.history
@@ -912,6 +936,10 @@ def test_checkpoint_round_trip(tmp_path):
     # exactly, for both selection rules
     for net, net_back in ((ckpt.net, back.net), (ckpt.net_rmse, back.net_rmse)):
         assert net_back.params.tobytes() == net.params.tobytes()
+        for name in (*(f"{sub}_spec" for sub in model.SUBNETS), "outcome_kind"):
+            assert getattr(net_back, name) == getattr(net, name), name
+        for name in ("input_mean", "input_scale"):
+            assert getattr(net_back, name).tobytes() == getattr(net, name).tobytes()
         a = predict(net, te.covariates)
         b = predict(net_back, te.covariates)
         for x, y in zip(a, b):
@@ -935,6 +963,33 @@ def test_checkpoint_rejects_a_history_that_selects_no_epoch(history, message):
     with pytest.raises(ValueError, match=message):
         model.Checkpoint(net=net, net_rmse=net, history=history, config=TINY,
                          clip_events=0)
+
+
+@pytest.mark.parametrize("name", ["net", "net_rmse"])
+def test_checkpoint_rejects_a_net_built_from_another_config(name):
+    # The file stores the config, not the specs, so a checkpoint holds only
+    # nets whose specs the config gives.
+    nets = {"net": _tiny_net(), "net_rmse": _tiny_net(seed=1)}
+    nets[name] = build_net(3, "continuous", replace(TINY, phi_width=7), seed=0)
+    with pytest.raises(ValueError, match=rf"^{name} has other specs than the "
+                                         rf"config's net_specs$"):
+        model.Checkpoint(**nets, history=[_stats(1)], config=TINY, clip_events=0)
+
+
+@pytest.mark.parametrize("edit", [
+    pytest.param(lambda net: replace(net, input_mean=net.input_mean + 1.0),
+                 id="input_mean"),
+    pytest.param(lambda net: replace(net, input_scale=2.0 * net.input_scale),
+                 id="input_scale"),
+    pytest.param(lambda net: replace(net, outcome_kind="binary"), id="outcome_kind"),
+])
+def test_checkpoint_rejects_a_net_rmse_unlike_net(edit):
+    # The file stores the outcome kind and input transform once, for both.
+    net = _tiny_net()
+    with pytest.raises(ValueError, match="^net_rmse has another outcome kind or "
+                                         "input transform than net$"):
+        model.Checkpoint(net=net, net_rmse=edit(net), history=[_stats(1)],
+                         config=TINY, clip_events=0)
 
 
 @pytest.mark.parametrize("outcome_kind,beta,derived", [
@@ -1019,49 +1074,57 @@ def _corrupt(path, edit):
 
 
 def _layout(doc):
-    # The index in the saved net's params list of each of its parameters,
-    # by block: a ParamSet per subnet, a 0-d array per scalar.
-    net = model.MBRLNet(**{f"{name}_spec": nn.NetSpec(**spec)
-                           for name, spec in doc["net"]["specs"].items()},
-                        params=doc["net"]["params"])
+    # The index in a saved net's params list of each of its parameters, by
+    # block: a ParamSet per subnet, a 0-d array per scalar.
+    specs = model.net_specs(len(doc["input_mean"]), doc["outcome_kind"],
+                            TrainConfig(**doc["config"]))
+    net = model.MBRLNet(**specs, params=doc["net"])
     return net.views_of(np.arange(net.params.size))
 
 
 def test_load_checkpoint_rejects_misshaped_tensor(tmp_path):
-    # A params list one entry short or one too long for its specs.
+    # A params list one entry short or one too long for the config's specs,
+    # in either net; the error names the net. The nets are looped over, not
+    # parametrized, so the case keeps its id.
     path = _saved_checkpoint(tmp_path)
     good = path.read_text()
-    n = len(json.loads(good)["net"]["params"])
-    for edit, size in ((list.pop, n - 1), (lambda p: p.append(0.0), n + 1)):
-        path.write_text(good)
-        _corrupt(path, lambda doc: edit(doc["net"]["params"]))
-        with pytest.raises(ValueError, match=rf"ckpt\.json: params has shape "
-                                             rf"\({size},\); the specs lay out "
-                                             rf"\({n},\)$"):
-            load_checkpoint(path)
+    n = len(json.loads(good)["net"])
+    for name in ("net", "net_rmse"):
+        for edit, size in ((list.pop, n - 1), (lambda p: p.append(0.0), n + 1)):
+            path.write_text(good)
+            _corrupt(path, lambda doc: edit(doc[name]))
+            with pytest.raises(ValueError, match=rf"ckpt\.json: {name}: params has "
+                                                 rf"shape \({size},\); the specs lay "
+                                                 rf"out \({n},\)$"):
+                load_checkpoint(path)
 
 
-def _nan_in_f1_w0(doc):
-    doc["net"]["params"][_layout(doc)["f1"].weights[0][0, 0]] = float("nan")
+def _nan_in_f1_w0(doc, name):
+    doc[name][_layout(doc)["f1"].weights[0][0, 0]] = float("nan")
 
 
-def _inf_in_phi_b1(doc):
-    doc["net"]["params"][_layout(doc)["phi"].biases[1][2]] = float("inf")
+def _inf_in_phi_b1(doc, name):
+    doc[name][_layout(doc)["phi"].biases[1][2]] = float("inf")
 
 
-def _minus_inf_eps_d(doc):
-    doc["net"]["params"][_layout(doc)["eps_d"]] = float("-inf")
+def _minus_inf_eps_d(doc, name):
+    doc[name][_layout(doc)["eps_d"]] = float("-inf")
 
 
 @pytest.mark.parametrize("edit,block", [
     (_nan_in_f1_w0, "f1"), (_inf_in_phi_b1, "phi"), (_minus_inf_eps_d, "eps_d"),
 ])
 def test_load_checkpoint_rejects_non_finite_parameters(tmp_path, edit, block):
+    # In either net, whose name the error gives.
     path = _saved_checkpoint(tmp_path)
-    _corrupt(path, edit)
-    with pytest.raises(ValueError, match=rf"^malformed checkpoint .*ckpt\.json: "
-                                         rf"{block} has non-finite parameters$"):
-        load_checkpoint(path)
+    good = path.read_text()
+    for name in ("net", "net_rmse"):
+        path.write_text(good)
+        _corrupt(path, lambda doc: edit(doc, name))
+        with pytest.raises(ValueError, match=rf"^malformed checkpoint .*ckpt\.json: "
+                                             rf"{name}: {block} has non-finite "
+                                             rf"parameters$"):
+            load_checkpoint(path)
 
 
 @pytest.mark.parametrize("field,value", [
@@ -1071,44 +1134,12 @@ def test_load_checkpoint_rejects_non_finite_input_transform(tmp_path, field, val
     path = _saved_checkpoint(tmp_path)
 
     def edit(doc):
-        doc["net"][field][0] = value
+        doc[field][0] = value
 
     _corrupt(path, edit)
+    # The first net built from the shared transform names it.
     with pytest.raises(ValueError, match=rf"^malformed checkpoint .*ckpt\.json: "
-                                         rf"{field} has a non-finite entry$"):
-        load_checkpoint(path)
-
-
-def test_load_checkpoint_rejects_missing_tensor(tmp_path):
-    path = _saved_checkpoint(tmp_path)
-    _corrupt(path, lambda doc: doc["net"]["specs"].pop("f0"))
-    with pytest.raises(ValueError, match=r"ckpt\.json.*missing entry 'f0'"):
-        load_checkpoint(path)
-
-
-def _widen_f0_output(doc):
-    # A consistent f0 of 3 outputs: spec and params agree, the last layer's
-    # one row of weights and its bias each entered three times.
-    f0 = _layout(doc)["f0"]
-    params = doc["net"]["params"]
-    for last in (f0.biases[-1], f0.weights[-1][0]):  # the later block first
-        params[last[-1] + 1:last[-1] + 1] = 2 * params[last[0]:last[-1] + 1]
-    doc["net"]["specs"]["f0"]["layer_widths"][-1] = 3
-
-
-def _identity_pi_output(doc):
-    doc["net"]["specs"]["pi"]["output_activation"] = "identity"
-
-
-@pytest.mark.parametrize("edit,message", [
-    (_widen_f0_output, "f0 must have 1 output, not 3"),
-    (_identity_pi_output, "pi must have a sigmoid output, not 'identity'"),
-])
-def test_load_checkpoint_rejects_subnets_that_cannot_feed_their_consumers(
-        tmp_path, edit, message):
-    path = _saved_checkpoint(tmp_path)
-    _corrupt(path, edit)
-    with pytest.raises(ValueError, match=rf"ckpt\.json.*{message}"):
+                                         rf"net: {field} has a non-finite entry$"):
         load_checkpoint(path)
 
 
@@ -1116,15 +1147,11 @@ def test_load_checkpoint_rejects_missing_top_level_key(tmp_path):
     path = _saved_checkpoint(tmp_path)
     good = path.read_text()
     keys = set(json.loads(good)) - {"format", "version"}
-    assert keys == {f.name for f in fields(model.Checkpoint)}
+    assert keys == {f.name for f in fields(model.Checkpoint)} | {
+        "outcome_kind", "input_mean", "input_scale"}
     for key in sorted(keys):
         path.write_text(good)
         _corrupt(path, lambda doc: doc.pop(key))
-        with pytest.raises(ValueError, match=rf"ckpt\.json.*missing entry '{key}'"):
-            load_checkpoint(path)
-    for key in ("input_mean", "input_scale", "outcome_kind"):
-        path.write_text(good)
-        _corrupt(path, lambda doc: doc["net_rmse"].pop(key))
         with pytest.raises(ValueError, match=rf"ckpt\.json.*missing entry '{key}'"):
             load_checkpoint(path)
 

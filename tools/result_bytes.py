@@ -14,7 +14,8 @@ Prints one sorted line per item, computed under OPENBLAS_NUM_THREADS=1:
   3-epoch fit of a tiny net, for every ablation and both outcome kinds;
   two hashes of what ``load_checkpoint`` returns for it, which a change of
   the file format alone leaves alone: ``loaded=``, of the selected and
-  RMSE-selected nets' parameter bytes, and ``record=``, of canonical JSON
+  RMSE-selected nets whole (``net_bytes``), so a net rebuilt from what the
+  file stores shows as the net that was saved, and ``record=``, of canonical JSON
   (sorted keys, dataclasses as dicts) of the attributes named in
   ``RECORD``: the rule, beta, both selected epochs and their scores, the
   history and the clip count, stored or derived alike; ``config=``, of
@@ -74,6 +75,15 @@ def canonical_sha256(value) -> str:
     return sha256(json.dumps(value, sort_keys=True, default=asdict).encode())
 
 
+def net_bytes(net) -> bytes:
+    """A net whole: its parameter bytes, canonical JSON of its four specs
+    and outcome kind, and its input transform's bytes."""
+    specs = {name: asdict(getattr(net, f"{name}_spec")) for name in model.SUBNETS}
+    return (net.params.tobytes()
+            + json.dumps([specs, net.outcome_kind], sort_keys=True).encode()
+            + net.input_mean.tobytes() + net.input_scale.tobytes())
+
+
 def run_cli(argv: list[str]) -> str:
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
@@ -118,7 +128,7 @@ def tiny_lines(work: Path):
             model.save_checkpoint(
                 model.fit(train, val, replace(TINY, ablation=ablation, seed=3)), path)
             back = model.load_checkpoint(path)
-            loaded = back.net.params.tobytes() + back.net_rmse.params.tobytes()
+            loaded = net_bytes(back.net) + net_bytes(back.net_rmse)
             record = canonical_sha256({name: getattr(back, name) for name in RECORD})
             evaluate = run_cli(["evaluate", "--checkpoint", str(path),
                                 "--data", str(val_csv)])
