@@ -618,10 +618,13 @@ def test_bench_with_some_failed_replications_exits_0(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("changes,message", [
-    ({"source": "csv", "sim": None, "csv_path": "data.csv",
-      "outcome_kind": "bogus"}, "unknown outcome_kind 'bogus'"),
-    ({"outcome_kind": "binary"}, "continuous outcomes only"),
-    ({"kl_levels": []}, "kl_levels must be nonempty"),
+    pytest.param({"source": "csv", "sim": None, "csv_path": "data.csv",
+                  "outcome_kind": "bogus"}, "unknown outcome_kind 'bogus'",
+                 id="csv-outcome_kind-bogus"),
+    pytest.param({"outcome_kind": "binary"}, "continuous outcomes only",
+                 id="sim-outcome_kind-binary"),
+    pytest.param({"kl_levels": []}, "kl_levels must be nonempty",
+                 id="kl_levels-empty"),
 ])
 def test_bench_rejects_outcome_kind_and_empty_kl_levels(tmp_path, capsys,
                                                          changes, message):

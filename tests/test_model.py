@@ -951,12 +951,15 @@ def _stats(epoch, val_rmse=0.5, val_eps_p=0.6):
 
 
 @pytest.mark.parametrize("history,message", [
-    ([], "history is empty"),
-    ([_stats(1), _stats(3)], r"history\[1\] has epoch 3, not 2"),
-    ([_stats(1), _stats(1)], r"history\[1\] has epoch 1, not 2"),
-    ([_stats(1, val_eps_p=np.nan), _stats(2, val_eps_p=np.inf)],
-     "no history entry has a finite val_eps_p"),
-    ([_stats(1, val_rmse=np.nan)], "no history entry has a finite val_rmse"),
+    pytest.param([], "history is empty", id="empty"),
+    pytest.param([_stats(1), _stats(3)], r"history\[1\] has epoch 3, not 2",
+                 id="skipped-epoch"),
+    pytest.param([_stats(1), _stats(1)], r"history\[1\] has epoch 1, not 2",
+                 id="repeated-epoch"),
+    pytest.param([_stats(1, val_eps_p=np.nan), _stats(2, val_eps_p=np.inf)],
+                 "no history entry has a finite val_eps_p", id="no-finite-val_eps_p"),
+    pytest.param([_stats(1, val_rmse=np.nan)],
+                 "no history entry has a finite val_rmse", id="no-finite-val_rmse"),
 ])
 def test_checkpoint_rejects_a_history_that_selects_no_epoch(history, message):
     net = _tiny_net()
