@@ -29,6 +29,8 @@ CONSISTENCY_ATOL = 1e-8
 OUTCOME_NOISE_SD = 0.1
 ASSIGNMENT_NOISE_SD = 0.01
 ASSIGNMENT_WEIGHT_RANGE = 0.01
+# The simulator's covariance is SIGMA_SCALE * S S^T.
+SIGMA_SCALE = 0.5
 
 KL_MATCH_TOL = 1e-9  # largest accepted miss of simulate_at_kl's KL
 
@@ -194,7 +196,6 @@ class SimConfig:
     dim: int = bounded(10, at_least=1)
     mu1: np.ndarray | None = None
     mu0: np.ndarray | None = None
-    sigma_scale: float = bounded(0.5, positive=True)
     seed: int = bounded(0, at_least=0)
 
     def __post_init__(self):
@@ -243,7 +244,7 @@ def generate_simulation(
 ) -> tuple[Dataset, TrueModel]:
     """Draw a selection-biased linear-outcome dataset.
 
-    Covariates: treated ~ N(mu1, sigma_scale * S S^T), control ~ N(mu0, same),
+    Covariates: treated ~ N(mu1, SIGMA_SCALE * S S^T), control ~ N(mu0, same),
     with S uniform on (-1, 1). Potential outcomes are w_d^T z plus Gaussian
     noise; noiseless means are stored alongside. The returned TrueModel's
     propensity is the exact group-membership posterior given z. With equal
@@ -261,7 +262,7 @@ def generate_simulation(
         mixing = np.asarray(mixing, dtype=float)
         if mixing.shape != (dim, dim):
             raise ValueError(f"mixing must be {dim}x{dim}")
-    cov = cfg.sigma_scale * (mixing @ mixing.T)
+    cov = SIGMA_SCALE * (mixing @ mixing.T)
 
     z_treated = rng.multivariate_normal(cfg.mu1, cov, size=cfg.n_treated)
     z_control = rng.multivariate_normal(cfg.mu0, cov, size=cfg.n_control)
@@ -328,7 +329,7 @@ def simulate_at_kl(sim: SimConfig, level: float,
     """
     rng = np.random.default_rng(seed)
     mixing = rng.uniform(-1.0, 1.0, size=(sim.dim, sim.dim))
-    cov = sim.sigma_scale * (mixing @ mixing.T)
+    cov = SIGMA_SCALE * (mixing @ mixing.T)
     mu1 = kl_target_mu1(sim.mu1, sim.mu0, cov, level)
     realized = kl_selection_bias(mu1, sim.mu0, cov)
     if abs(realized - level) > KL_MATCH_TOL:

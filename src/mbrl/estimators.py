@@ -24,6 +24,8 @@ SCORE_KINDS = ("psi1", "psi2")
 PROBE_KINDS = ("psi1", "psi2", "plugin_naive")
 PROBE_DIRECTIONS = ("perturb_g", "perturb_m")
 BASELINE_KINDS = ("ols_lr1", "ols_lr2", "knn")
+# Neighbours the knn baseline averages.
+KNN_K = 5
 
 # Smooth bounded perturbation used by the orthogonality probe.
 PROBE_DELTA_SCALE = 0.1
@@ -247,23 +249,22 @@ def _lstsq(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, bool]:
 
 
 def _knn_means(source_z: np.ndarray, source_y: np.ndarray,
-               targets: np.ndarray, k: int) -> np.ndarray:
+               targets: np.ndarray) -> np.ndarray:
     d2 = (np.sum(targets * targets, axis=1)[:, None]
           + np.sum(source_z * source_z, axis=1)[None, :]
           - 2.0 * targets @ source_z.T)
-    k = min(k, source_z.shape[0])
+    k = min(KNN_K, source_z.shape[0])
     nearest = np.argpartition(d2, k - 1, axis=1)[:, :k]
     return source_y[nearest].mean(axis=1)
 
 
-def fit_baseline(kind: str, train: Dataset,
-                 k: int = 5) -> Callable[[Dataset], BaselineResult]:
+def fit_baseline(kind: str, train: Dataset) -> Callable[[Dataset], BaselineResult]:
     """Fit a classical reference estimator on ``train`` once; the returned
     function evaluates it on any dataset with the same covariate width.
 
     ols_lr1: one least-squares fit on [z, d]; the ITE is the (constant)
     treatment coefficient. ols_lr2: separate fits per treatment arm.
-    knn: the counterfactual outcome is the mean of the k nearest
+    knn: the counterfactual outcome is the mean of the KNN_K nearest
     opposite-arm training units (euclidean distance on z).
     """
     if kind not in BASELINE_KINDS:
@@ -297,14 +298,11 @@ def fit_baseline(kind: str, train: Dataset,
             y0_hat = Xe @ beta0
             return y0_hat, y1_hat, np.where(data.treatment == 1, y1_hat, y0_hat)
     else:
-        if k < 1:
-            raise ValueError("k must be at least 1")
-
         def outcomes(data: Dataset):
             de = data.treatment
             ye = data.outcome_factual
-            imput1 = _knn_means(Zt[treated], yt[treated], data.covariates, k)
-            imput0 = _knn_means(Zt[~treated], yt[~treated], data.covariates, k)
+            imput1 = _knn_means(Zt[treated], yt[treated], data.covariates)
+            imput0 = _knn_means(Zt[~treated], yt[~treated], data.covariates)
             # The same-arm k-NN mean is used only for factual-fit reporting.
             return (np.where(de == 0, ye, imput0), np.where(de == 1, ye, imput1),
                     np.where(de == 1, imput1, imput0))
@@ -320,7 +318,6 @@ def fit_baseline(kind: str, train: Dataset,
     return evaluate
 
 
-def baseline(kind: str, train: Dataset, eval_data: Dataset,
-             k: int = 5) -> BaselineResult:
-    """``fit_baseline(kind, train, k)`` evaluated on ``eval_data``."""
-    return fit_baseline(kind, train, k)(eval_data)
+def baseline(kind: str, train: Dataset, eval_data: Dataset) -> BaselineResult:
+    """``fit_baseline(kind, train)`` evaluated on ``eval_data``."""
+    return fit_baseline(kind, train)(eval_data)

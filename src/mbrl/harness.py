@@ -53,7 +53,6 @@ class ExperimentConfig:
     estimators: tuple[str, ...] = MBRL_ESTIMATORS
     replications: int = bounded(1, at_least=1)
     kl_levels: tuple[float, ...] | None = bounded(None, at_least=0)
-    knn_k: int = bounded(5, at_least=1)
     out_dir: str = "out"
     seed: int = bounded(0, at_least=0)
 
@@ -247,7 +246,7 @@ def _run_replication(cfg: ExperimentConfig, base: Dataset | None,
     rows = []
     # Each baseline is fitted once, on the in-sample units, and scored on
     # both samples.
-    baselines = {name: est.fit_baseline(name, insample, cfg.knn_k)
+    baselines = {name: est.fit_baseline(name, insample)
                  for name in cfg.estimators if name not in MBRL_ESTIMATORS}
     for sample, dataset in (("in", insample), ("out", te)):
         nuis = nuisances_from_net(ckpt.net, dataset) if uses_net else None

@@ -386,8 +386,8 @@ def test_evaluate_checkpoint_with_a_non_finite_validation_score_exits_0(
 
 
 def test_unknown_train_config_key_exits_1(tmp_path, sim_config, capsys):
-    # A typo and the keys a train config no longer has (eps_clip,
-    # sinkhorn.cost), in a train config and in a bench config's train block;
+    # A typo and the keys a config no longer has (eps_clip, sinkhorn.cost,
+    # sim.sigma_scale, knn_k), in a train config and in a bench config;
     # the error names the key and, in a nested block, the block.
     data_path = str(tmp_path / "data.csv")
     assert main(["generate", "--config", sim_config, "--out", data_path]) == 0
@@ -401,6 +401,9 @@ def test_unknown_train_config_key_exits_1(tmp_path, sim_config, capsys):
          "unknown entry 'eps_clip' in train"),
         (bench, _bench_doc(**{"train.sinkhorn.cost": "euclidean"}),
          "unknown entry 'cost' in sinkhorn"),
+        (bench, _bench_doc(**{"sim.sigma_scale": 0.5}),
+         "unknown entry 'sigma_scale' in sim"),
+        (bench, _bench_doc(knn_k=5), "unknown entry 'knn_k'"),
     ]:
         capsys.readouterr()
         assert main([*argv, _write(tmp_path / "cfg.json", doc)]) == 1
@@ -446,7 +449,6 @@ def test_evaluate_truncated_checkpoint_exits_1(tmp_path, sim_config,
     ("train.phi_width", 8.7),
     ("train.seed", True),
     ("replications", 2.0),
-    ("knn_k", False),
     ("sim.dim", 3.0),
     ("split.seed", 1.5),
 ])
@@ -466,7 +468,6 @@ def test_bench_rejects_non_integer_int_fields(tmp_path, capsys, path, value):
     ("train.lambda1", float("nan"), "nan"),
     ("train.learning_rate", float("nan"), "nan"),
     ("train.beta", float("inf"), "inf"),
-    ("sim.sigma_scale", float("inf"), "inf"),
     ("split.train_frac", float("nan"), "nan"),
     pytest.param("kl_levels", [0.5, float("-inf")], "-inf", id="kl_levels--inf"),
 ])
@@ -557,14 +558,6 @@ def test_generate_rejects_non_finite_means(tmp_path, capsys, name):
     out = tmp_path / "data.csv"
     assert main(["generate", "--config", cfg, "--out", str(out)]) == 1
     assert f"{name} must be finite, not [nan, 0.0]" in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_bench_rejects_knn_k_below_1(tmp_path, capsys):
-    cfg = _write(tmp_path / "exp.json", _bench_doc(knn_k=0, estimators=["knn"]))
-    out = tmp_path / "out"
-    assert main(["bench", "--config", cfg, "--out", str(out)]) == 1
-    assert "knn_k must be at least 1" in capsys.readouterr().err
     assert not out.exists()
 
 

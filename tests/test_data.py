@@ -233,7 +233,7 @@ def test_simulation_affine_propensity_matches_the_quadratic_form(kl, kl_draw,
     monkeypatch.setattr(data_module, "generate_simulation", recording)
     data, truth = kl_draw(seed=7001, n_treated=2000, n_control=4000, kl=kl)
     (cfg, mixing), = drawn
-    cov = cfg.sigma_scale * (mixing @ mixing.T)
+    cov = data_module.SIGMA_SCALE * (mixing @ mixing.T)
     want = _two_quadratic_form_posterior(data.covariates, cfg.mu1, cfg.mu0, cov,
                                          2000 / 6000)
     np.testing.assert_allclose(truth.m0(data.covariates), want, rtol=0, atol=1e-10)

@@ -254,13 +254,17 @@ def test_ols_lr2_matches_group_means_on_simulator():
 
 
 def test_knn_duplicate_point_recovers_counterfactual():
-    Z = np.array([[0.0], [5.0], [0.0]])
-    train = Dataset(Z, [1, 0, 0], [7.0, 1.0, 2.0])
+    # Each arm has KNN_K units near one point and one far outlier, which
+    # the k-NN mean must leave out.
+    assert estimators.KNN_K == 5
+    Z = np.array([[0.0]] * 5 + [[100.0]] + [[5.0]] * 5 + [[-100.0]])
+    y = [6.0, 7.0, 8.0, 7.0, 7.0, 1000.0, 0.0, 1.0, 2.0, 1.0, 1.0, -1000.0]
+    train = Dataset(Z, [1] * 6 + [0] * 6, y)
     eval_data = Dataset(np.array([[5.0], [0.0]]), [1, 0], [3.0, 2.0])
-    res = baseline("knn", train, eval_data, k=1)
-    # eval unit 1 is control at z=0; its nearest treated neighbor is z=0 -> y=7
+    res = baseline("knn", train, eval_data)
+    # eval unit 1 is control at z=0; its nearest treated neighbors are at z=0
     assert res.y1_hat[1] == pytest.approx(7.0)
-    # eval unit 0 is treated at z=5; nearest control neighbor is z=5 -> y=1
+    # eval unit 0 is treated at z=5; its nearest control neighbors are at z=5
     assert res.y0_hat[0] == pytest.approx(1.0)
 
 

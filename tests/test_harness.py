@@ -153,7 +153,7 @@ def test_baseline_rows_equal_a_fit_per_sample():
     insample = harness.concat([tr, va])
     for row in report.rows:
         dataset = insample if row["sample"] == "in" else te
-        res = est.baseline(row["estimator"], insample, dataset, k=cfg.knn_k)
+        res = est.baseline(row["estimator"], insample, dataset)
         want = harness._metric_row(dataset, res.theta.ate, res.y0_hat, res.y1_hat,
                                    rmse(dataset.outcome_factual, res.yhat_factual),
                                    None)

@@ -35,14 +35,12 @@ BOUNDS = [
     (SimConfig, "n_treated", 0, 1, {}),
     (SimConfig, "n_control", 0, 1, {}),
     (SimConfig, "dim", 0, 1, {}),
-    (SimConfig, "sigma_scale", 0.0, TINY, {}),
     (SplitSpec, "train_frac", 0.0, TINY, {"val_frac": 0.5, "test_frac": 0.5}),
     (SplitSpec, "val_frac", 0.0, TINY, {"train_frac": 0.5, "test_frac": 0.5}),
     (SplitSpec, "test_frac", 0.0, TINY, {"train_frac": 0.5, "val_frac": 0.5}),
     (ExperimentConfig, "source", "bogus", "twins", FILE),
     (ExperimentConfig, "outcome_kind", "bogus", "binary", FILE | {"source": "csv"}),
     (ExperimentConfig, "replications", 0, 1, {}),
-    (ExperimentConfig, "knn_k", 0, 1, {}),
     (ExperimentConfig, "kl_levels", (0.5, -TINY), (0.5, 0.0), {}),
     (SimConfig, "seed", -1, 0, {}),
     (SplitSpec, "seed", -1, 0, SPLIT),
