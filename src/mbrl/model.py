@@ -635,7 +635,7 @@ def fit(train: Dataset, val: Dataset, cfg: TrainConfig) -> Checkpoint:
     if missing:
         raise RuntimeError(f"no epoch of {cfg.epochs} had a finite validation "
                            f"{missing[0]}; nothing to select")
-    # The gradient, moments and work vector go before the returned nets
+    # The gradient and the Adam moments go before the returned nets
     # are built, so building them does not raise the fit's peak memory.
     clip_events = state.clip_events
     del state

@@ -1,5 +1,5 @@
 """Minimal dense-network engine: forward pass, exact reverse-mode gradients,
-Adam updates and finite-difference verification.
+in-place Adam (moments in gradient units) and finite-difference checks.
 
 Everything is float64 numpy. Weight matrices follow the (out, in) convention,
 so a batch X of shape (B, in) maps to X @ W.T + b.
@@ -242,15 +242,13 @@ ADAM_BLOCK = 32768
 @dataclass
 class AdamState:
     """The parameter vector an optimizer updates (a net's whole vector),
-    the gradient vector its producer writes in the same layout, the
-    first/second moment accumulators and a work vector of one block,
-    ``min(ADAM_BLOCK, size)`` entries."""
+    the gradient vector its producer writes in the same layout, and the
+    moments in gradient units: Kingma & Ba's m / (1 - beta1) and v / (1 - beta2)."""
 
     params: np.ndarray
     grad: np.ndarray
     m: np.ndarray
     v: np.ndarray
-    work: np.ndarray
     step: int = 0
     learning_rate: float = 1e-3
 
@@ -260,22 +258,22 @@ def adam_init(params: np.ndarray, grad: np.ndarray,
     """Optimizer state of a flat parameter vector and its gradient vector."""
     size = params.size
     return AdamState(params=params, grad=grad, m=np.zeros(size), v=np.zeros(size),
-                     work=np.zeros(min(ADAM_BLOCK, size)), learning_rate=learning_rate)
+                     learning_rate=learning_rate)
 
 
 def adam_update(state: AdamState) -> None:
     """One bias-corrected Adam descent step on ``state.params``, in place,
     from the gradient its producer wrote into ``state.grad``.
 
-    The step is lr * (m / c1) / (sqrt(v / c2) + eps_hat) with both bias
-    corrections folded into two per-call scalars (Kingma & Ba 2015, §2):
-    m * lr_t / (sqrt(v) + eps_t) with lr_t = lr * sqrt(c2) / c1 and
-    eps_t = eps_hat * sqrt(c2), one division and one square root per
-    entry, computed elementwise in that order. It runs block by block
-    (``ADAM_BLOCK`` entries of each vector at a time, the same operations
-    in the same order in every block, so the bytes do not depend on the
-    block size) and overwrites the gradient with the step; nothing is
-    allocated. Non-finite gradient entries raise before any block moves.
+    Kingma & Ba's step (2015, §2), lr * (m / c1) / (sqrt(v / c2) + eps_hat),
+    is lr_t * m / (sqrt(v) + eps_t) for moments in gradient units
+    (m <- beta1 m + g, v <- beta2 v + g^2), with the bias corrections and
+    moment scales folded into lr_t = lr (1 - beta1) sqrt(c2) / (c1 sqrt(1 - beta2))
+    and eps_t = eps_hat sqrt(c2) / sqrt(1 - beta2). It runs block by block
+    (``ADAM_BLOCK`` entries of each vector at a time, the same ten in-place
+    passes in every block, so the bytes do not depend on the block size)
+    and overwrites the gradient with the step; nothing is allocated.
+    Non-finite gradient entries raise before any block moves.
     """
     grad = state.grad
     # max and min propagate nan and reach any +-inf, without a mask.
@@ -285,24 +283,22 @@ def adam_update(state: AdamState) -> None:
     t = state.step
     c1 = 1.0 - ADAM_BETA1 ** t
     sqrt_c2 = math.sqrt(1.0 - ADAM_BETA2 ** t)
-    lr_t = state.learning_rate * sqrt_c2 / c1
-    eps_t = ADAM_EPS_HAT * sqrt_c2
+    sqrt_b2 = math.sqrt(1.0 - ADAM_BETA2)
+    lr_t = state.learning_rate * (1.0 - ADAM_BETA1) * sqrt_c2 / (c1 * sqrt_b2)
+    eps_t = ADAM_EPS_HAT * sqrt_c2 / sqrt_b2
     for start in range(0, grad.size, ADAM_BLOCK):
         s = slice(start, start + ADAM_BLOCK)
         g, m, v, p = grad[s], state.m[s], state.v[s], state.params[s]
-        work = state.work[:g.size]
         m *= ADAM_BETA1
-        np.multiply(g, 1.0 - ADAM_BETA1, out=work)
-        m += work
+        m += g
         v *= ADAM_BETA2
-        np.multiply(g, 1.0 - ADAM_BETA2, out=work)
-        work *= g
-        v += work
-        # The block's gradient is spent; g now holds its step.
-        np.sqrt(v, out=work)
-        work += eps_t
-        np.multiply(m, lr_t, out=g)
-        g /= work
+        # g is spent once squared; it then holds the denominator, then the step.
+        g *= g
+        v += g
+        np.sqrt(v, out=g)
+        g += eps_t
+        np.divide(m, g, out=g)
+        g *= lr_t
         p -= g
 
 

@@ -253,6 +253,18 @@ def test_ols_lr2_matches_group_means_on_simulator():
     assert res.theta.ate == pytest.approx(target, abs=0.05)
 
 
+@pytest.mark.parametrize("kind", ["ols_lr1", "ols_lr2"])
+def test_ols_reports_a_rank_deficient_design(kind, caplog):
+    data = _linear_treatment_data()
+    duplicated = Dataset(np.column_stack([data.covariates, data.covariates[:, :1]]),
+                         data.treatment, data.outcome_factual)
+    with caplog.at_level("WARNING", logger="mbrl.estimators"):
+        assert not baseline(kind, data, data).rank_deficient
+        assert not caplog.records
+        assert baseline(kind, duplicated, duplicated).rank_deficient
+    assert "least squares design is rank deficient" in caplog.text
+
+
 def test_knn_duplicate_point_recovers_counterfactual():
     # Each arm has KNN_K units near one point and one far outlier, which
     # the k-NN mean must leave out.

@@ -310,14 +310,12 @@ def test_nets_and_checkpoints_compare_without_raising():
 def test_every_parameter_has_exactly_one_optimizer():
     # One Adam state over the net's whole parameter vector and the one
     # gradient vector, which task_objective writes through the state's
-    # views, with a work vector of one Adam block (of the net, where it is
-    # smaller). At the default architecture the moments hold 364,605
-    # entries each, not the 487,405 of a second optimizer over phi.
+    # views. At the default architecture the moments hold 364,605 entries
+    # each, not the 487,405 of a second optimizer over phi.
     for ablation in ABLATIONS:
         net = _tiny_net(seed=9)
         state = init_train_state(net, replace(TINY, ablation=ablation))
         assert state.opt.params is net.params
-        assert state.opt.work.size == net.params.size < nn.ADAM_BLOCK
         assert all(np.shares_memory(v, state.opt.grad) for name in model.SUBNETS
                    for v in state.grads[name].tensors())
         assert all(np.shares_memory(state.grads[n], state.opt.grad)
@@ -326,7 +324,6 @@ def test_every_parameter_has_exactly_one_optimizer():
     opt = init_train_state(net, TrainConfig()).opt
     assert opt.params is net.params
     assert net.params.size == opt.m.size == opt.v.size == opt.grad.size == 364_605
-    assert opt.work.size == nn.ADAM_BLOCK
 
 
 @pytest.mark.parametrize("ablation", list(ABLATIONS))

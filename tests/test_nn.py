@@ -374,19 +374,21 @@ def test_adam_rejects_non_finite_gradients():
 
 def _adam_per_tensor(tensors, grads, m, v, t, lr=1e-3,
                      beta1=0.9, beta2=0.999, eps_hat=1e-8):
-    # One moment pair per tensor, as the flat state replaced, and the bias
-    # corrections folded into lr_t and eps_t; kept as the bitwise reference.
+    # One moment pair per tensor, as the flat state replaced, the moments
+    # in gradient units and the bias corrections and moment scales folded
+    # into lr_t and eps_t; kept as the bitwise reference.
     c1 = 1.0 - beta1 ** t
     sqrt_c2 = math.sqrt(1.0 - beta2 ** t)
-    lr_t = lr * sqrt_c2 / c1
-    eps_t = eps_hat * sqrt_c2
+    sqrt_b2 = math.sqrt(1.0 - beta2)
+    lr_t = lr * (1.0 - beta1) * sqrt_c2 / (c1 * sqrt_b2)
+    eps_t = eps_hat * sqrt_c2 / sqrt_b2
     for p, g, mk, vk in zip(tensors, grads, m, v):
         g = np.asarray(g, dtype=float)
         mk *= beta1
-        mk += (1.0 - beta1) * g
+        mk += g
         vk *= beta2
-        vk += (1.0 - beta2) * g * g
-        p -= mk * lr_t / (np.sqrt(vk) + eps_t)
+        vk += g * g
+        p -= mk / (np.sqrt(vk) + eps_t) * lr_t
 
 
 def _flat_group(tensors):
@@ -434,7 +436,8 @@ def test_adam_matches_per_tensor_reference_bitwise():
 
 def test_adam_step_is_the_textbook_step_to_rounding():
     # Kingma & Ba's step lr * (m / c1) / (sqrt(v / c2) + eps_hat), from the
-    # same moments; adam_update leaves its step in the gradient vector.
+    # same moments, which the state keeps in gradient units, m / (1 - beta1)
+    # and v / (1 - beta2); adam_update leaves its step in the gradient vector.
     rng = np.random.default_rng(9)
     n = 5000
     state = nn.adam_init(np.zeros(n), np.zeros(n), learning_rate=1e-3)
@@ -444,7 +447,8 @@ def test_adam_step_is_the_textbook_step_to_rounding():
         state.grad[...] = grad
         nn.adam_update(state)
         c1, c2 = 1.0 - 0.9 ** t, 1.0 - 0.999 ** t
-        want = 1e-3 * (state.m / c1) / (np.sqrt(state.v / c2) + 1e-8)
+        m, v = (1.0 - 0.9) * state.m, (1.0 - 0.999) * state.v
+        want = 1e-3 * (m / c1) / (np.sqrt(v / c2) + 1e-8)
         worst = max(worst, np.max(np.abs(state.grad - want) / np.abs(want)))
     assert worst <= 1e-14
 
@@ -467,7 +471,6 @@ def test_adam_blocks_match_per_tensor_reference_bitwise():
     grad = np.zeros_like(flat)
     state = nn.adam_init(flat, grad, learning_rate=1e-3)
     assert flat.size > 3 * nn.ADAM_BLOCK and flat.size % nn.ADAM_BLOCK
-    assert state.work.size == nn.ADAM_BLOCK
     for t in range(1, 6):
         grads = [rng.normal(size=p.shape) * 10.0 ** rng.integers(-4, 3)
                  for p in tensors]
@@ -495,12 +498,6 @@ def test_adam_non_finite_entry_in_the_last_block_moves_no_block(bad):
     assert state.step == 2
     for a, b in zip((params, state.m, state.v), before):
         assert a.tobytes() == b.tobytes()
-
-
-def test_adam_work_vector_holds_one_block():
-    for size in (10, nn.ADAM_BLOCK, 2 * nn.ADAM_BLOCK + 5):
-        params = np.zeros(size)
-        assert nn.adam_init(params, np.zeros(size)).work.size == min(nn.ADAM_BLOCK, size)
 
 
 def test_adam_update_allocates_no_gradient_sized_buffer():

@@ -23,7 +23,10 @@ Prints one sorted line per item, computed under OPENBLAS_NUM_THREADS=1:
   alone moves; and the exit code and output sha256 of ``mbrl evaluate`` on
   that checkpoint and a CSV of the fit's validation split;
 - ``check seed=S``: ``mbrl check --seed S``'s exit code and output sha256
-  (seeds 0-16).
+  (seeds 0-16);
+- ``adam``: the sha256 of the parameter vector and both moment vectors
+  after 20 seeded ``nn.adam_update`` steps on three full Adam blocks and a
+  ragged tail, so a change of the optimizer's bytes shows by itself.
 
 Two trees produce the same results exactly when this output is the same:
 run it in each and ``diff`` the two files. It reads checkpoints only
@@ -50,7 +53,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks")]
 
+import numpy as np  # noqa: E402
 from workloads import DeepFit, Study, cli, data, model  # noqa: E402
+
+from mbrl import nn  # noqa: E402
 
 TINY = model.TrainConfig(
     batch_size=8, epochs=3, phi_depth=2, phi_width=6, pi_depth=2, pi_width=5,
@@ -144,11 +150,23 @@ def check_lines():
         yield f"check seed={seed} {run_cli(['check', '--seed', str(seed)])}"
 
 
+def adam_lines():
+    rng = np.random.default_rng(0)
+    n = 3 * nn.ADAM_BLOCK + 2334
+    state = nn.adam_init(1e-3 * rng.normal(size=n), np.zeros(n))
+    for _ in range(20):
+        state.grad[...] = (rng.choice([-1.0, 1.0], size=n)
+                           * 10.0 ** rng.uniform(-4.0, 2.0, size=n))
+        nn.adam_update(state)
+    raw = state.params.tobytes() + state.m.tobytes() + state.v.tobytes()
+    yield f"adam steps=20 sha256={sha256(raw)}"
+
+
 def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         lines = [*study_lines(work), *deep_fit_lines(), *tiny_lines(work),
-                 *check_lines()]
+                 *check_lines(), *adam_lines()]
     print("\n".join(sorted(lines)))
 
 
